@@ -235,9 +235,10 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     weights = cfg.weights or RewardWeights.normalized(g)
     buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = TrainLog()
+    env = cascade.AttackEnv(g, weights)
     step = 0
     for ep in range(cfg.episodes):
-        env = g.fork()
+        env.reset()
         removed = []
         s = pooled_state(Z, removed)
         cum = 0.0
@@ -248,8 +249,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             eps = _epsilon_at(step, cfg)
             scores = q_values(Z, s, params)
             a = select_action(scores, eps, rng, alive)
-            out = cascade.damage(env, a)
-            r = cascade.reward_from_outcome(out, env, weights)
+            r, _ = env.step(a)
             removed.append(a)
             s_next = pooled_state(Z, removed)
             done = k == cfg.budget - 1
@@ -281,8 +281,8 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     weights = weights or RewardWeights.normalized(g)
     removed = []
 
-    def policy(env, k):
-        alive = env.state == NORMAL
+    def policy(graph, k):
+        alive = graph.state == NORMAL
         s = pooled_state(Z, removed)
         q = q_values(Z, s, params, alive_mask=alive)
         a = int(np.argmax(q))

@@ -76,8 +76,8 @@ def ci_attack(g: CoupledGraph, budget: int, radius: int = 1,
     _check_budget(g, budget)
     weights = weights or RewardWeights.normalized(g)
 
-    def policy(env, k):
-        scores = ci_scores(env, radius)
+    def policy(graph, k):
+        scores = ci_scores(graph, radius)
         return int(np.argmax(scores))
 
     return cascade.run_attack(g, policy, budget, weights, method="ci")
@@ -105,14 +105,18 @@ def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):
     count = min(cfg.sample_count, g.n)
     nodes = rng.permutation(g.n)[:count]
     rewards = np.empty(count)
+    env = cascade.AttackEnv(g, weights)
     for i, v in enumerate(nodes):
-        env = g.fork()
-        rewards[i] = cascade.reward(env, int(v), weights)
+        env.reset()
+        rewards[i] = env.step(v)[0]
     cut = np.quantile(rewards, 1.0 - cfg.positive_quantile)
-    labels = (rewards >= cut).astype(np.float64)
+    labels = rewards >= cut
+    if labels.all():
+        # ties at the cut: the cut equals the minimum reward
+        labels = rewards > cut
     if labels.min() == labels.max():
         raise BaselineError("degenerate GDM labels: all samples in one class")
-    return nodes, labels, rewards
+    return nodes, labels.astype(np.float64), rewards
 
 
 def _train_mlp(X, y, hidden, lr, epochs, rng):

@@ -142,6 +142,21 @@ class CoupledGraph:
             self.dep_supplier[j] = s
             dep_lights[s].append(j)
         self.dep_lights = [np.array(sorted(ls), dtype=np.int64) for ls in dep_lights]
+        # array caches of the cascade metrics, built here so that forks share
+        # them and no reader ever writes one lazily. Road edges are stored as
+        # positions in `junctions`, the node list of the road view.
+        self.junctions = np.flatnonzero(self.kind == JUNCTION)
+        position = np.full(n, -1, dtype=np.int64)
+        position[self.junctions] = np.arange(len(self.junctions))
+        road = np.array(self.road_edges, dtype=np.int64).reshape(-1, 2)
+        self.road_u = position[road[:, 0]]
+        self.road_v = position[road[:, 1]]
+        top = np.arange(n)
+        for _ in LEVELS:    # each hop climbs one level
+            up = self.elec_parent[top]
+            top = np.where(up == -1, top, up)
+        # load a 10kV station delivers while its supply path is Normal
+        self.feeds = np.where(self.level[top] == 220, self.load, 0.0)
 
     # -- derived node sets ----------------------------------------------
 

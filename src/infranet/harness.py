@@ -165,8 +165,8 @@ def write_summary(reports: dict, path):
                 r.power[-1] / r.power[0] if r.power[0] > 0 else 0.0 for r in reps
             ])
             anc = np.array([r.anc[-1] for r in reps])
-            wr.writerow((m, repr(cum.mean()), repr(cum.std()),
-                         repr(pfrac.mean()), repr(anc.mean())))
+            wr.writerow((m, *(repr(float(x)) for x in
+                              (cum.mean(), cum.std(), pfrac.mean(), anc.mean()))))
 
 
 METRICS = ("power", "sigma", "gcc", "anc", "reward", "cum_reward")

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from infranet.graph import JUNCTION, STATION, CoupledGraph
+from infranet.cascade import (
+    AttackReport,
+    anc,
+    damage,
+    gcc,
+    power,
+    reward_from_outcome,
+    sigma,
+)
+from infranet.graph import JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import GenConfig, generate
 
 
-@pytest.fixture
-def toy_chain():
+def make_toy_chain():
     """220 -> 110 -> 10(load 100) supplying junction 3; junctions 3-4-5 a path."""
     return CoupledGraph(
         kind=[STATION, STATION, STATION, JUNCTION, JUNCTION, JUNCTION],
@@ -16,6 +24,11 @@ def toy_chain():
         road_edges=[(3, 4), (4, 5)],
         dep_edges=[(2, 3)],
     )
+
+
+@pytest.fixture
+def toy_chain():
+    return make_toy_chain()
 
 
 def random_coupled(seed, scale=1.0):
@@ -164,3 +177,35 @@ def oracle_ci(g, radius=1):
             frontier = nxt
         scores[v] = (deg[v] - 1) * sum(deg[u] - 1 for u in frontier)
     return scores
+
+
+def reference_run_attack(g, policy, budget, weights, method="attack"):
+    """The from-scratch episode loop: a fresh damage() per step and every
+    metric recomputed after it. Drop-in for cascade.run_attack."""
+    env = g.fork()
+    sigma0 = sigma(env)
+    rep = AttackReport(
+        method=method,
+        nodes=[],
+        power=[power(env)],
+        sigma=[sigma0],
+        gcc=[gcc(env)],
+        anc=[1.0],
+        reward=[0.0],
+        cum_reward=[0.0],
+    )
+    for k in range(budget):
+        v = int(policy(env, k))
+        if env.state[v] == NORMAL:
+            out = damage(env, v)
+            r = reward_from_outcome(out, env, weights)
+        else:
+            r = 0.0
+        rep.nodes.append(v)
+        rep.power.append(power(env))
+        rep.sigma.append(sigma(env))
+        rep.gcc.append(gcc(env))
+        rep.anc.append(anc(rep.sigma[1:], sigma0) if sigma0 > 0 else 0.0)
+        rep.reward.append(r)
+        rep.cum_reward.append(rep.cum_reward[-1] + r)
+    return rep

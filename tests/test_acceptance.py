@@ -37,6 +37,8 @@ from conftest import (
     random_coupled,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}"

@@ -16,6 +16,7 @@ from infranet.baselines import (
 from infranet.cascade import RewardWeights, damage
 from infranet.embed import random_embeddings
 from infranet.graph import JUNCTION, STATION, CoupledGraph
+from infranet.netgen import generate, preset_config
 
 from conftest import oracle_ci, oracle_degree, random_coupled
 
@@ -110,6 +111,26 @@ def test_gdm_labels_quantile_split():
     # every positive reward >= every negative reward
     assert rewards[pos].min() >= rewards[~pos].max()
     assert 0 < pos.sum() < len(labels)
+
+
+def test_gdm_labels_ties_at_the_cut():
+    # on the desk preset most single-node damages tie at the minimum reward,
+    # so the quantile cut equals the minimum and ">= cut" is one class
+    g = generate(preset_config("desk", seed=0))
+    w = RewardWeights.normalized(g)
+    nodes, labels, rewards = gdm_labels(g, GdmConfig(sample_count=100, seed=0), w)
+    cut = np.quantile(rewards, 0.8)
+    assert cut == rewards.min()
+    assert np.all(rewards >= cut)
+    np.testing.assert_array_equal(labels, (rewards > cut).astype(np.float64))
+    assert 0 < labels.sum() < len(labels)
+
+
+def test_gdm_labels_all_tied_is_degenerate():
+    g = CoupledGraph(kind=[JUNCTION] * 4, level=[0] * 4, load=[0.0] * 4,
+                     elec_edges=[], road_edges=[], dep_edges=[])
+    with pytest.raises(BaselineError, match="degenerate"):
+        gdm_labels(g, GdmConfig(sample_count=4), RewardWeights())
 
 
 def test_gdm_labels_do_not_mutate_graph():

@@ -75,6 +75,18 @@ def test_run_plan_outputs(tmp_path, small_graph_file):
     assert [r[0] for r in summary[1:]] == ["ci", "de", "random"]
 
 
+def test_csv_cells_are_plain_numbers(tmp_path, small_graph_file):
+    plan = small_plan(small_graph_file)
+    reports = run_plan(plan, tmp_path)
+    emit_curves(reports.values(), tmp_path, svg=False)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert {p.name for p in paths} >= {"summary.csv", "curves.csv", "de_seed0.csv"}
+    for path in paths:
+        with open(path, newline="") as f:
+            for row in csv.reader(f):
+                assert not any("np." in cell for cell in row), (path.name, row)
+
+
 def test_run_plan_deterministic_bytes(tmp_path, small_graph_file):
     plan = small_plan(small_graph_file)
     run_plan(plan, tmp_path / "a")
