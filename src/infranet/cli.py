@@ -10,25 +10,31 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import agent as agent_mod
-from . import baselines, cascade, embed as embed_mod, harness, transfer as transfer_mod
+from . import cascade, embed as embed_mod, harness, transfer as transfer_mod
 from .cascade import RewardWeights
 from .graph import CoupledGraph
 from .netgen import GenConfig, PRESETS, generate, preset_config
 
 
+_WEIGHTS_FORM = "'normalized' or 'ae=<float>,ar=<float>'"
+
+
 def _parse_weights(text: str, g: CoupledGraph) -> RewardWeights:
     if text == "normalized":
         return RewardWeights.normalized(g)
-    parts = dict(kv.split("=") for kv in text.split(","))
-    return RewardWeights(a_e=float(parts["ae"]), a_r=float(parts["ar"]))
+    parts = dict(kv.partition("=")[::2] for kv in text.split(","))
+    try:
+        if sorted(parts) != ["ae", "ar"]:
+            raise ValueError(text)
+        a_e, a_r = float(parts["ae"]), float(parts["ar"])
+    except ValueError:
+        raise SystemExit(f"--weights {text!r}: expected {_WEIGHTS_FORM}") from None
+    return RewardWeights(a_e=a_e, a_r=a_r)
 
 
 def _add_weights_flag(p):
-    p.add_argument("--weights", default="normalized",
-                   help="'normalized' or 'ae=<float>,ar=<float>'")
+    p.add_argument("--weights", default="normalized", help=_WEIGHTS_FORM)
 
 
 def cmd_generate(args):
@@ -94,20 +100,18 @@ def cmd_train(args):
 
 
 def cmd_baseline(args):
-    g = CoupledGraph.from_file(args.graph)
+    plan = harness.ExperimentPlan(graph_file=args.graph, methods=(args.kind,),
+                                  budget=args.budget, seeds=(args.seed,),
+                                  ci_radius=args.radius)
+    g = plan.load_graph()
     weights = _parse_weights(args.weights, g)
-    if args.kind == "de":
-        rep = baselines.de_attack(g, args.budget, weights)
-    elif args.kind == "ci":
-        rep = baselines.ci_attack(g, args.budget, radius=args.radius, weights=weights)
-    elif args.kind == "random":
-        rep = baselines.random_attack(g, args.budget, seed=args.seed, weights=weights)
-    elif args.kind == "gdm":
+    method = harness.METHODS[args.kind]
+    emb = None
+    if method.needs_embedding:
         if not args.emb:
-            raise SystemExit("gdm needs --emb")
+            raise SystemExit(f"{args.kind} needs --emb")
         emb = embed_mod.load_embedding(args.emb)
-        cfg = baselines.GdmConfig(seed=args.seed)
-        rep = baselines.gdm_attack(g, emb, args.budget, cfg, weights)
+    rep = method.run(g, emb, plan, args.seed, weights)
     rep.save_csv(args.out)
     print(f"wrote {args.out}: cum_reward {rep.final_cum_reward!r}")
 
@@ -116,10 +120,10 @@ def cmd_transfer(args):
     g = CoupledGraph.from_file(args.graph)
     emb = embed_mod.load_embedding(args.emb)
     params = agent_mod.load_qnet(args.qnet)
-    weights = _parse_weights(args.weights, g)
     spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
                                  add_fraction=args.mask_add, seed=args.seed)
     g_mask = transfer_mod.mask_graph(g, spec)
+    weights = _parse_weights(args.weights, g_mask)
     rcfg = transfer_mod.RetrainConfig(
         epochs=args.retrain_epochs, distance_weight=args.distance_weight,
         lr=args.retrain_lr, seed=args.seed,
@@ -198,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     b = sub.add_parser("baseline", help="run a baseline attack")
-    b.add_argument("--kind", required=True, choices=("de", "ci", "gdm", "random"))
+    b.add_argument("--kind", required=True,
+                   choices=[m for m, spec in harness.METHODS.items() if spec.baseline])
     b.add_argument("--graph", required=True)
     b.add_argument("--emb")
     b.add_argument("--budget", type=int, default=10)

@@ -131,11 +131,6 @@ class CoupledGraph:
             self.elec_parent[c] = p
             elec_children[p].append(c)
         self.elec_children = [np.array(sorted(cs), dtype=np.int64) for cs in elec_children]
-        road_adj = [[] for _ in range(n)]
-        for u, v in self.road_edges:
-            road_adj[u].append(v)
-            road_adj[v].append(u)
-        self.road_adj = [np.array(sorted(a), dtype=np.int64) for a in road_adj]
         self.dep_supplier = np.full(n, -1, dtype=np.int64)
         dep_lights = [[] for _ in range(n)]
         for s, j in self.dep_edges:
@@ -176,41 +171,11 @@ class CoupledGraph:
 
     # -- topology queries -------------------------------------------------
 
-    def neighbors(self, v: int, layer: str = "all") -> np.ndarray:
-        """Adjacent node ids restricted to a layer, ascending.
-
-        layer: 'elec' (children plus parent), 'road', 'dep', or 'all'.
-        """
-        self._check_id(v)
-        parts = []
-        if layer in ("elec", "all"):
-            parts.append(self.elec_children[v])
-            if self.elec_parent[v] != -1:
-                parts.append(np.array([self.elec_parent[v]], dtype=np.int64))
-        if layer in ("road", "all"):
-            parts.append(self.road_adj[v])
-        if layer in ("dep", "all"):
-            parts.append(self.dep_lights[v])
-            if self.dep_supplier[v] != -1:
-                parts.append(np.array([self.dep_supplier[v]], dtype=np.int64))
-        if layer not in ("elec", "road", "dep", "all"):
-            raise GraphError(f"unknown layer {layer!r}")
-        if not parts:
-            return np.array([], dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-    def degree(self, v: int) -> int:
-        """Incident edge count over all layers, directions ignored."""
-        self._check_id(v)
-        d = len(self.elec_children[v]) + len(self.road_adj[v]) + len(self.dep_lights[v])
-        if self.elec_parent[v] != -1:
-            d += 1
-        if self.dep_supplier[v] != -1:
-            d += 1
-        return d
-
     def degrees(self) -> np.ndarray:
-        return np.array([self.degree(v) for v in range(self.n)], dtype=np.int64)
+        """Incident edge count of every node over all layers, directions ignored."""
+        ends = [np.asarray(e, dtype=np.int64).reshape(-1)
+                for e in (self.elec_edges, self.road_edges, self.dep_edges)]
+        return np.bincount(np.concatenate(ends), minlength=self.n).astype(np.int64)
 
     def all_edges(self) -> list:
         """Every edge as an undirected (u, v) pair with its layer tag."""
@@ -218,23 +183,6 @@ class CoupledGraph:
         out += [(u, v, "road") for u, v in self.road_edges]
         out += [(u, v, "dep") for u, v in self.dep_edges]
         return out
-
-    def alive_subgraph(self, layer: str = "all"):
-        """(node ids, edge list) keeping only Normal nodes and edges between them."""
-        alive = self.state == NORMAL
-        nodes = np.flatnonzero(alive)
-        if layer == "elec":
-            edges = self.elec_edges
-        elif layer == "road":
-            edges = self.road_edges
-        elif layer == "dep":
-            edges = self.dep_edges
-        elif layer == "all":
-            edges = [(u, v) for u, v, _ in self.all_edges()]
-        else:
-            raise GraphError(f"unknown layer {layer!r}")
-        kept = [(u, v) for u, v in edges if alive[u] and alive[v]]
-        return nodes, kept
 
     # -- episode state -----------------------------------------------------
 
@@ -244,9 +192,6 @@ class CoupledGraph:
         g.__dict__.update(self.__dict__)
         g.state = np.zeros(self.n, dtype=np.uint8)
         return g
-
-    def reset_states(self):
-        self.state[:] = NORMAL
 
     # -- serialization ------------------------------------------------------
 

@@ -2,10 +2,13 @@
 and summary emission.
 
 A plan names a graph source, the methods to run, the budget, the seeds, and
-optional config overrides. Every (method, seed) cell writes its own report
-CSV; a summary CSV aggregates final cumulative reward, power fraction, and
-ANC per method. Cell execution honors the INFRA_THREADS environment
-variable; outputs are deterministic either way.
+optional config overrides. `METHODS` is the one table from a method name to
+the attack it runs; `run_plan` and the `baseline` subcommand both dispatch
+through it. Every (method, seed) cell writes its own report CSV; a summary
+CSV aggregates final cumulative reward, power fraction, and ANC per method.
+Cells run on INFRA_THREADS threads (default 1), which pays off for agent and
+GDM cells, whose numpy work releases the GIL, and not for DE/CI/random;
+outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +27,6 @@ from . import baselines, embed as embed_mod
 from .cascade import AttackReport, RewardWeights
 from .graph import CoupledGraph
 from .netgen import generate, preset_config
-
-KNOWN_METHODS = ("agent", "de", "ci", "gdm", "random", "agent-random-embedding")
 
 
 class PlanError(ValueError):
@@ -49,8 +51,8 @@ class ExperimentPlan:
         if not self.methods or not self.seeds:
             raise PlanError("plan needs at least one method and one seed")
         for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise PlanError(f"unknown method {m!r}; choose from {KNOWN_METHODS}")
+            if m not in METHODS:
+                raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.graph_preset is None and self.graph_file is None:
             raise PlanError("plan needs a graph preset or file")
 
@@ -66,17 +68,17 @@ class ExperimentPlan:
             methods=tuple(doc.get("methods", ("de", "ci", "random"))),
             budget=doc.get("budget", 10),
             seeds=tuple(doc.get("seeds", (0,))),
-            weights=RewardWeights(**weights) if weights else None,
+            weights=_override("weights", RewardWeights(), weights) if weights else None,
             ci_radius=doc.get("ci_radius", 1),
         )
         if "embed" in doc:
-            plan.embed_config = replace(plan.embed_config, **doc["embed"])
+            plan.embed_config = _override("embed", plan.embed_config, doc["embed"])
         if "agent" in doc:
             acfg = dict(doc["agent"])
             acfg.setdefault("budget", plan.budget)
-            plan.agent_config = replace(plan.agent_config, **acfg)
+            plan.agent_config = _override("agent", plan.agent_config, acfg)
         if "gdm" in doc:
-            plan.gdm_config = replace(plan.gdm_config, **doc["gdm"])
+            plan.gdm_config = _override("gdm", plan.gdm_config, doc["gdm"])
         plan.validate()
         return plan
 
@@ -86,33 +88,66 @@ class ExperimentPlan:
         return generate(preset_config(self.graph_preset, seed=self.graph_seed))
 
 
-def _needs_embedding(methods) -> bool:
-    return any(m in ("agent", "gdm") for m in methods)
+def _override(block: str, cfg, overrides: dict):
+    """`cfg` with a plan block's values; a key `cfg` lacks is a PlanError."""
+    names = [f.name for f in fields(cfg)]
+    for key in overrides:
+        if key not in names:
+            raise PlanError(f"unknown key {key!r} in plan block {block!r}; "
+                            f"choose from {names}")
+    return replace(cfg, **overrides)
 
 
-def _run_cell(method: str, seed: int, g: CoupledGraph, emb, plan: ExperimentPlan,
-              weights: RewardWeights) -> AttackReport:
-    if method == "de":
-        rep = baselines.de_attack(g, plan.budget, weights)
-    elif method == "ci":
-        rep = baselines.ci_attack(g, plan.budget, radius=plan.ci_radius, weights=weights)
-    elif method == "random":
-        rep = baselines.random_attack(g, plan.budget, seed=seed, weights=weights)
-    elif method == "gdm":
-        cfg = replace(plan.gdm_config, seed=seed)
-        rep = baselines.gdm_attack(g, emb, plan.budget, cfg, weights)
-    elif method in ("agent", "agent-random-embedding"):
-        if method == "agent-random-embedding":
-            emb = embed_mod.random_embeddings(g, plan.embed_config.d, seed)
-        acfg = replace(plan.agent_config, seed=seed, budget=plan.budget,
-                       weights=weights)
-        params, _ = agent_mod.train(g, emb, acfg)
-        rep = agent_mod.greedy_attack(g, emb, params, plan.budget, weights,
-                                      method=method)
-    else:
-        raise PlanError(f"unknown method {method!r}")
-    rep.method = method
-    return rep
+class Method(NamedTuple):
+    """One attack a plan can name.
+
+    `run(g, emb, plan, seed, weights)` returns the cell's AttackReport.
+    `needs_embedding` methods get the plan's coupled embedding as `emb`
+    (None otherwise). `baseline` methods train no agent; they are the kinds
+    of the `baseline` subcommand.
+    """
+
+    run: Callable[..., AttackReport]
+    needs_embedding: bool = False
+    baseline: bool = True
+
+
+def _de(g, emb, plan, seed, weights):
+    return baselines.de_attack(g, plan.budget, weights)
+
+
+def _ci(g, emb, plan, seed, weights):
+    return baselines.ci_attack(g, plan.budget, radius=plan.ci_radius, weights=weights)
+
+
+def _gdm(g, emb, plan, seed, weights):
+    cfg = replace(plan.gdm_config, seed=seed)
+    return baselines.gdm_attack(g, emb, plan.budget, cfg, weights)
+
+
+def _random(g, emb, plan, seed, weights):
+    return baselines.random_attack(g, plan.budget, seed=seed, weights=weights)
+
+
+def _agent(g, emb, plan, seed, weights, method="agent"):
+    acfg = replace(plan.agent_config, seed=seed, budget=plan.budget, weights=weights)
+    params, _ = agent_mod.train(g, emb, acfg)
+    return agent_mod.greedy_attack(g, emb, params, plan.budget, weights, method=method)
+
+
+def _agent_random_embedding(g, emb, plan, seed, weights):
+    emb = embed_mod.random_embeddings(g, plan.embed_config.d, seed)
+    return _agent(g, emb, plan, seed, weights, method="agent-random-embedding")
+
+
+METHODS = {
+    "agent": Method(_agent, needs_embedding=True, baseline=False),
+    "de": Method(_de),
+    "ci": Method(_ci),
+    "gdm": Method(_gdm, needs_embedding=True),
+    "random": Method(_random),
+    "agent-random-embedding": Method(_agent_random_embedding, baseline=False),
+}
 
 
 def run_plan(plan: ExperimentPlan, outdir) -> dict:
@@ -124,7 +159,7 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
     weights = plan.weights or RewardWeights.normalized(g)
 
     emb = None
-    if _needs_embedding(plan.methods):
+    if any(METHODS[m].needs_embedding for m in plan.methods):
         emb, _, _ = embed_mod.train_coupled(g, plan.embed_config)
 
     cells = [(m, s) for m in plan.methods for s in plan.seeds]
@@ -132,7 +167,7 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
 
     def do(cell):
         m, s = cell
-        return cell, _run_cell(m, s, g, emb, plan, weights)
+        return cell, METHODS[m].run(g, emb, plan, s, weights)
 
     reports = {}
     if workers == 1:

@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from infranet.cli import main
+from infranet import agent, embed, harness, transfer
+from infranet.cascade import RewardWeights
+from infranet.cli import build_parser, main
 from infranet.graph import CoupledGraph
 
 
@@ -77,6 +80,40 @@ def test_baseline_kinds(tmp_path, workdir):
     assert out.exists()
 
 
+@pytest.mark.parametrize("text", ["ae=1", "ae=x,ar=1", "junk"])
+def test_malformed_weights_exit(tmp_path, workdir, text):
+    with pytest.raises(SystemExit, match="ae=<float>,ar=<float>"):
+        main(["attack", "--graph", str(workdir / "g.json"), "--nodes", "0",
+              "--weights", text, "--out", str(tmp_path / "rep.csv")])
+
+
+def test_baseline_kinds_are_harness_baselines():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["baseline"]._actions if a.dest == "kind")
+    baselines = {m for m, spec in harness.METHODS.items() if spec.baseline}
+    assert set(kind.choices) == baselines == {"de", "ci", "gdm", "random"}
+
+
+def test_baseline_matches_report_cell(tmp_path, workdir, monkeypatch):
+    graph, emb = str(workdir / "g.json"), str(workdir / "emb.bin")
+    kinds = ["de", "ci", "random", "gdm"]
+    # report trains its own embedding; give it the one the baseline reads
+    loaded = embed.load_embedding(emb)
+    monkeypatch.setattr(embed, "train_coupled", lambda g, cfg: (loaded, None, None))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"graph": {"file": graph}, "methods": kinds,
+                                "budget": 3, "seeds": [1], "ci_radius": 2}))
+    main(["report", "--plan", str(plan), "--out", str(tmp_path / "report"),
+          "--no-svg"])
+    for kind in kinds:
+        out = tmp_path / f"{kind}.csv"
+        main(["baseline", "--kind", kind, "--graph", graph, "--emb", emb,
+              "--budget", "3", "--seed", "1", "--radius", "2", "--out", str(out)])
+        cell = tmp_path / "report" / f"{kind}_seed1.csv"
+        assert out.read_bytes() == cell.read_bytes(), kind
+
+
 def test_baseline_gdm_requires_emb(tmp_path, workdir):
     with pytest.raises(SystemExit):
         main(["baseline", "--kind", "gdm", "--graph", str(workdir / "g.json"),
@@ -102,6 +139,26 @@ def test_transfer_runs(tmp_path, workdir):
           "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
           "--budget", "2", "--retrain-epochs", "5", "--out", str(out)])
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_transfer_weights_normalized_on_mask_graph(tmp_path, workdir):
+    # unequal fractions: the masked graph's intact power and sigma differ
+    out = tmp_path / "transfer.csv"
+    main(["transfer", "--graph", str(workdir / "g.json"),
+          "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
+          "--budget", "2", "--retrain-epochs", "5", "--mask-delete", "0.3",
+          "--mask-add", "0", "--seed", "2", "--out", str(out)])
+    g = CoupledGraph.from_file(workdir / "g.json")
+    g_mask = transfer.mask_graph(g, transfer.MaskSpec(delete_fraction=0.3,
+                                                      add_fraction=0.0, seed=2))
+    weights = RewardWeights.normalized(g_mask)
+    assert weights != RewardWeights.normalized(g)
+    new_emb, _ = transfer.retrain(g_mask, embed.load_embedding(workdir / "emb.bin"),
+                                  transfer.RetrainConfig(epochs=5, seed=2))
+    rep = transfer.transfer_attack(g_mask, new_emb, agent.load_qnet(workdir / "q.bin"),
+                                   2, weights)
+    rep.save_csv(tmp_path / "library.csv")
+    assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_report_runs_plan(tmp_path, workdir):

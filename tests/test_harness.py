@@ -58,6 +58,17 @@ def test_plan_validation_errors(small_graph_file):
         small_plan(small_graph_file, seeds=[])
 
 
+@pytest.mark.parametrize("block, key", [
+    ("embed", "dim"),
+    ("agent", "episdoes"),
+    ("gdm", "samples"),
+    ("weights", "ae"),
+])
+def test_plan_unknown_block_key(small_graph_file, block, key):
+    with pytest.raises(PlanError, match=f"unknown key '{key}' in plan block '{block}'"):
+        small_plan(small_graph_file, **{block: {key: 1}})
+
+
 def test_run_plan_outputs(tmp_path, small_graph_file):
     plan = small_plan(small_graph_file)
     reports = run_plan(plan, tmp_path)
@@ -95,14 +106,29 @@ def test_run_plan_deterministic_bytes(tmp_path, small_graph_file):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
 
 
+# embedding, agent and GDM configs small enough for a unit test
+TINY_LEARNING = dict(
+    embed={"d": 6, "epochs": 3},
+    agent={"episodes": 2, "batch_size": 4, "buffer_size": 16},
+    gdm={"sample_count": 20, "epochs": 20},
+)
+
+
 def test_run_plan_parallel_matches_serial(tmp_path, small_graph_file, monkeypatch):
-    plan = small_plan(small_graph_file)
-    monkeypatch.setenv("INFRA_THREADS", "1")
-    run_plan(plan, tmp_path / "serial")
-    monkeypatch.setenv("INFRA_THREADS", "4")
-    run_plan(plan, tmp_path / "par")
-    for f in sorted((tmp_path / "serial").iterdir()):
-        assert f.read_bytes() == (tmp_path / "par" / f.name).read_bytes(), f.name
+    plans = {
+        "baselines": small_plan(small_graph_file),
+        "learned": small_plan(small_graph_file,
+                              methods=["agent", "agent-random-embedding", "gdm"],
+                              **TINY_LEARNING),
+    }
+    for name, plan in plans.items():
+        monkeypatch.setenv("INFRA_THREADS", "1")
+        run_plan(plan, tmp_path / name / "serial")
+        monkeypatch.setenv("INFRA_THREADS", "4")
+        run_plan(plan, tmp_path / name / "par")
+        for f in sorted((tmp_path / name / "serial").iterdir()):
+            assert f.read_bytes() == (tmp_path / name / "par" / f.name).read_bytes(), \
+                (name, f.name)
 
 
 def test_run_plan_agent_and_gdm_cells(tmp_path, small_graph_file):
@@ -110,9 +136,7 @@ def test_run_plan_agent_and_gdm_cells(tmp_path, small_graph_file):
         small_graph_file,
         methods=["agent", "agent-random-embedding", "gdm"],
         seeds=[0],
-        embed={"d": 6, "epochs": 3},
-        agent={"episodes": 2, "batch_size": 4, "buffer_size": 16},
-        gdm={"sample_count": 20, "epochs": 20},
+        **TINY_LEARNING,
     )
     reports = run_plan(plan, tmp_path)
     for key, rep in reports.items():
