@@ -113,9 +113,9 @@ def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
         edges, w = g.road_edges, [tw["road"]] * len(g.road_edges)
         pool = g.junction_ids()
     elif scope == "coupled":
-        tagged = g.all_edges()
-        edges = [(u, v) for u, v, _ in tagged]
-        w = [tw[t] for _, _, t in tagged]
+        edges = np.stack([g.edge_u, g.edge_v], axis=1)
+        counts = [len(g.elec_edges), len(g.road_edges), len(g.dep_edges)]
+        w = np.repeat([tw["elec"], tw["road"], tw["dep"]], counts)
         pool = np.arange(g.n)
     else:
         raise EmbedError(f"unknown scope {scope!r}")

@@ -3,6 +3,11 @@
 Topology is frozen after construction; the per-node state array is the only
 mutable piece and is episode-local (use :meth:`CoupledGraph.fork` to get an
 independent copy sharing the same topology).
+
+Construction turns each edge list into a sorted index array once. Every
+validation rule runs over those arrays, and the index arrays the readers
+use (`edge_u`/`edge_v` over all layers, `road_u`/`road_v`, `feeds`) are
+built from them and shared by forks.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 # node kinds
 STATION = 0
 JUNCTION = 1
+NODE_KINDS = {"station": STATION, "junction": JUNCTION}     # JSON names
 
 # station levels (kV); junctions carry level 0
 LEVELS = (220, 110, 10)
@@ -29,6 +35,40 @@ GRAPH_FORMAT_VERSION = 1
 
 class GraphError(ValueError):
     pass
+
+
+def _edge_array(name: str, edges, undirected: bool = False) -> np.ndarray:
+    """An edge list as an (m, 2) int64 array sorted by (first, second);
+    undirected pairs are put in (min, max) order first."""
+    try:
+        pairs = np.array(edges, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise GraphError(f"{name} must be a list of (u, v) integer pairs: {e}") from None
+    if pairs.ndim == 1 and pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"{name} must be a list of (u, v) integer pairs")
+    if undirected:
+        pairs = np.sort(pairs, axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> int:
+    """The value at the first True of `bad` (row-major for 2-D arrays)."""
+    return int(values.reshape(-1)[np.argmax(bad.reshape(-1))])
+
+
+def _first_edge(pairs: np.ndarray, bad: np.ndarray) -> str:
+    u, v = pairs[np.argmax(bad)]
+    return f"({u},{v})"
+
+
+def _groups(n: int, pairs: np.ndarray) -> list:
+    """Per node, the sorted second ends of the pairs it heads; `pairs` is
+    sorted by (first, second)."""
+    bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1)).tolist()
+    second = pairs[:, 1]
+    return [second[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -54,17 +94,18 @@ class CoupledGraph:
         self.kind = np.asarray(self.kind, dtype=np.int8)
         self.level = np.asarray(self.level, dtype=np.int16)
         self.load = np.asarray(self.load, dtype=np.float64)
-        self.elec_edges = sorted((int(a), int(b)) for a, b in self.elec_edges)
-        self.road_edges = sorted(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.road_edges
-        )
-        self.dep_edges = sorted((int(a), int(b)) for a, b in self.dep_edges)
+        elec = _edge_array("elec_edges", self.elec_edges)
+        road = _edge_array("road_edges", self.road_edges, undirected=True)
+        dep = _edge_array("dep_edges", self.dep_edges)
+        self.elec_edges = list(map(tuple, elec.tolist()))
+        self.road_edges = list(map(tuple, road.tolist()))
+        self.dep_edges = list(map(tuple, dep.tolist()))
         if self.state is None:
             self.state = np.zeros(self.n, dtype=np.uint8)
         else:
             self.state = np.asarray(self.state, dtype=np.uint8)
-        self._validate()
-        self._build_adjacency()
+        self._validate(elec, road, dep)
+        self._build_adjacency(elec, road, dep)
 
     # -- construction / validation -------------------------------------
 
@@ -72,7 +113,9 @@ class CoupledGraph:
     def n(self) -> int:
         return len(self.kind)
 
-    def _validate(self):
+    def _validate(self, elec, road, dep):
+        """Every rule runs over whole edge arrays; a failure names the first
+        offending edge or node in sorted edge order."""
         n = self.n
         if not (len(self.level) == len(self.load) == len(self.state) == n):
             raise GraphError("node attribute arrays disagree on length")
@@ -83,67 +126,69 @@ class CoupledGraph:
             raise GraphError("station level must be one of 220/110/10")
         if np.any(self.level[~stations] != 0):
             raise GraphError("junctions carry no voltage level")
+        if not np.all(np.isfinite(self.load)):
+            raise GraphError("non-finite load")
         if np.any(self.load < 0):
             raise GraphError("negative load")
         if np.any(self.load[~((self.level == 10) & stations)] != 0):
             raise GraphError("only 10kV stations carry load")
 
-        parent_seen = np.full(n, -1, dtype=np.int64)
-        for p, c in self.elec_edges:
-            self._check_id(p)
-            self._check_id(c)
-            if self.kind[p] != STATION or self.kind[c] != STATION:
-                raise GraphError(f"elec edge ({p},{c}) touches a junction")
-            ok = (self.level[p], self.level[c]) in {(220, 110), (110, 10)}
-            if not ok:
-                raise GraphError(f"elec edge ({p},{c}) does not descend one level")
-            if parent_seen[c] != -1:
-                raise GraphError(f"node {c} has two electricity parents")
-            parent_seen[c] = p
-        for u, v in self.road_edges:
-            self._check_id(u)
-            self._check_id(v)
-            if u == v:
-                raise GraphError("road self-loop")
-            if self.kind[u] != JUNCTION or self.kind[v] != JUNCTION:
-                raise GraphError(f"road edge ({u},{v}) touches a station")
-        supplier_seen = np.full(n, -1, dtype=np.int64)
-        for s, j in self.dep_edges:
-            self._check_id(s)
-            self._check_id(j)
-            if self.kind[s] != STATION or self.level[s] != 10:
-                raise GraphError(f"dep edge source {s} is not a 10kV station")
-            if self.kind[j] != JUNCTION:
-                raise GraphError(f"dep edge target {j} is not a junction")
-            if supplier_seen[j] != -1:
-                raise GraphError(f"junction {j} has two suppliers")
-            supplier_seen[j] = s
+        for pairs in (elec, road, dep):
+            bad = (pairs < 0) | (pairs >= n)
+            if bad.any():
+                raise GraphError(f"node id {_first(pairs, bad)} out of range [0,{n})")
 
-    def _check_id(self, v):
-        if not 0 <= v < self.n:
-            raise GraphError(f"node id {v} out of range [0,{self.n})")
+        p, c = elec[:, 0], elec[:, 1]
+        bad = (self.kind[p] != STATION) | (self.kind[c] != STATION)
+        if bad.any():
+            raise GraphError(f"elec edge {_first_edge(elec, bad)} touches a junction")
+        lp, lc = self.level[p], self.level[c]
+        bad = ~(((lp == 220) & (lc == 110)) | ((lp == 110) & (lc == 10)))
+        if bad.any():
+            raise GraphError(f"elec edge {_first_edge(elec, bad)} does not descend one level")
+        bad = np.bincount(c, minlength=n) > 1
+        if bad.any():
+            raise GraphError(f"node {np.argmax(bad)} has two electricity parents")
 
-    def _build_adjacency(self):
+        u, v = road[:, 0], road[:, 1]
+        bad = u == v
+        if bad.any():
+            raise GraphError(f"road self-loop at node {_first(u, bad)}")
+        bad = (self.kind[u] != JUNCTION) | (self.kind[v] != JUNCTION)
+        if bad.any():
+            raise GraphError(f"road edge {_first_edge(road, bad)} touches a station")
+        bad = np.all(road[1:] == road[:-1], axis=1)     # road is sorted
+        if bad.any():
+            raise GraphError(f"duplicate road edge {_first_edge(road[1:], bad)}")
+
+        s, j = dep[:, 0], dep[:, 1]
+        bad = (self.kind[s] != STATION) | (self.level[s] != 10)
+        if bad.any():
+            raise GraphError(f"dep edge source {_first(s, bad)} is not a 10kV station")
+        bad = self.kind[j] != JUNCTION
+        if bad.any():
+            raise GraphError(f"dep edge target {_first(j, bad)} is not a junction")
+        bad = np.bincount(j, minlength=n) > 1
+        if bad.any():
+            raise GraphError(f"junction {np.argmax(bad)} has two suppliers")
+
+    def _build_adjacency(self, elec, road, dep):
         n = self.n
+        # every layer's edges, undirected, in the order elec, road, dep
+        self.edge_u = np.concatenate([elec[:, 0], road[:, 0], dep[:, 0]])
+        self.edge_v = np.concatenate([elec[:, 1], road[:, 1], dep[:, 1]])
         self.elec_parent = np.full(n, -1, dtype=np.int64)
-        elec_children = [[] for _ in range(n)]
-        for p, c in self.elec_edges:
-            self.elec_parent[c] = p
-            elec_children[p].append(c)
-        self.elec_children = [np.array(sorted(cs), dtype=np.int64) for cs in elec_children]
+        self.elec_parent[elec[:, 1]] = elec[:, 0]
+        self.elec_children = _groups(n, elec)
         self.dep_supplier = np.full(n, -1, dtype=np.int64)
-        dep_lights = [[] for _ in range(n)]
-        for s, j in self.dep_edges:
-            self.dep_supplier[j] = s
-            dep_lights[s].append(j)
-        self.dep_lights = [np.array(sorted(ls), dtype=np.int64) for ls in dep_lights]
+        self.dep_supplier[dep[:, 1]] = dep[:, 0]
+        self.dep_lights = _groups(n, dep)
         # array caches of the cascade metrics, built here so that forks share
         # them and no reader ever writes one lazily. Road edges are stored as
         # positions in `junctions`, the node list of the road view.
         self.junctions = np.flatnonzero(self.kind == JUNCTION)
         position = np.full(n, -1, dtype=np.int64)
         position[self.junctions] = np.arange(len(self.junctions))
-        road = np.array(self.road_edges, dtype=np.int64).reshape(-1, 2)
         self.road_u = position[road[:, 0]]
         self.road_v = position[road[:, 1]]
         top = np.arange(n)
@@ -173,16 +218,8 @@ class CoupledGraph:
 
     def degrees(self) -> np.ndarray:
         """Incident edge count of every node over all layers, directions ignored."""
-        ends = [np.asarray(e, dtype=np.int64).reshape(-1)
-                for e in (self.elec_edges, self.road_edges, self.dep_edges)]
-        return np.bincount(np.concatenate(ends), minlength=self.n).astype(np.int64)
-
-    def all_edges(self) -> list:
-        """Every edge as an undirected (u, v) pair with its layer tag."""
-        out = [(u, v, "elec") for u, v in self.elec_edges]
-        out += [(u, v, "road") for u, v in self.road_edges]
-        out += [(u, v, "dep") for u, v in self.dep_edges]
-        return out
+        ends = np.concatenate([self.edge_u, self.edge_v])
+        return np.bincount(ends, minlength=self.n).astype(np.int64)
 
     # -- episode state -----------------------------------------------------
 
@@ -215,24 +252,42 @@ class CoupledGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "CoupledGraph":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise GraphError(f"graph document is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise GraphError("graph document must be a JSON object")
         if doc.get("version") != GRAPH_FORMAT_VERSION:
             raise GraphError(f"unsupported graph format version {doc.get('version')!r}")
+        for key in ("nodes", "elec_edges", "road_edges", "dep_edges"):
+            if not isinstance(doc.get(key), list):
+                raise GraphError(f"graph field {key!r} is missing or not a list")
+        for r in doc["nodes"]:
+            for key in ("id", "kind"):
+                if not isinstance(r, dict) or key not in r:
+                    raise GraphError(f"node record {r!r} has no field {key!r}")
+            if type(r["id"]) is not int:
+                raise GraphError(f"node field 'id' must be an integer, got {r['id']!r}")
+            if not isinstance(r["kind"], str) or r["kind"] not in NODE_KINDS:
+                raise GraphError(f"node {r['id']}: unknown kind {r['kind']!r}; "
+                                 f"choose from {tuple(NODE_KINDS)}")
         nodes = sorted(doc["nodes"], key=lambda r: r["id"])
         if [r["id"] for r in nodes] != list(range(len(nodes))):
             raise GraphError("node ids must be dense 0..n-1")
-        kind = np.array(
-            [STATION if r["kind"] == "station" else JUNCTION for r in nodes], dtype=np.int8
-        )
-        level = np.array([r.get("level", 0) for r in nodes], dtype=np.int16)
-        load = np.array([r.get("load", 0.0) for r in nodes], dtype=np.float64)
+        kind = np.array([NODE_KINDS[r["kind"]] for r in nodes], dtype=np.int8)
+        try:
+            level = np.array([r.get("level", 0) for r in nodes], dtype=np.int16)
+            load = np.array([r.get("load", 0.0) for r in nodes], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise GraphError(f"node field 'level' or 'load' is not a number: {e}") from None
         return cls(
             kind=kind,
             level=level,
             load=load,
-            elec_edges=[tuple(e) for e in doc["elec_edges"]],
-            road_edges=[tuple(e) for e in doc["road_edges"]],
-            dep_edges=[tuple(e) for e in doc["dep_edges"]],
+            elec_edges=doc["elec_edges"],
+            road_edges=doc["road_edges"],
+            dep_edges=doc["dep_edges"],
         )
 
     def save(self, path):

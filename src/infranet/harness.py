@@ -50,6 +50,12 @@ class ExperimentPlan:
     def validate(self):
         if not self.methods or not self.seeds:
             raise PlanError("plan needs at least one method and one seed")
+        for key in ("budget", "ci_radius"):
+            value = getattr(self, key)
+            if not _is_int(value) or value < 1:
+                raise PlanError(f"plan key {key!r} must be an integer >= 1, got {value!r}")
+        if not all(_is_int(s) for s in self.seeds):
+            raise PlanError(f"plan key 'seeds' must be a list of integers, got {list(self.seeds)!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -58,7 +64,18 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise PlanError(f"plan document is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise PlanError("plan document must be a JSON object")
+        for block in ("graph", "weights", "embed", "agent", "gdm"):
+            if block in doc and not isinstance(doc[block], dict):
+                raise PlanError(f"plan block {block!r} must be a JSON object, "
+                                f"got {doc[block]!r}")
+        if not isinstance(doc.get("seeds", []), list):
+            raise PlanError(f"plan key 'seeds' must be a list of integers, got {doc['seeds']!r}")
         graph = doc.get("graph", {})
         weights = doc.get("weights")
         plan = cls(
@@ -86,6 +103,10 @@ class ExperimentPlan:
         if self.graph_file is not None:
             return CoupledGraph.from_file(self.graph_file)
         return generate(preset_config(self.graph_preset, seed=self.graph_seed))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _override(block: str, cfg, overrides: dict):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infranet.baselines import (
     BaselineError,
@@ -13,12 +14,12 @@ from infranet.baselines import (
     gdm_scores,
     random_attack,
 )
-from infranet.cascade import RewardWeights, damage
+from infranet.cascade import AttackEnv, RewardWeights, damage
 from infranet.embed import random_embeddings
-from infranet.graph import JUNCTION, STATION, CoupledGraph
+from infranet.graph import DAMAGED, JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import generate, preset_config
 
-from conftest import oracle_ci, oracle_degree, random_coupled
+from conftest import oracle_ci, oracle_degree, random_coupled, reference_run_attack
 
 
 def star_graph(k=5):
@@ -66,21 +67,77 @@ def test_ci_scores_star_and_path():
     assert s[0] == 0.0  # endpoint degree 1
 
 
+def assert_ci_matches_oracle(g, radius):
+    s = ci_scores(g, radius)
+    want = oracle_ci(g, radius)
+    for v in range(g.n):
+        if v in want:
+            assert s[v] == want[v], (v, radius)
+        else:
+            assert np.isinf(s[v]) and s[v] < 0
+
+
 def test_ci_scores_match_oracle():
     for seed in range(8):
-        for radius in (1, 2):
+        for damaged in (0, 2, 8):
             g = random_coupled(seed)
             rng = np.random.default_rng(seed)
-            for v in rng.permutation(g.n)[:2]:
+            for v in rng.permutation(g.n)[:damaged]:
                 if g.state[v] == 0:
                     damage(g, int(v))
-            s = ci_scores(g, radius)
-            want = oracle_ci(g, radius)
-            for v in range(g.n):
-                if v in want:
-                    assert s[v] == want[v]
-                else:
-                    assert np.isinf(s[v]) and s[v] < 0
+            for radius in (1, 2, 3):
+                assert_ci_matches_oracle(g, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 39), seed=st.integers(0, 10_000), radius=st.integers(1, 3))
+def test_ci_scores_match_oracle_along_env_walk(index, seed, radius):
+    g = random_coupled(index)
+    env = AttackEnv(g, RewardWeights())
+    assert_ci_matches_oracle(env.graph, radius)
+    for v in np.random.default_rng(seed).permutation(g.n)[:10]:
+        if env.state[v] == NORMAL:
+            env.step(int(v))
+            assert_ci_matches_oracle(env.graph, radius)
+
+
+def test_ci_scores_exact_boundary_on_a_path():
+    # path 0-1-2-3-4-5: d - 1 is 0 at the ends and 1 inside
+    path = CoupledGraph(kind=[JUNCTION] * 6, level=[0] * 6, load=[0.0] * 6,
+                        elec_edges=[], road_edges=[(i, i + 1) for i in range(5)],
+                        dep_edges=[])
+    assert ci_scores(path, 2).tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
+    # only the nodes at exactly 3 hops count: 1 sees 4, 2 sees only the end 5
+    assert ci_scores(path, 3).tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+    # every pair 4 hops apart includes an end of the path, where d - 1 = 0
+    assert ci_scores(path, 4).tolist() == [0.0] * 6
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_ci_scores_without_alive_edges(radius):
+    edgeless = CoupledGraph(kind=[JUNCTION] * 3, level=[0] * 3, load=[0.0] * 3,
+                            elec_edges=[], road_edges=[], dep_edges=[])
+    # an isolated node: (0-1) * (empty sum) = 0
+    assert ci_scores(edgeless, radius).tolist() == [0.0] * 3
+    g = star_graph(3)
+    g.state[0] = DAMAGED     # the hub: every edge is dead
+    assert ci_scores(g, radius).tolist() == [-np.inf, 0.0, 0.0, 0.0]
+    g.state[:] = DAMAGED
+    assert ci_scores(g, radius).tolist() == [-np.inf] * 4
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_desk_ci_attack_equals_oracle_policy(radius):
+    g = generate(preset_config("desk", seed=0))
+    w = RewardWeights.normalized(g)
+
+    def oracle_argmax(env, k):
+        scores = oracle_ci(env, radius)
+        return max(sorted(scores), key=scores.__getitem__)   # lowest id on ties
+
+    rep = ci_attack(g, 10, radius=radius, weights=w)
+    ref = reference_run_attack(g, oracle_argmax, 10, w, method="ci")
+    assert list(rep.rows()) == list(ref.rows())
 
 
 def test_ci_scores_bad_radius(toy_chain):

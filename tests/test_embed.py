@@ -89,7 +89,7 @@ def test_forward_matches_dense_oracle():
 
     # straight-line dense reimplementation
     A = np.zeros((g.n, g.n))
-    for u, v, _ in g.all_edges():
+    for u, v in zip(g.edge_u, g.edge_v):
         A[u, v] = A[v, u] = 1.0
     H = F.copy()
     for W in params.weights:
@@ -232,6 +232,16 @@ def test_edge_type_weights_only_affect_loss():
     np.testing.assert_array_equal(p_even.edges, p_biased.edges)
     assert (p_even.adj != p_biased.adj).nnz == 0
     assert not np.array_equal(p_even.edge_weights, p_biased.edge_weights)
+
+
+def test_coupled_problem_lists_every_layer_with_its_weight():
+    g = random_coupled(7)
+    cfg = EmbedConfig(edge_type_weights={"elec": 2.0, "road": 1.0, "dep": 0.5})
+    p = problem_for(g, "coupled", cfg)
+    tagged = ([(e, 2.0) for e in g.elec_edges] + [(e, 1.0) for e in g.road_edges]
+              + [(e, 0.5) for e in g.dep_edges])
+    assert list(map(tuple, p.edges.tolist())) == [e for e, _ in tagged]
+    assert p.edge_weights.tolist() == [w for _, w in tagged]
 
 
 def test_train_coupled_runs(toy_chain):

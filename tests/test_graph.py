@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from infranet.graph import (
@@ -9,6 +12,8 @@ from infranet.graph import (
     CoupledGraph,
     GraphError,
 )
+
+from conftest import oracle_degree, random_coupled
 
 
 def test_degree_path():
@@ -94,3 +99,106 @@ def test_fork_isolates_state(toy_chain):
     f.state[0] = DAMAGED
     assert toy_chain.state[0] == NORMAL
     assert f.elec_edges is toy_chain.elec_edges
+
+
+def test_degrees_match_edge_count_oracle():
+    for seed in range(10):
+        g = random_coupled(seed)
+        assert g.degrees().tolist() == [oracle_degree(g, v) for v in range(g.n)]
+
+
+def test_edge_arrays_follow_layer_order():
+    g = random_coupled(4)
+    pairs = g.elec_edges + g.road_edges + g.dep_edges
+    assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+    assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == pairs
+    assert g.fork().edge_u is g.edge_u
+
+
+def test_edge_lists_sorted_and_road_pairs_ordered():
+    g = CoupledGraph(kind=[JUNCTION] * 4, level=[0] * 4, load=[0.0] * 4,
+                     elec_edges=[], road_edges=[(3, 1), (2, 0), (0, 1)],
+                     dep_edges=[])
+    assert g.road_edges == [(0, 1), (0, 2), (1, 3)]
+
+
+# one valid base graph: 220 -> 110 -> 10 (load 5) -> lights 3 and 4, road 3-4
+BASE = dict(kind=[STATION, STATION, STATION, JUNCTION, JUNCTION],
+            level=[220, 110, 10, 0, 0], load=[0.0, 0.0, 5.0, 0.0, 0.0],
+            elec_edges=[(0, 1), (1, 2)], road_edges=[(3, 4)],
+            dep_edges=[(2, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"elec_edges": [(0, 1), (1, 5)]}, r"node id 5 out of range \[0,5\)"),
+    ({"elec_edges": [(0, 1), (-1, 2)]}, r"node id -1 out of range"),
+    ({"road_edges": [(3, 7)]}, r"node id 7 out of range \[0,5\)"),
+    ({"dep_edges": [(2, 3), (9, 4)]}, r"node id 9 out of range \[0,5\)"),
+    ({"elec_edges": [(0, 1), (1, 2), (2, 3)]}, r"elec edge \(2,3\) touches a junction"),
+    ({"elec_edges": [(0, 2)]}, r"elec edge \(0,2\) does not descend one level"),
+    ({"elec_edges": [(0, 1), (1, 2), (0, 2)]}, r"elec edge \(0,2\) does not descend"),
+    ({"elec_edges": [(0, 1), (1, 2), (1, 2)]}, r"node 2 has two electricity parents"),
+    ({"road_edges": [(3, 3)]}, r"road self-loop at node 3"),
+    ({"road_edges": [(2, 3)]}, r"road edge \(2,3\) touches a station"),
+    ({"road_edges": [(3, 4), (3, 4)]}, r"duplicate road edge \(3,4\)"),
+    ({"road_edges": [(3, 4), (4, 3)]}, r"duplicate road edge \(3,4\)"),
+    ({"dep_edges": [(1, 3)]}, r"dep edge source 1 is not a 10kV station"),
+    ({"dep_edges": [(2, 3), (2, 1)]}, r"dep edge target 1 is not a junction"),
+    ({"dep_edges": [(2, 3), (2, 3)]}, r"junction 3 has two suppliers"),
+    ({"road_edges": [(3, 4, 0)]}, r"road_edges must be a list of \(u, v\) integer pairs"),
+    ({"dep_edges": [(2, 3), (2,)]}, r"dep_edges must be a list of \(u, v\) integer pairs"),
+    ({"elec_edges": [(0, None)]}, r"elec_edges must be a list of \(u, v\) integer pairs"),
+])
+def test_validation_rule_names_offender(change, message):
+    CoupledGraph(**BASE)
+    with pytest.raises(GraphError, match=message):
+        CoupledGraph(**{**BASE, **change})
+
+
+def graph_doc(**change):
+    doc = json.loads(CoupledGraph(**BASE).to_json())
+    doc.update(change)
+    return doc
+
+
+def node_without(key):
+    doc = graph_doc()
+    del doc["nodes"][1][key]
+    return doc
+
+
+def without(key):
+    doc = graph_doc()
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (graph_doc(nodes=[{"id": 0, "kind": "tower"}]), r"node 0: unknown kind 'tower'"),
+    (graph_doc(nodes=[{"id": 0, "kind": ["station"]}]), r"unknown kind \['station'\]"),
+    (node_without("kind"), r"has no field 'kind'"),
+    (node_without("id"), r"has no field 'id'"),
+    (graph_doc(nodes=[{"id": "0", "kind": "junction"}]), r"node field 'id' must be an integer"),
+    (graph_doc(nodes=[7]), r"node record 7 has no field 'id'"),
+    (without("nodes"), r"graph field 'nodes' is missing"),
+    (without("elec_edges"), r"graph field 'elec_edges' is missing"),
+    (without("road_edges"), r"graph field 'road_edges' is missing"),
+    (without("dep_edges"), r"graph field 'dep_edges' is missing"),
+    (graph_doc(road_edges={"3": 4}), r"graph field 'road_edges' is missing or not a list"),
+    ([1, 2], r"graph document must be a JSON object"),
+    (graph_doc(nodes=[{"id": 0, "kind": "station", "level": "high"}]),
+     r"node field 'level' or 'load' is not a number"),
+    (graph_doc(nodes=[{"id": 0, "kind": "station", "level": 10, "load": "much"}]),
+     r"node field 'level' or 'load' is not a number"),
+    (graph_doc(nodes=[{"id": 0, "kind": "station", "level": 10, "load": None}]),
+     r"non-finite load"),
+    (graph_doc(road_edges=[[3, 4], [4, 3]]), r"duplicate road edge \(3,4\)"),
+])
+def test_from_json_rejects_malformed_document(doc, message):
+    with pytest.raises(GraphError, match=message):
+        CoupledGraph.from_json(json.dumps(doc))
+
+
+def test_from_json_rejects_invalid_json():
+    with pytest.raises(GraphError, match="not valid JSON"):
+        CoupledGraph.from_json('{"version": 1,')

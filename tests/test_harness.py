@@ -69,6 +69,35 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
         small_plan(small_graph_file, **{block: {key: 1}})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"budget": "ten"}, r"plan key 'budget' must be an integer >= 1, got 'ten'"),
+    ({"budget": 0}, r"plan key 'budget' must be an integer >= 1, got 0"),
+    ({"budget": 2.5}, r"plan key 'budget' must be an integer >= 1"),
+    ({"budget": True}, r"plan key 'budget' must be an integer >= 1, got True"),
+    ({"ci_radius": 0}, r"plan key 'ci_radius' must be an integer >= 1, got 0"),
+    ({"ci_radius": "2"}, r"plan key 'ci_radius' must be an integer >= 1"),
+    ({"seeds": 3}, r"plan key 'seeds' must be a list of integers, got 3"),
+    ({"seeds": [0, "1"]}, r"plan key 'seeds' must be a list of integers"),
+    ({"agent": 3}, r"plan block 'agent' must be a JSON object, got 3"),
+    ({"embed": [1]}, r"plan block 'embed' must be a JSON object"),
+    ({"gdm": "x"}, r"plan block 'gdm' must be a JSON object"),
+    ({"weights": 1.0}, r"plan block 'weights' must be a JSON object"),
+    ({"graph": "desk"}, r"plan block 'graph' must be a JSON object"),
+])
+def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
+    with pytest.raises(PlanError, match=message):
+        small_plan(small_graph_file, **change)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "must be a JSON object"),
+    ('{"budget": 3', "not valid JSON"),
+])
+def test_plan_document_must_be_json_object(text, message):
+    with pytest.raises(PlanError, match=message):
+        ExperimentPlan.from_json(text)
+
+
 def test_run_plan_outputs(tmp_path, small_graph_file):
     plan = small_plan(small_graph_file)
     reports = run_plan(plan, tmp_path)
