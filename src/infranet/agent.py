@@ -9,7 +9,8 @@ on the squared TD error; gradients are hand-derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,10 +40,20 @@ class AgentConfig:
     weights: RewardWeights = None  # None = normalized per graph
 
     def validate(self):
-        if self.budget < 1 or not 0.0 <= self.gamma <= 1.0:
-            raise AgentError("need budget >= 1 and gamma in [0,1]")
-        if self.buffer_size < self.batch_size:
-            raise AgentError("buffer must hold at least one batch")
+        for key, ok, rule in (
+            ("budget", self.budget >= 1, ">= 1"),
+            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0,1]"),
+            ("episodes", self.episodes >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("target_sync", self.target_sync >= 1, ">= 1"),
+            ("eps_decay_steps", self.eps_decay_steps >= 0, ">= 0"),
+            ("eps_start", 0.0 <= self.eps_start <= 1.0, "in [0,1]"),
+            ("eps_end", 0.0 <= self.eps_end <= 1.0, "in [0,1]"),
+            ("buffer_size", self.buffer_size >= self.batch_size, ">= batch_size"),
+        ):
+            if not ok:
+                raise AgentError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -120,9 +131,7 @@ class ReplayBuffer:
 def pooled_state(Z: np.ndarray, removed) -> np.ndarray:
     """Column-wise mean of Z over the nodes not yet removed."""
     keep = np.ones(Z.shape[1], dtype=bool)
-    removed = list(removed)
-    if removed:
-        keep[np.asarray(removed, dtype=np.int64)] = False
+    keep[np.asarray(list(removed), dtype=np.int64)] = False
     if not keep.any():
         raise AgentError("all nodes removed; pooled state undefined")
     return Z[:, keep].mean(axis=1)
@@ -206,8 +215,6 @@ class TrainLog:
     epsilon: list = field(default_factory=list)
 
     def save_csv(self, path):
-        import csv
-
         with open(path, "w", newline="") as f:
             wr = csv.writer(f)
             wr.writerow(("episode", "cum_reward", "loss_mean", "epsilon"))
@@ -243,12 +250,9 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         s = pooled_state(Z, removed)
         cum = 0.0
         losses = []
-        eps = _epsilon_at(step, cfg)
         for k in range(cfg.budget):
-            alive = env.state == NORMAL
             eps = _epsilon_at(step, cfg)
-            scores = q_values(Z, s, params)
-            a = select_action(scores, eps, rng, alive)
+            a = select_action(q_values(Z, s, params), eps, rng, env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
             s_next = pooled_state(Z, removed)
@@ -295,11 +299,7 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
 # -- persistence ---------------------------------------------------------------
 
 def save_qnet(path, params: QNetParams, cfg: AgentConfig = None):
-    sidecar = None
-    if cfg is not None:
-        from dataclasses import asdict
-
-        sidecar = {"config": asdict(cfg)}
+    sidecar = None if cfg is None else {"config": asdict(cfg)}
     d = params.theta2.shape[0]
     serial.write_tensors(path, [params.theta1, params.theta2], d=d, n_nodes=0,
                          depth=2, sidecar=sidecar)

@@ -127,10 +127,15 @@ class GdmConfig:
     seed: int = 0
 
     def validate(self):
-        if not 0.0 < self.positive_quantile < 1.0:
-            raise BaselineError("positive_quantile must lie in (0,1)")
-        if self.sample_count < 2:
-            raise BaselineError("need at least two labeled samples")
+        for key, ok, rule in (
+            ("sample_count", self.sample_count >= 2, ">= 2"),
+            ("positive_quantile", 0.0 < self.positive_quantile < 1.0, "in (0,1)"),
+            ("hidden", self.hidden >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise BaselineError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):

@@ -11,7 +11,7 @@ coupled-graph training then starts from those columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,12 +43,18 @@ class EmbedConfig:
     edge_type_weights: dict = field(default_factory=lambda: dict(DEFAULT_EDGE_TYPE_WEIGHTS))
 
     def validate(self):
-        if self.d < 1 or self.depth < 1 or self.margin <= 0:
-            raise EmbedError("need d >= 1, depth >= 1, margin > 0")
-        if self.l2 < 0 or self.neg_ratio < 1 or self.epochs < 0:
-            raise EmbedError("bad l2/neg_ratio/epochs")
-        if self.aggregator not in ("sum", "mean"):
-            raise EmbedError(f"unknown aggregator {self.aggregator!r}")
+        for key, ok, rule in (
+            ("d", self.d >= 1, ">= 1"),
+            ("depth", self.depth >= 1, ">= 1"),
+            ("margin", self.margin > 0, "> 0"),
+            ("l2", self.l2 >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("neg_ratio", self.neg_ratio >= 1, ">= 1"),
+            ("aggregator", self.aggregator in ("sum", "mean"), "'sum' or 'mean'"),
+        ):
+            if not ok:
+                raise EmbedError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -76,9 +82,6 @@ class EmbeddingMatrix:
 class GnnParams:
     weights: list            # depth matrices, each (d, d)
 
-    def copy(self):
-        return GnnParams([w.copy() for w in self.weights])
-
 
 @dataclass
 class EmbedProblem:
@@ -93,7 +96,8 @@ class EmbedProblem:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
         self.pool = np.asarray(self.pool, dtype=np.int64)
-        self.edge_set = {frozenset(e) for e in map(tuple, self.edges)}
+        # undirected edge keys min*n+max, for the rejection in sample_negatives
+        self.edge_set = set((self.edges.min(axis=1) * self.n + self.edges.max(axis=1)).tolist())
         m = len(self.edges)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
@@ -106,12 +110,10 @@ class EmbedProblem:
 def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
     """scope: 'elec', 'road', or 'coupled' (all layers, type-weighted)."""
     tw = cfg.edge_type_weights
-    if scope == "elec":
-        edges, w = g.elec_edges, [tw["elec"]] * len(g.elec_edges)
-        pool = g.station_ids()
-    elif scope == "road":
-        edges, w = g.road_edges, [tw["road"]] * len(g.road_edges)
-        pool = g.junction_ids()
+    if scope in ("elec", "road"):
+        edges = g.elec_edges if scope == "elec" else g.road_edges
+        w = np.full(len(edges), tw[scope])
+        pool = g.station_ids() if scope == "elec" else g.junction_ids()
     elif scope == "coupled":
         edges = np.stack([g.edge_u, g.edge_v], axis=1)
         counts = [len(g.elec_edges), len(g.road_edges), len(g.dep_edges)]
@@ -121,7 +123,7 @@ def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
         raise EmbedError(f"unknown scope {scope!r}")
     if len(edges) == 0:
         raise EmbedError(f"scope {scope!r} has no edges to train on")
-    return EmbedProblem(n=g.n, edges=np.array(edges), edge_weights=np.array(w), pool=pool)
+    return EmbedProblem(n=g.n, edges=edges, edge_weights=w, pool=pool)
 
 
 # -- initial features ------------------------------------------------------
@@ -203,14 +205,14 @@ def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
     pool = problem.pool
     if len(pool) < 2:
         raise EmbedError("pool too small to sample negatives")
+    n, edge_set = problem.n, problem.edge_set
     out = np.empty((count, 2), dtype=np.int64)
     k = 0
     while k < count:
-        u, v = pool[rng.integers(0, len(pool), size=2)]
-        if u == v or frozenset((int(u), int(v))) in problem.edge_set:
-            continue
-        out[k] = (u, v)
-        k += 1
+        u, v = pool[rng.integers(0, len(pool), size=2)].tolist()
+        if u != v and min(u, v) * n + max(u, v) not in edge_set:
+            out[k] = (u, v)
+            k += 1
     return out
 
 
@@ -305,18 +307,13 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
     pure function of (g, cfg).
     """
     cfg.validate()
-    emb_e, _, _ = train(problem_for(g, "elec", cfg), _reseed(cfg, cfg.seed + 1))
+    emb_e, _, _ = train(problem_for(g, "elec", cfg), replace(cfg, seed=cfg.seed + 1))
     if len(g.road_edges) > 0:
-        emb_r, _, _ = train(problem_for(g, "road", cfg), _reseed(cfg, cfg.seed + 2))
+        emb_r, _, _ = train(problem_for(g, "road", cfg), replace(cfg, seed=cfg.seed + 2))
     else:
         emb_r = random_embeddings(g, cfg.d, cfg.seed + 2)
     F = init_features(g, cfg.d, cfg.seed, sub_embeds=(emb_e, emb_r))
     return train(problem_for(g, "coupled", cfg), cfg, F=F.Z)
-
-
-def _reseed(cfg: EmbedConfig, seed: int) -> EmbedConfig:
-    from dataclasses import replace
-    return replace(cfg, seed=seed)
 
 
 # -- persistence -----------------------------------------------------------

@@ -4,10 +4,12 @@ Topology is frozen after construction; the per-node state array is the only
 mutable piece and is episode-local (use :meth:`CoupledGraph.fork` to get an
 independent copy sharing the same topology).
 
-Construction turns each edge list into a sorted index array once. Every
-validation rule runs over those arrays, and the index arrays the readers
-use (`edge_u`/`edge_v` over all layers, `road_u`/`road_v`, `feeds`) are
-built from them and shared by forks.
+Each layer is stored once, as a read-only (m, 2) int64 array sorted by
+(first, second). Validation and every topology question run on these arrays
+and on the index arrays built from them, which forks share: `elec_parent`
+and `elec_grandparent` (-1 where none; levels run 220 -> 110 -> 10, so no
+supply chain is longer than three nodes), `dep_supplier`, `edge_u`/`edge_v`
+over all layers, `road_u`/`road_v` and `feeds`.
 """
 
 from __future__ import annotations
@@ -63,14 +65,6 @@ def _first_edge(pairs: np.ndarray, bad: np.ndarray) -> str:
     return f"({u},{v})"
 
 
-def _groups(n: int, pairs: np.ndarray) -> list:
-    """Per node, the sorted second ends of the pairs it heads; `pairs` is
-    sorted by (first, second)."""
-    bounds = np.searchsorted(pairs[:, 0], np.arange(n + 1)).tolist()
-    second = pairs[:, 1]
-    return [second[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 @dataclass
 class CoupledGraph:
     """Heterogeneous coupled graph over dense node ids 0..n-1.
@@ -79,27 +73,26 @@ class CoupledGraph:
     levels strictly descend (220 -> 110 -> 10). Road edges are undirected
     between junctions. Dependency edges point from 10kV stations to the
     junctions (traffic lights) they supply; a junction has at most one
-    supplier.
+    supplier. Edge fields take any sequence of integer pairs.
     """
 
     kind: np.ndarray          # int8, STATION/JUNCTION
     level: np.ndarray         # int16, 220/110/10 for stations, 0 otherwise
     load: np.ndarray          # float64, nonzero only for 10kV stations
-    elec_edges: list          # [(parent, child)]
-    road_edges: list          # [(u, v)] with u < v
-    dep_edges: list           # [(station, junction)]
+    elec_edges: np.ndarray    # (m, 2) int64 (parent, child)
+    road_edges: np.ndarray    # (m, 2) int64 (u, v) with u < v
+    dep_edges: np.ndarray     # (m, 2) int64 (station, junction)
     state: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.kind = np.asarray(self.kind, dtype=np.int8)
         self.level = np.asarray(self.level, dtype=np.int16)
         self.load = np.asarray(self.load, dtype=np.float64)
-        elec = _edge_array("elec_edges", self.elec_edges)
-        road = _edge_array("road_edges", self.road_edges, undirected=True)
-        dep = _edge_array("dep_edges", self.dep_edges)
-        self.elec_edges = list(map(tuple, elec.tolist()))
-        self.road_edges = list(map(tuple, road.tolist()))
-        self.dep_edges = list(map(tuple, dep.tolist()))
+        elec = self.elec_edges = _edge_array("elec_edges", self.elec_edges)
+        road = self.road_edges = _edge_array("road_edges", self.road_edges, undirected=True)
+        dep = self.dep_edges = _edge_array("dep_edges", self.dep_edges)
+        for pairs in (elec, road, dep):
+            pairs.flags.writeable = False
         if self.state is None:
             self.state = np.zeros(self.n, dtype=np.uint8)
         else:
@@ -177,12 +170,13 @@ class CoupledGraph:
         # every layer's edges, undirected, in the order elec, road, dep
         self.edge_u = np.concatenate([elec[:, 0], road[:, 0], dep[:, 0]])
         self.edge_v = np.concatenate([elec[:, 1], road[:, 1], dep[:, 1]])
-        self.elec_parent = np.full(n, -1, dtype=np.int64)
-        self.elec_parent[elec[:, 1]] = elec[:, 0]
-        self.elec_children = _groups(n, elec)
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[elec[:, 1]] = elec[:, 0]
+        grandparent = np.full(n, -1, dtype=np.int64)
+        grandparent[elec[:, 1]] = parent[elec[:, 0]]
+        self.elec_parent, self.elec_grandparent = parent, grandparent
         self.dep_supplier = np.full(n, -1, dtype=np.int64)
         self.dep_supplier[dep[:, 1]] = dep[:, 0]
-        self.dep_lights = _groups(n, dep)
         # array caches of the cascade metrics, built here so that forks share
         # them and no reader ever writes one lazily. Road edges are stored as
         # positions in `junctions`, the node list of the road view.
@@ -191,11 +185,9 @@ class CoupledGraph:
         position[self.junctions] = np.arange(len(self.junctions))
         self.road_u = position[road[:, 0]]
         self.road_v = position[road[:, 1]]
-        top = np.arange(n)
-        for _ in LEVELS:    # each hop climbs one level
-            up = self.elec_parent[top]
-            top = np.where(up == -1, top, up)
-        # load a 10kV station delivers while its supply path is Normal
+        top = np.where(grandparent >= 0, grandparent,
+                       np.where(parent >= 0, parent, np.arange(n)))
+        # load a 10kV station delivers while its supply chain is Normal
         self.feeds = np.where(self.level[top] == 220, self.load, 0.0)
 
     # -- derived node sets ----------------------------------------------
@@ -208,11 +200,6 @@ class CoupledGraph:
 
     def junction_ids(self) -> np.ndarray:
         return np.flatnonzero(self.kind == JUNCTION)
-
-    def elec_roots(self) -> np.ndarray:
-        """Parentless 220kV stations: the supply sources of the grid."""
-        mask = (self.kind == STATION) & (self.level == 220) & (self.elec_parent == -1)
-        return np.flatnonzero(mask)
 
     # -- topology queries -------------------------------------------------
 
@@ -244,9 +231,9 @@ class CoupledGraph:
         doc = {
             "version": GRAPH_FORMAT_VERSION,
             "nodes": nodes,
-            "elec_edges": [list(e) for e in self.elec_edges],
-            "road_edges": [list(e) for e in self.road_edges],
-            "dep_edges": [list(e) for e in self.dep_edges],
+            "elec_edges": self.elec_edges.tolist(),
+            "road_edges": self.road_edges.tolist(),
+            "dep_edges": self.dep_edges.tolist(),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -13,6 +13,7 @@ outputs are byte-identical for any thread count.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -61,6 +62,12 @@ class ExperimentPlan:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.graph_preset is None and self.graph_file is None:
             raise PlanError("plan needs a graph preset or file")
+        for block, cfg in (("embed", self.embed_config), ("agent", self.agent_config),
+                           ("gdm", self.gdm_config)):
+            try:
+                cfg.validate()
+            except ValueError as e:
+                raise PlanError(f"plan block {block!r}: {e}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentPlan":
@@ -86,16 +93,13 @@ class ExperimentPlan:
             budget=doc.get("budget", 10),
             seeds=tuple(doc.get("seeds", (0,))),
             weights=_override("weights", RewardWeights(), weights) if weights else None,
+            embed_config=_override("embed", embed_mod.EmbedConfig(), doc.get("embed", {})),
+            gdm_config=_override("gdm", baselines.GdmConfig(), doc.get("gdm", {})),
             ci_radius=doc.get("ci_radius", 1),
         )
-        if "embed" in doc:
-            plan.embed_config = _override("embed", plan.embed_config, doc["embed"])
-        if "agent" in doc:
-            acfg = dict(doc["agent"])
-            acfg.setdefault("budget", plan.budget)
-            plan.agent_config = _override("agent", plan.agent_config, acfg)
-        if "gdm" in doc:
-            plan.gdm_config = _override("gdm", plan.gdm_config, doc["gdm"])
+        if "agent" in doc:      # the agent's budget defaults to the plan's
+            plan.agent_config = _override("agent", plan.agent_config,
+                                          {"budget": plan.budget, **doc["agent"]})
         plan.validate()
         return plan
 
@@ -110,13 +114,22 @@ def _is_int(value) -> bool:
 
 
 def _override(block: str, cfg, overrides: dict):
-    """`cfg` with a plan block's values; a key `cfg` lacks is a PlanError."""
-    names = [f.name for f in fields(cfg)]
-    for key in overrides:
-        if key not in names:
+    """`cfg` with a plan block's values. A key `cfg` lacks, or a value that
+    is not of its field's type (integer or number), is a PlanError."""
+    defaults = {f.name: f.default for f in fields(cfg)}
+    for key, value in overrides.items():
+        if key not in defaults:
             raise PlanError(f"unknown key {key!r} in plan block {block!r}; "
-                            f"choose from {names}")
-    return replace(cfg, **overrides)
+                            f"choose from {list(defaults)}")
+        kind = type(defaults[key])
+        number = _is_int(value) or (kind is float and isinstance(value, float))
+        if kind in (int, float) and not number:
+            raise PlanError(f"plan block {block!r}: {key} must be "
+                            f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return replace(cfg, **overrides)
+    except ValueError as e:     # RewardWeights checks its values when built
+        raise PlanError(f"plan block {block!r}: {e}") from None
 
 
 class Method(NamedTuple):
@@ -205,8 +218,6 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
 
 
 def write_summary(reports: dict, path):
-    import csv
-
     by_method = {}
     for (m, _), rep in sorted(reports.items()):
         by_method.setdefault(m, []).append(rep)
@@ -230,8 +241,6 @@ METRICS = ("power", "sigma", "gcc", "anc", "reward", "cum_reward")
 
 def emit_curves(reports, outdir, svg: bool = True):
     """Long-format plot data (method, step, metric, value) plus optional SVGs."""
-    import csv
-
     reports = list(reports)
     if not reports:
         raise PlanError("no reports to plot")

@@ -75,17 +75,14 @@ def preset_config(name: str, seed: int = 0, **overrides) -> GenConfig:
     return replace(PRESETS[name], seed=seed, **overrides)
 
 
-def _grid_edges(n: int, offset: int):
+def _grid_edges(n: int, offset: int) -> np.ndarray:
     rows = max(1, int(np.floor(np.sqrt(n))))
     cols = int(np.ceil(n / rows))
-    edges = []
-    for i in range(n):
-        r, c = divmod(i, cols)
-        if c + 1 < cols and i + 1 < n:
-            edges.append((offset + i, offset + i + 1))
-        if (r + 1) * cols + c < n:
-            edges.append((offset + i, offset + (r + 1) * cols + c))
-    return edges
+    i = np.arange(n)
+    right = i[(i % cols < cols - 1) & (i < n - 1)]
+    down = i[i < n - cols]
+    return offset + np.stack([np.concatenate([right, down]),
+                              np.concatenate([right + 1, down + cols])], axis=1)
 
 
 def _ring_chord_edges(n: int, offset: int, rng: np.random.Generator):

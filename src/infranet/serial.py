@@ -9,6 +9,7 @@ A JSON sidecar (<path>.json) records the producing config.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -37,20 +38,33 @@ def write_tensors(path, arrays, d: int, n_nodes: int, depth: int, sidecar: dict 
 
 
 def read_tensors(path):
-    """Returns (arrays, header dict); loads the sidecar when present."""
+    """Returns (arrays, header dict); loads the sidecar when present.
+
+    A file that ends inside a part raises FormatError naming the part:
+    the header, an array's shape or an array's payload.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise FormatError(f"{path}: bad magic")
-        version, d, n_nodes, depth, n_arrays = struct.unpack("<5I", f.read(20))
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        arrays = []
-        for _ in range(n_arrays):
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4")
-            arrays.append(np.reshape(data, shape, order="F").astype(np.float64))
+        raw = f.read()
+    pos = 0
+
+    def take(size, part):
+        nonlocal pos
+        if size > len(raw) - pos:
+            raise FormatError(f"{path}: truncated {part}: {len(raw) - pos} of {size} bytes")
+        pos += size
+        return raw[pos - size:pos]
+
+    if take(4, "header") != MAGIC:
+        raise FormatError(f"{path}: bad magic")
+    version, d, n_nodes, depth, n_arrays = struct.unpack("<5I", take(20, "header"))
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    arrays = []
+    for i in range(n_arrays):
+        (ndim,) = struct.unpack("<I", take(4, f"shape of array {i}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of array {i}"))
+        data = np.frombuffer(take(4 * math.prod(shape), f"payload of array {i}"), dtype="<f4")
+        arrays.append(np.reshape(data, shape, order="F").astype(np.float64))
     header = {"version": version, "d": d, "n_nodes": n_nodes, "depth": depth}
     try:
         with open(str(path) + ".json") as f:

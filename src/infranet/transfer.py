@@ -17,7 +17,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import embed as embed_mod
 from .cascade import AttackReport, RewardWeights
-from .graph import STATION, CoupledGraph, GraphError
+from .graph import CoupledGraph
 
 
 class TransferError(ValueError):
@@ -50,10 +50,12 @@ class RetrainConfig:
 
 
 def _sample_keep(edges, fraction, rng):
-    m = len(edges)
-    k = int(round(fraction * m))
-    drop = set(map(int, rng.permutation(m)[:k]))
-    return [e for i, e in enumerate(edges) if i not in drop], k
+    k = int(round(fraction * len(edges)))
+    return np.delete(edges, rng.permutation(len(edges))[:k], axis=0)
+
+
+def _with_added(pairs, new):
+    return np.concatenate([pairs, np.array(new, dtype=np.int64).reshape(-1, 2)])
 
 
 def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
@@ -61,48 +63,42 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
 
-    elec, _ = _sample_keep(g.elec_edges, spec.delete_fraction, rng)
-    road, _ = _sample_keep(g.road_edges, spec.delete_fraction, rng)
-    dep, _ = _sample_keep(g.dep_edges, spec.delete_fraction, rng)
+    elec = _sample_keep(g.elec_edges, spec.delete_fraction, rng)
+    road = _sample_keep(g.road_edges, spec.delete_fraction, rng)
+    dep = _sample_keep(g.dep_edges, spec.delete_fraction, rng)
 
     # electricity additions: re-parent orphaned stations one level down a
     # valid parent; availability is bounded by the current orphan count
     add_elec = int(round(spec.add_fraction * len(g.elec_edges)))
-    has_parent = {c for _, c in elec}
-    orphans = [
-        v for v in g.station_ids()
-        if g.level[v] in (110, 10) and v not in has_parent
-    ]
+    orphans = np.setdiff1d(np.flatnonzero(np.isin(g.level, (110, 10))), elec[:, 1])
     if add_elec > len(orphans):
         raise TransferError(
             f"cannot add {add_elec} electricity edges while keeping the forest: "
             f"only {len(orphans)} parentless stations available"
         )
     parents = {110: g.station_ids(level=220), 10: g.station_ids(level=110)}
-    for v in [orphans[i] for i in rng.permutation(len(orphans))[:add_elec]]:
+    new_elec = []
+    for v in orphans[rng.permutation(len(orphans))[:add_elec]]:
         cand = parents[int(g.level[v])]
         if len(cand) == 0:
             raise TransferError(f"no valid parent level for station {v}")
-        elec.append((int(cand[rng.integers(0, len(cand))]), int(v)))
+        new_elec.append((cand[rng.integers(0, len(cand))], v))
 
-    # road additions: uniform new junction pairs
+    # road additions: uniform new junction pairs, keyed min*n+max
     add_road = int(round(spec.add_fraction * len(g.road_edges)))
     junctions = g.junction_ids()
-    existing = {frozenset(e) for e in road}
-    added = 0
-    while added < add_road:
-        u, v = junctions[rng.integers(0, len(junctions), size=2)]
-        key = frozenset((int(u), int(v)))
-        if u == v or key in existing:
-            continue
-        existing.add(key)
-        road.append((int(u), int(v)))
-        added += 1
+    existing = set((road[:, 0] * g.n + road[:, 1]).tolist())
+    new_road = []
+    while len(new_road) < add_road:
+        u, v = junctions[rng.integers(0, len(junctions), size=2)].tolist()
+        key = min(u, v) * g.n + max(u, v)
+        if u != v and key not in existing:
+            existing.add(key)
+            new_road.append((u, v))
 
     # dependency additions: unsupplied junctions get a random 10kV station
     add_dep = int(round(spec.add_fraction * len(g.dep_edges)))
-    supplied = {j for _, j in dep}
-    free = [int(j) for j in junctions if j not in supplied]
+    free = np.setdiff1d(junctions, dep[:, 1])
     if add_dep > len(free):
         raise TransferError(
             f"cannot add {add_dep} dependency edges: only {len(free)} "
@@ -111,16 +107,16 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     leaves = g.station_ids(level=10)
     if add_dep > 0 and len(leaves) == 0:
         raise TransferError("no 10kV stations to act as suppliers")
-    for j in [free[i] for i in rng.permutation(len(free))[:add_dep]]:
-        dep.append((int(leaves[rng.integers(0, len(leaves))]), j))
+    new_dep = [(leaves[rng.integers(0, len(leaves))], j)
+               for j in free[rng.permutation(len(free))[:add_dep]]]
 
     return CoupledGraph(
         kind=g.kind.copy(),
         level=g.level.copy(),
         load=g.load.copy(),
-        elec_edges=elec,
-        road_edges=road,
-        dep_edges=dep,
+        elec_edges=_with_added(elec, new_elec),
+        road_edges=_with_added(road, new_road),
+        dep_edges=_with_added(dep, new_dep),
     )
 
 

@@ -10,7 +10,7 @@ from infranet.cascade import (
     reward_from_outcome,
     sigma,
 )
-from infranet.graph import JUNCTION, NORMAL, STATION, CoupledGraph
+from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import GenConfig, generate
 
 
@@ -142,6 +142,38 @@ def oracle_power(g):
                 if g.state[c] == 0:
                     queue.append(c)
     return total
+
+
+def oracle_propagate(g, v):
+    """Damage Normal node v in place; returns the set the cascade made Invalid.
+
+    A station takes every Normal descendant down the parent map, whatever
+    the state of the nodes between, then every Normal light of a lost 10kV
+    station (v or a descendant it just made Invalid).
+    """
+    parent = {c: p for p, c in g.elec_edges.tolist()}
+
+    def descends_from_v(u):
+        while u in parent:
+            u = parent[u]
+            if u == v:
+                return True
+        return False
+
+    g.state[v] = DAMAGED
+    newly_invalid = set()
+    if g.kind[v] != STATION:
+        return newly_invalid
+    for u in range(g.n):
+        if g.state[u] == NORMAL and descends_from_v(u):
+            g.state[u] = INVALID
+            newly_invalid.add(u)
+    lost = {v} | newly_invalid
+    for s, j in g.dep_edges.tolist():
+        if s in lost and g.level[s] == 10 and g.state[j] == NORMAL:
+            g.state[j] = INVALID
+            newly_invalid.add(j)
+    return newly_invalid
 
 
 def oracle_degree(g, v):

@@ -14,17 +14,19 @@ from infranet.cascade import (
     _component_labels,
     damage,
     gcc,
+    power,
     reward_from_outcome,
     sigma,
 )
 from infranet.embed import random_embeddings
-from infranet.graph import DAMAGED, JUNCTION, NORMAL, STATION, CoupledGraph
+from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import generate, preset_config
 
 from conftest import (
     make_toy_chain,
     oracle_gcc,
     oracle_power,
+    oracle_propagate,
     oracle_sigma,
     random_coupled,
     reference_run_attack,
@@ -89,6 +91,31 @@ def test_env_matches_oracles_and_damage(index, seed, a_e, a_r):
             assert env.gcc == oracle_gcc(env.graph)
             assert r == reward_from_outcome(out, ref, w)
     np.testing.assert_array_equal(g.state, np.zeros(g.n, dtype=np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, RANDOM_GRAPHS + len(TOYS) - 1),
+       seed=st.integers(0, 10_000),
+       normal=st.floats(0.3, 0.95))
+def test_power_and_damage_match_oracles_in_any_state(index, seed, normal):
+    """States no cascade reaches: a Normal node below a lost one, a Normal
+    light of a lost station. Power and the cascade rules still hold."""
+    g = graph_for(index)
+    rng = np.random.default_rng(seed)
+    lost = (1.0 - normal) / 2
+    g.state[:] = rng.choice([NORMAL, DAMAGED, INVALID], size=g.n, p=[normal, lost, lost])
+    assert power(g) == oracle_power(g)
+    for _ in range(3):
+        candidates = np.flatnonzero(g.state == NORMAL)
+        if len(candidates) == 0:
+            break
+        v = int(rng.choice(candidates))
+        ref = g.fork()
+        ref.state[:] = g.state
+        out = damage(g, v)
+        assert out.newly_invalid == oracle_propagate(ref, v)
+        np.testing.assert_array_equal(g.state, ref.state)
+        assert out.power_after == power(g) == oracle_power(g)
 
 
 def test_env_labels_only_when_a_junction_dies(monkeypatch):

@@ -238,9 +238,10 @@ def test_coupled_problem_lists_every_layer_with_its_weight():
     g = random_coupled(7)
     cfg = EmbedConfig(edge_type_weights={"elec": 2.0, "road": 1.0, "dep": 0.5})
     p = problem_for(g, "coupled", cfg)
-    tagged = ([(e, 2.0) for e in g.elec_edges] + [(e, 1.0) for e in g.road_edges]
-              + [(e, 0.5) for e in g.dep_edges])
-    assert list(map(tuple, p.edges.tolist())) == [e for e, _ in tagged]
+    tagged = ([(e, 2.0) for e in g.elec_edges.tolist()]
+              + [(e, 1.0) for e in g.road_edges.tolist()]
+              + [(e, 0.5) for e in g.dep_edges.tolist()])
+    assert p.edges.tolist() == [e for e, _ in tagged]
     assert p.edge_weights.tolist() == [w for _, w in tagged]
 
 

@@ -83,10 +83,40 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
     ({"gdm": "x"}, r"plan block 'gdm' must be a JSON object"),
     ({"weights": 1.0}, r"plan block 'weights' must be a JSON object"),
     ({"graph": "desk"}, r"plan block 'graph' must be a JSON object"),
+    ({"agent": {"episodes": -5, "lr": -1.0}},
+     r"plan block 'agent': episodes must be >= 0, got -5"),
+    ({"agent": {"lr": -1.0}}, r"plan block 'agent': lr must be > 0, got -1.0"),
+    ({"agent": {"lr": 0}}, r"plan block 'agent': lr must be > 0, got 0"),
+    ({"agent": {"batch_size": 0}}, r"plan block 'agent': batch_size must be >= 1"),
+    ({"agent": {"target_sync": 0}}, r"plan block 'agent': target_sync must be >= 1"),
+    ({"agent": {"eps_decay_steps": -1}}, r"plan block 'agent': eps_decay_steps must be >= 0"),
+    ({"agent": {"eps_start": 1.5}}, r"plan block 'agent': eps_start must be in \[0,1\], got 1.5"),
+    ({"agent": {"eps_end": -0.1}}, r"plan block 'agent': eps_end must be in \[0,1\]"),
+    ({"agent": {"episodes": "five"}},
+     r"plan block 'agent': episodes must be an integer, got 'five'"),
+    ({"agent": {"episodes": 2.5}}, r"plan block 'agent': episodes must be an integer"),
+    ({"agent": {"lr": "fast"}}, r"plan block 'agent': lr must be a number, got 'fast'"),
+    ({"embed": {"lr": -1}}, r"plan block 'embed': lr must be > 0, got -1"),
+    ({"embed": {"d": None}}, r"plan block 'embed': d must be an integer, got None"),
+    ({"gdm": {"positive_quantile": 2}},
+     r"plan block 'gdm': positive_quantile must be in \(0,1\), got 2"),
+    ({"gdm": {"lr": 0.0}}, r"plan block 'gdm': lr must be > 0"),
+    ({"gdm": {"epochs": -1}}, r"plan block 'gdm': epochs must be >= 0"),
+    ({"gdm": {"hidden": -1}}, r"plan block 'gdm': hidden must be >= 0"),
+    ({"gdm": {"lr": True}}, r"plan block 'gdm': lr must be a number, got True"),
+    ({"weights": {"a_e": "x"}}, r"plan block 'weights': a_e must be a number, got 'x'"),
+    ({"weights": {"a_e": -1.0}}, r"plan block 'weights': weights must be nonnegative"),
 ])
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
         small_plan(small_graph_file, **change)
+
+
+def test_plan_accepts_zero_episodes_and_integer_floats(small_graph_file):
+    plan = small_plan(small_graph_file, agent={"episodes": 0, "lr": 1},
+                      embed={"lr": 1}, gdm={"epochs": 0, "hidden": 0})
+    assert plan.agent_config.episodes == 0 and plan.agent_config.lr == 1
+    assert plan.gdm_config.epochs == 0
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -42,6 +43,23 @@ def test_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + b"\x00" * 20)
     with pytest.raises(FormatError, match="bad magic"):
         read_tensors(p)
+
+
+def test_every_truncation_raises_format_error(tmp_path):
+    p = tmp_path / "t.bin"
+    write_tensors(p, [np.arange(6, dtype=np.float32).reshape(2, 3)], d=2, n_nodes=3, depth=1)
+    raw = p.read_bytes()
+    assert len(raw) == 60    # header 24, shape 4 + 8, payload 24
+    short = tmp_path / "short.bin"
+    for size in range(len(raw)):
+        short.write_bytes(raw[:size])
+        part = "header" if size < 24 else "shape" if size < 36 else "payload"
+        with pytest.raises(FormatError, match=rf"short\.bin: truncated {part}"):
+            read_tensors(short)
+    # a shape that claims a 16 GiB payload is caught by length, not by allocating it
+    short.write_bytes(raw[:24] + struct.pack("<3I", 2, 2**31, 2))
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_tensors(short)
 
 
 def test_bad_version(tmp_path):
