@@ -5,6 +5,11 @@ Each node's action value is the pooled state dotted with a two-layer
 transform of the node's embedding. Training uses a FIFO replay buffer, a
 periodically synced target network, an epsilon-greedy policy, and plain SGD
 on the squared TD error; gradients are hand-derived.
+
+A (d, n) node-value matrix is recomputed only when its parameters change:
+in training, the online one at the first exploit step after an SGD update
+and the target one at the first TD loss after a target sync; a greedy
+attack computes its one matrix up front.
 """
 
 from __future__ import annotations
@@ -153,23 +158,27 @@ def q_values(Z: np.ndarray, s: np.ndarray, params: QNetParams,
     return q
 
 
-def select_action(scores: np.ndarray, epsilon: float, rng,
-                  alive_mask: np.ndarray) -> int:
-    """Epsilon-greedy over alive nodes; ties break to the lowest id."""
+def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
+    """Epsilon-greedy over alive nodes; ties break to the lowest id.
+
+    `scores` is a per-node array, or a zero-argument callable returning one
+    that is called only when the draw exploits.
+    """
     alive_ids = np.flatnonzero(alive_mask)
     if len(alive_ids) == 0:
         raise AgentError("no alive node to select")
     if epsilon > 0 and rng.random() < epsilon:
         return int(alive_ids[rng.integers(0, len(alive_ids))])
+    if callable(scores):
+        scores = scores()
     masked = np.where(alive_mask, scores, -np.inf)
     return int(np.argmax(masked))
 
 
 # -- TD loss ------------------------------------------------------------------
 
-def _td_targets(batch, Z, params: QNetParams, gamma: float):
+def _td_targets(batch, Y_hat: np.ndarray, gamma: float):
     s, a, r, s_next, done, alive = batch
-    Y_hat = node_values(Z, params, target=True)       # (d, n)
     next_scores = s_next @ Y_hat                      # (B, n)
     next_scores = np.where(alive, next_scores, -np.inf)
     next_max = next_scores.max(axis=1)
@@ -178,13 +187,18 @@ def _td_targets(batch, Z, params: QNetParams, gamma: float):
 
 
 def td_loss(batch, Z: np.ndarray, params: QNetParams, gamma: float,
-            want_grad: bool = False):
-    """Mean squared TD error; optionally with gradients wrt theta1/theta2."""
+            want_grad: bool = False, Y_hat: np.ndarray = None):
+    """Mean squared TD error; optionally with gradients wrt theta1/theta2.
+
+    `Y_hat` is the target network's node values, computed here when not given.
+    """
     s, a, r, s_next, done, alive = batch
     B = len(a)
     if B == 0:
         raise AgentError("empty batch")
-    target = _td_targets(batch, Z, params, gamma)
+    if Y_hat is None:
+        Y_hat = node_values(Z, params, target=True)
+    target = _td_targets(batch, Y_hat, gamma)
 
     Za = Z[:, a]                                      # (d, B)
     pre = params.theta1 @ Za                          # (2d, B)
@@ -243,6 +257,15 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = TrainLog()
     env = cascade.AttackEnv(g, weights)
+    Y = None                      # online node values; None once theta changes
+    Y_hat = None                  # target node values; None once the target syncs
+
+    def scores():
+        nonlocal Y
+        if Y is None:
+            Y = node_values(Z, params)
+        return s @ Y
+
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
@@ -252,7 +275,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         losses = []
         for k in range(cfg.budget):
             eps = _epsilon_at(step, cfg)
-            a = select_action(q_values(Z, s, params), eps, rng, env.state == NORMAL)
+            a = select_action(scores, eps, rng, env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
             s_next = pooled_state(Z, removed)
@@ -263,14 +286,19 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             step += 1
             if buf.size >= cfg.batch_size:
                 batch = buf.sample(cfg.batch_size, rng)
-                loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True)
+                if Y_hat is None:
+                    Y_hat = node_values(Z, params, target=True)
+                loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True,
+                                       Y_hat=Y_hat)
                 if not np.isfinite(loss):
                     raise AgentError(f"TD loss diverged at episode {ep}, step {step}")
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
+                Y = None
                 losses.append(loss)
             if step % cfg.target_sync == 0:
                 params.sync_target()
+                Y_hat = None
         log.episode.append(ep)
         log.cum_reward.append(cum)
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
@@ -283,12 +311,12 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     """One evaluation episode with epsilon = 0; never touches params."""
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
+    Y = node_values(Z, params)
     removed = []
 
     def policy(graph, k):
         alive = graph.state == NORMAL
-        s = pooled_state(Z, removed)
-        q = q_values(Z, s, params, alive_mask=alive)
+        q = np.where(alive, pooled_state(Z, removed) @ Y, -np.inf)
         a = int(np.argmax(q))
         removed.append(a)
         return a

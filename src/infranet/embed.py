@@ -55,6 +55,15 @@ class EmbedConfig:
         ):
             if not ok:
                 raise EmbedError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        tw = self.edge_type_weights
+        if not isinstance(tw, dict) or set(tw) != set(DEFAULT_EDGE_TYPE_WEIGHTS):
+            raise EmbedError("edge_type_weights must be a dict with exactly the keys "
+                             f"{list(DEFAULT_EDGE_TYPE_WEIGHTS)}, got {tw!r}")
+        for layer, w in tw.items():
+            number = isinstance(w, (int, float, np.integer, np.floating))
+            if not number or isinstance(w, bool) or not 0 <= w < np.inf:
+                raise EmbedError(f"edge_type_weights[{layer!r}] must be a finite "
+                                 f"number >= 0, got {w!r}")
 
 
 @dataclass

@@ -220,22 +220,20 @@ class CoupledGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        nodes = []
-        for v in range(self.n):
-            rec = {"id": v, "kind": "station" if self.kind[v] == STATION else "junction"}
-            if self.kind[v] == STATION:
-                rec["level"] = int(self.level[v])
-                if self.level[v] == 10:
-                    rec["load"] = float(self.load[v])
-            nodes.append(rec)
-        doc = {
-            "version": GRAPH_FORMAT_VERSION,
-            "nodes": nodes,
-            "elec_edges": self.elec_edges.tolist(),
-            "road_edges": self.road_edges.tolist(),
-            "dep_edges": self.dep_edges.tolist(),
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        """Compact JSON with sorted keys, as `json.dumps(doc, sort_keys=True,
+        separators=(",", ":"))` writes it. The node records are formatted
+        directly: loads are finite, so `repr` is json's float text."""
+        stations = (self.kind == STATION).tolist()
+        nodes = ",".join(
+            f'{{"id":{v},"kind":"junction"}}' if not st else
+            f'{{"id":{v},"kind":"station","level":{lv}}}' if lv != 10 else
+            f'{{"id":{v},"kind":"station","level":10,"load":{x!r}}}'
+            for v, (st, lv, x) in enumerate(zip(stations, self.level.tolist(),
+                                                self.load.tolist())))
+        dep, elec, road = (json.dumps(e.tolist(), separators=(",", ":"))
+                           for e in (self.dep_edges, self.elec_edges, self.road_edges))
+        return (f'{{"dep_edges":{dep},"elec_edges":{elec},"nodes":[{nodes}],'
+                f'"road_edges":{road},"version":{GRAPH_FORMAT_VERSION}}}\n')
 
     @classmethod
     def from_json(cls, text: str) -> "CoupledGraph":

@@ -101,6 +101,10 @@ class ExperimentPlan:
             plan.agent_config = _override("agent", plan.agent_config,
                                           {"budget": plan.budget, **doc["agent"]})
         plan.validate()
+        if "agent" in doc and plan.agent_config.budget != plan.budget:
+            raise PlanError(f"plan block 'agent': budget {plan.agent_config.budget!r} "
+                            f"differs from the plan's budget {plan.budget!r}; agent cells "
+                            "train and attack with the plan's budget")
         return plan
 
     def load_graph(self) -> CoupledGraph:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from infranet import agent, cascade
 from infranet.cascade import (
     AttackReport,
+    RewardWeights,
     anc,
     damage,
     gcc,
@@ -241,3 +243,66 @@ def reference_run_attack(g, policy, budget, weights, method="attack"):
         rep.reward.append(r)
         rep.cum_reward.append(rep.cum_reward[-1] + r)
     return rep
+
+
+def oracle_train(g, emb, cfg):
+    """The per-step DQN training loop: `q_values` at every step, and the
+    target node values recomputed inside every `td_loss`. Drop-in for
+    agent.train."""
+    cfg.validate()
+    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    rng = np.random.default_rng(cfg.seed)
+    params = agent.QNetParams.init(Z.shape[0], rng)
+    weights = cfg.weights or RewardWeights.normalized(g)
+    buf = agent.ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
+    log = agent.TrainLog()
+    env = cascade.AttackEnv(g, weights)
+    step = 0
+    for ep in range(cfg.episodes):
+        env.reset()
+        removed = []
+        s = agent.pooled_state(Z, removed)
+        cum = 0.0
+        losses = []
+        for k in range(cfg.budget):
+            eps = agent._epsilon_at(step, cfg)
+            a = agent.select_action(agent.q_values(Z, s, params), eps, rng,
+                                    env.state == NORMAL)
+            r, _ = env.step(a)
+            removed.append(a)
+            s_next = agent.pooled_state(Z, removed)
+            done = k == cfg.budget - 1
+            buf.push(agent.Transition(s, a, r, s_next, done, env.state == NORMAL))
+            s = s_next
+            cum += r
+            step += 1
+            if buf.size >= cfg.batch_size:
+                batch = buf.sample(cfg.batch_size, rng)
+                loss, d1, d2 = agent.td_loss(batch, Z, params, cfg.gamma, want_grad=True)
+                params.theta1 -= cfg.lr * d1
+                params.theta2 -= cfg.lr * d2
+                losses.append(loss)
+            if step % cfg.target_sync == 0:
+                params.sync_target()
+        log.episode.append(ep)
+        log.cum_reward.append(cum)
+        log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
+        log.epsilon.append(eps)
+    return params, log
+
+
+def oracle_greedy_attack(g, emb, params, budget, weights=None, method="agent"):
+    """The per-step greedy attack: `q_values` from the parameters at every
+    step. Drop-in for agent.greedy_attack."""
+    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    weights = weights or RewardWeights.normalized(g)
+    removed = []
+
+    def policy(graph, k):
+        s = agent.pooled_state(Z, removed)
+        q = agent.q_values(Z, s, params, alive_mask=graph.state == NORMAL)
+        a = int(np.argmax(q))
+        removed.append(a)
+        return a
+
+    return cascade.run_attack(g, policy, budget, weights, method=method)

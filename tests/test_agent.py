@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,14 @@ from infranet.agent import (
 from infranet.cascade import RewardWeights
 from infranet.embed import random_embeddings
 from infranet.graph import NORMAL
+from infranet.netgen import generate, preset_config
 
-from conftest import central_diff_check, random_coupled
+from conftest import (
+    central_diff_check,
+    oracle_greedy_attack,
+    oracle_train,
+    random_coupled,
+)
 
 
 def make_batch(rng, B=8, d=4, n=12):
@@ -106,6 +114,28 @@ def test_select_action_uniform_when_eps_one():
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # chi-square 9 dof, p=0.01 critical value 21.67
     assert chi2 < 21.67
+
+
+def test_select_action_reads_callable_scores_only_on_exploit():
+    # an explore draw never calls the score callable, and the rng ends in
+    # the same state as with the precomputed array
+    alive = np.array([True, False, True, True, False, True])
+    scores = np.array([0.5, 9.0, 2.0, 2.0, 7.0, -1.0])
+    for eps in (0.0, 0.3, 0.7, 1.0):
+        rng_fn, rng_arr = np.random.default_rng(11), np.random.default_rng(11)
+        explored = 0
+        for _ in range(200):
+            explores = eps > 0 and copy.deepcopy(rng_fn).random() < eps
+            calls = []
+            a = select_action(lambda: calls.append(1) or scores, eps, rng_fn, alive)
+            assert a == select_action(scores, eps, rng_arr, alive)
+            assert rng_fn.bit_generator.state == rng_arr.bit_generator.state
+            assert len(calls) == (0 if explores else 1)
+            explored += explores
+        if eps in (0.0, 1.0):
+            assert explored == 200 * eps
+        else:
+            assert 0 < explored < 200
 
 
 def test_select_action_no_alive_errors():
@@ -209,6 +239,46 @@ def test_train_deterministic():
     np.testing.assert_array_equal(p1.theta1, p2.theta1)
     np.testing.assert_array_equal(p1.theta2, p2.theta2)
     assert l1.cum_reward == l2.cum_reward
+
+
+# Configs for the cached-vs-per-step differential: the target syncs many
+# times per run, epsilon ends strictly inside (0, 1) so exploit and explore
+# steps interleave after SGD updates start, and the batch size is reached
+# mid-episode. The learning rates are large enough that the greedy choice
+# moves during training, so stale online or target node values change the
+# result. The last config exploits from step 0 and syncs every step.
+DIFFERENTIAL_CONFIGS = [
+    dict(budget=4, episodes=25, batch_size=6, buffer_size=50, target_sync=7,
+         eps_end=0.3, eps_decay_steps=40, lr=0.2, gamma=0.9),
+    dict(budget=3, episodes=30, batch_size=5, buffer_size=16, target_sync=5,
+         eps_start=0.6, eps_end=0.1, lr=0.5, gamma=0.99),
+    dict(budget=5, episodes=6, batch_size=3, buffer_size=8, target_sync=1,
+         eps_start=0.0, eps_end=0.0, lr=0.05, gamma=0.5),
+]
+
+
+@pytest.mark.parametrize("graph", ["random0", "random1", "random2", "desk"])
+@pytest.mark.parametrize("overrides", DIFFERENTIAL_CONFIGS)
+def test_cached_node_values_match_per_step_oracle(graph, overrides):
+    g = (generate(preset_config("desk", seed=0)) if graph == "desk"
+         else random_coupled(int(graph[-1])))
+    emb = random_embeddings(g, 6, 3)
+    cfg = AgentConfig(seed=5, **overrides)
+    assert cfg.episodes * cfg.budget > cfg.target_sync
+    params, log = train(g, emb, cfg)
+    o_params, o_log = oracle_train(g, emb, cfg)
+    assert np.array_equal(params.theta1, o_params.theta1)
+    assert np.array_equal(params.theta2, o_params.theta2)
+    assert np.array_equal(params.theta1_hat, o_params.theta1_hat)
+    assert np.array_equal(params.theta2_hat, o_params.theta2_hat)
+    for key in ("episode", "cum_reward", "loss_mean", "epsilon"):
+        assert getattr(log, key) == getattr(o_log, key), key
+    assert 0.0 < log.epsilon[-1] < 1.0 or cfg.eps_end == 0.0
+    w = RewardWeights.normalized(g)
+    rep = greedy_attack(g, emb, params, 8, w)
+    o_rep = oracle_greedy_attack(g, emb, params, 8, w)
+    for key in ("nodes", "power", "sigma", "gcc", "anc", "reward", "cum_reward"):
+        assert getattr(rep, key) == getattr(o_rep, key), key
 
 
 def test_greedy_attack_deterministic_and_masked():

@@ -12,8 +12,9 @@ from infranet.graph import (
     CoupledGraph,
     GraphError,
 )
+from infranet.netgen import generate, preset_config
 
-from conftest import oracle_degree, random_coupled
+from conftest import make_toy_chain, oracle_degree, random_coupled
 
 
 def test_degree_path():
@@ -83,6 +84,52 @@ def test_json_roundtrip_byte_stable(toy_chain):
     assert g2.n == toy_chain.n
     assert np.array_equal(g2.elec_edges, toy_chain.elec_edges)
     assert np.array_equal(g2.dep_edges, toy_chain.dep_edges)
+
+
+def dict_writer_to_json(g):
+    """The per-node dict writer `to_json` replaced, kept as its oracle."""
+    nodes = []
+    for v in range(g.n):
+        rec = {"id": v, "kind": "station" if g.kind[v] == STATION else "junction"}
+        if g.kind[v] == STATION:
+            rec["level"] = int(g.level[v])
+            if g.level[v] == 10:
+                rec["load"] = float(g.load[v])
+        nodes.append(rec)
+    doc = {
+        "version": 1,
+        "nodes": nodes,
+        "elec_edges": g.elec_edges.tolist(),
+        "road_edges": g.road_edges.tolist(),
+        "dep_edges": g.dep_edges.tolist(),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def odd_loads_graph():
+    loads = [0.1, 2.5, 0.0, 1e300, 5e-324, 1234567.0]
+    k = len(loads)
+    return CoupledGraph(
+        kind=[STATION, STATION] + [STATION] * k + [JUNCTION] * 2,
+        level=[220, 110] + [10] * k + [0, 0],
+        load=[0.0, 0.0] + loads + [0.0, 0.0],
+        elec_edges=[(0, 1)] + [(1, 2 + i) for i in range(k)],
+        road_edges=[],
+        dep_edges=[(2, k + 2), (3, k + 3)],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(preset_config("desk", seed=0)),
+    lambda: generate(preset_config("paper", seed=0)),
+    odd_loads_graph,
+    make_toy_chain,
+    lambda: CoupledGraph(kind=[JUNCTION], level=[0], load=[0.0],
+                         elec_edges=[], road_edges=[], dep_edges=[]),
+] + [lambda seed=seed: random_coupled(seed) for seed in range(12)])
+def test_to_json_matches_dict_writer(make):
+    g = make()
+    assert g.to_json() == dict_writer_to_json(g)
 
 
 def test_json_version_check(toy_chain):

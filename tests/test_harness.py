@@ -106,10 +106,38 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
     ({"gdm": {"lr": True}}, r"plan block 'gdm': lr must be a number, got True"),
     ({"weights": {"a_e": "x"}}, r"plan block 'weights': a_e must be a number, got 'x'"),
     ({"weights": {"a_e": -1.0}}, r"plan block 'weights': weights must be nonnegative"),
+    ({"budget": 5, "agent": {"budget": 3}},
+     r"plan block 'agent': budget 3 differs from the plan's budget 5"),
+    ({"agent": {"budget": 5}}, r"plan block 'agent': budget 5 differs from the plan's budget 4"),
+    ({"embed": {"edge_type_weights": {"elec": 2.0}}},
+     r"plan block 'embed': edge_type_weights must be a dict with exactly the keys "
+     r"\['elec', 'road', 'dep'\], got \{'elec': 2.0\}"),
+    ({"embed": {"edge_type_weights": {"elec": 1, "road": 1, "dep": 1, "rail": 1}}},
+     r"plan block 'embed': edge_type_weights must be a dict with exactly the keys"),
+    ({"embed": {"edge_type_weights": [1, 1, 1]}},
+     r"plan block 'embed': edge_type_weights must be a dict"),
+    ({"embed": {"edge_type_weights": {"elec": 1, "road": -0.5, "dep": 1}}},
+     r"plan block 'embed': edge_type_weights\['road'\] must be a finite number >= 0, got -0.5"),
+    ({"embed": {"edge_type_weights": {"elec": 1, "road": 1, "dep": "x"}}},
+     r"plan block 'embed': edge_type_weights\['dep'\] must be a finite number >= 0, got 'x'"),
+    ({"embed": {"edge_type_weights": {"elec": True, "road": 1, "dep": 1}}},
+     r"plan block 'embed': edge_type_weights\['elec'\] must be a finite number >= 0"),
+    ({"embed": {"edge_type_weights": {"elec": float("inf"), "road": 1, "dep": 1}}},
+     r"plan block 'embed': edge_type_weights\['elec'\] must be a finite number >= 0, got inf"),
+    ({"embed": {"edge_type_weights": {"elec": float("nan"), "road": 1, "dep": 1}}},
+     r"plan block 'embed': edge_type_weights\['elec'\] must be a finite number >= 0, got nan"),
 ])
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
         small_plan(small_graph_file, **change)
+
+
+def test_plan_accepts_matching_agent_budget_and_layer_weights(small_graph_file):
+    weights = {"elec": 2, "road": 0.0, "dep": 0.5}
+    plan = small_plan(small_graph_file, agent={"budget": 4},
+                      embed={"edge_type_weights": weights})
+    assert plan.agent_config.budget == plan.budget == 4
+    assert plan.embed_config.edge_type_weights == weights
 
 
 def test_plan_accepts_zero_episodes_and_integer_floats(small_graph_file):
