@@ -10,7 +10,6 @@ from .cascade import (
     damage,
     gcc,
     power,
-    reward,
     sigma,
 )
 from .embed import EmbedConfig, EmbeddingMatrix, random_embeddings, train_coupled

@@ -88,16 +88,6 @@ class QNetParams:
         return float(np.sum(self.theta1) + np.sum(self.theta2))
 
 
-@dataclass
-class Transition:
-    s: np.ndarray
-    action: int
-    r: float
-    s_next: np.ndarray
-    done: bool
-    next_alive: np.ndarray        # bool mask; needed by the masked TD max
-
-
 class ReplayBuffer:
     """FIFO ring of transitions; alive masks are stored bit-packed."""
 
@@ -113,14 +103,15 @@ class ReplayBuffer:
         self.head = 0
         self.size = 0
 
-    def push(self, t: Transition):
+    def push(self, s, action: int, r: float, s_next, done: bool, next_alive):
+        """Store one transition; next_alive is the bool mask the masked TD max needs."""
         i = self.head
-        self.s[i] = t.s
-        self.a[i] = t.action
-        self.r[i] = t.r
-        self.s_next[i] = t.s_next
-        self.done[i] = t.done
-        self.masks[i] = np.packbits(t.next_alive.astype(np.uint8))
+        self.s[i] = s
+        self.a[i] = action
+        self.r[i] = r
+        self.s_next[i] = s_next
+        self.done[i] = done
+        self.masks[i] = np.packbits(next_alive.astype(np.uint8))
         self.head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -236,6 +227,12 @@ class TrainLog:
                 wr.writerow((row[0], repr(row[1]), repr(row[2]), repr(row[3])))
 
 
+def _check_budget(g: CoupledGraph, budget: int):
+    normal = int(np.sum(g.state == NORMAL))
+    if budget > normal:
+        raise AgentError(f"budget {budget} exceeds the {normal} Normal nodes of the graph")
+
+
 def _epsilon_at(step: int, cfg: AgentConfig) -> float:
     decay = cfg.eps_decay_steps or max(1, cfg.episodes * cfg.budget // 2)
     frac = min(1.0, step / decay)
@@ -251,6 +248,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     if Z.shape[1] != g.n:
         raise AgentError("embedding column count does not match the graph")
+    _check_budget(g, cfg.budget)
     rng = np.random.default_rng(cfg.seed)
     params = QNetParams.init(Z.shape[0], rng)
     weights = cfg.weights or RewardWeights.normalized(g)
@@ -280,7 +278,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             removed.append(a)
             s_next = pooled_state(Z, removed)
             done = k == cfg.budget - 1
-            buf.push(Transition(s, a, r, s_next, done, env.state == NORMAL))
+            buf.push(s, a, r, s_next, done, env.state == NORMAL)
             s = s_next
             cum += r
             step += 1
@@ -309,6 +307,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
 def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
                   weights: RewardWeights = None, method: str = "agent") -> AttackReport:
     """One evaluation episode with epsilon = 0; never touches params."""
+    _check_budget(g, budget)
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)

@@ -182,23 +182,6 @@ def damage(g: CoupledGraph, v: int) -> CascadeOutcome:
     )
 
 
-def _reward(w: RewardWeights, station: bool, power_drop: float, sigma_drop: float) -> float:
-    r = w.a_r * sigma_drop
-    if station:
-        r += w.a_e * power_drop
-    return float(r)
-
-
-def reward_from_outcome(out: CascadeOutcome, g: CoupledGraph, w: RewardWeights) -> float:
-    return _reward(w, g.kind[out.node] == STATION, out.power_before - out.power_after,
-                   out.sigma_before - out.sigma_after)
-
-
-def reward(g: CoupledGraph, v: int, w: RewardWeights) -> float:
-    """Composite reward of damaging v; applies the damage to g."""
-    return reward_from_outcome(damage(g, v), g, w)
-
-
 class AttackEnv:
     """Attack episodes on one private fork of a graph, with cached metrics.
 
@@ -243,9 +226,10 @@ class AttackEnv:
         self.power = p_before - float(g.feeds[lost].sum())
         if np.any(g.kind[lost] != STATION):
             self.sigma, self.gcc = _road_metrics(g)
-        r = _reward(self.weights, g.kind[v] == STATION, p_before - self.power,
-                    s_before - self.sigma)
-        return r, newly_invalid
+        r = self.weights.a_r * (s_before - self.sigma)
+        if g.kind[v] == STATION:
+            r += self.weights.a_e * (p_before - self.power)
+        return float(r), newly_invalid
 
 
 @dataclass

@@ -123,6 +123,8 @@ def cmd_transfer(args):
     spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
                                  add_fraction=args.mask_add, seed=args.seed)
     g_mask = transfer_mod.mask_graph(g, spec)
+    if args.mask_out:
+        g_mask.save(args.mask_out)
     weights = _parse_weights(args.weights, g_mask)
     rcfg = transfer_mod.RetrainConfig(
         epochs=args.retrain_epochs, distance_weight=args.distance_weight,
@@ -226,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=0)
     _add_weights_flag(tr)
     tr.add_argument("--out", required=True)
+    tr.add_argument("--mask-out", dest="mask_out",
+                    help="also write the mask graph it attacks, as graph JSON")
     tr.set_defaults(func=cmd_transfer)
 
     r = sub.add_parser("report", help="run an experiment plan")

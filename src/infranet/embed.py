@@ -6,7 +6,9 @@ and passed through ReLU. Training pits observed edges against sampled
 non-edges under a hinge margin; gradients are hand-derived, no autograd.
 
 Pretraining runs the same machinery on each layer's subgraph alone; the
-coupled-graph training then starts from those columns.
+coupled-graph training then starts from those columns. Transfer retraining
+(`transfer.retrain`) is `train` on a mask graph from the old embedding as the
+fixed input, with a `pull` term that keeps the output near that input.
 """
 
 from __future__ import annotations
@@ -88,11 +90,6 @@ class EmbeddingMatrix:
 
 
 @dataclass
-class GnnParams:
-    weights: list            # depth matrices, each (d, d)
-
-
-@dataclass
 class EmbedProblem:
     """One training instance: edges with type weights plus the sampling pool."""
 
@@ -170,11 +167,12 @@ def random_embeddings(g: CoupledGraph, d: int, seed: int) -> EmbeddingMatrix:
 
 # -- forward / backward -----------------------------------------------------
 
-def forward(F: np.ndarray, params: GnnParams, problem: EmbedProblem,
+def forward(F: np.ndarray, params: list, problem: EmbedProblem,
             aggregator: str = "sum", want_cache: bool = False):
+    """params: the depth weight matrices, each (d, d)."""
     H = np.asarray(F, dtype=np.float64)
     caches = []
-    for W in params.weights:
+    for W in params:
         HN = (problem.adj @ H.T).T
         if aggregator == "mean":
             HN = HN / np.maximum(problem.deg, 1.0)
@@ -185,15 +183,15 @@ def forward(F: np.ndarray, params: GnnParams, problem: EmbedProblem,
     return (H, caches) if want_cache else H
 
 
-def _backward(dZ, params: GnnParams, caches, problem: EmbedProblem, aggregator: str):
+def _backward(dZ, params: list, caches, problem: EmbedProblem, aggregator: str):
     """Backprop dLoss/dZ through the layer stack; returns per-matrix grads."""
-    dWs = [None] * len(params.weights)
+    dWs = [None] * len(params)
     dH = dZ
-    for i in range(len(params.weights) - 1, -1, -1):
+    for i in range(len(params) - 1, -1, -1):
         M, pre = caches[i]
         G = dH * (pre > 0)
         dWs[i] = G @ M.T
-        dM = params.weights[i].T @ G
+        dM = params[i].T @ G
         dHN = 0.5 * dM
         if aggregator == "mean":
             dHN = dHN / np.maximum(problem.deg, 1.0)
@@ -226,7 +224,7 @@ def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
 
 
 def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
-                pos_weights=None, params: GnnParams = None,
+                pos_weights=None, params: list = None,
                 want_grad: bool = False):
     """Hinge margin loss over (positive, negative) edge pairs.
 
@@ -253,7 +251,7 @@ def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
     P = len(pos_rep)
     loss = float(np.sum(w_rep * np.maximum(hinge, 0.0)) / P)
     if params is not None:
-        loss += cfg.l2 * sum(float(np.sum(W * W)) for W in params.weights)
+        loss += cfg.l2 * sum(float(np.sum(W * W)) for W in params)
     if not want_grad:
         return loss
 
@@ -267,29 +265,40 @@ def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
     return loss, dZT.T
 
 
-def loss_and_grads(F, params: GnnParams, problem: EmbedProblem, neg, cfg: EmbedConfig):
-    """Full-pipeline loss (forward + hinge + L2) and gradients per weight matrix."""
+def loss_and_grads(F, params: list, problem: EmbedProblem, neg, cfg: EmbedConfig,
+                   pull: float = 0.0):
+    """Full-pipeline loss (forward + hinge + L2) and gradients per weight matrix.
+
+    A nonzero `pull` adds pull times the mean squared deviation of the
+    output Z from the input F to the loss.
+    """
     Z, caches = forward(F, params, problem, cfg.aggregator, want_cache=True)
     loss, dZ = margin_loss(
         Z, problem.edges, neg, cfg, pos_weights=problem.edge_weights,
         params=params, want_grad=True,
     )
+    if pull:
+        diff = Z - F
+        loss += pull * float(np.sum(diff ** 2) / F.size)
+        dZ = dZ + pull * 2.0 * diff / F.size
     dWs, _ = _backward(dZ, params, caches, problem, cfg.aggregator)
-    for dW, W in zip(dWs, params.weights):
+    for dW, W in zip(dWs, params):
         dW += 2.0 * cfg.l2 * W
     return loss, dWs
 
 
 # -- training ------------------------------------------------------------
 
-def init_params(cfg: EmbedConfig, rng) -> GnnParams:
-    return GnnParams([_uniform(rng, (cfg.d, cfg.d), cfg.d) for _ in range(cfg.depth)])
+def init_params(cfg: EmbedConfig, rng) -> list:
+    return [_uniform(rng, (cfg.d, cfg.d), cfg.d) for _ in range(cfg.depth)]
 
 
-def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None):
+def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None,
+          pull: float = 0.0):
     """Gradient-descent training; negatives are resampled every epoch.
 
-    Returns (EmbeddingMatrix, GnnParams, per-epoch loss list).
+    `pull` weighs the deviation of the output from F (see loss_and_grads).
+    Returns (EmbeddingMatrix, weight matrices, per-epoch loss list).
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -299,10 +308,10 @@ def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None):
     losses = []
     for epoch in range(cfg.epochs):
         neg = sample_negatives(rng, problem, len(problem.edges) * cfg.neg_ratio)
-        loss, dWs = loss_and_grads(F, params, problem, neg, cfg)
+        loss, dWs = loss_and_grads(F, params, problem, neg, cfg, pull)
         if not np.isfinite(loss):
             raise EmbedError(f"training diverged at epoch {epoch}")
-        for W, dW in zip(params.weights, dWs):
+        for W, dW in zip(params, dWs):
             W -= cfg.lr * dW
         losses.append(loss)
     Z = forward(F, params, problem, cfg.aggregator)

@@ -8,8 +8,8 @@ Each layer is stored once, as a read-only (m, 2) int64 array sorted by
 (first, second). Validation and every topology question run on these arrays
 and on the index arrays built from them, which forks share: `elec_parent`
 and `elec_grandparent` (-1 where none; levels run 220 -> 110 -> 10, so no
-supply chain is longer than three nodes), `dep_supplier`, `edge_u`/`edge_v`
-over all layers, `road_u`/`road_v` and `feeds`.
+supply chain is longer than three nodes), `edge_u`/`edge_v` over all
+layers, `road_u`/`road_v` and `feeds`.
 """
 
 from __future__ import annotations
@@ -175,8 +175,6 @@ class CoupledGraph:
         grandparent = np.full(n, -1, dtype=np.int64)
         grandparent[elec[:, 1]] = parent[elec[:, 0]]
         self.elec_parent, self.elec_grandparent = parent, grandparent
-        self.dep_supplier = np.full(n, -1, dtype=np.int64)
-        self.dep_supplier[dep[:, 1]] = dep[:, 0]
         # array caches of the cascade metrics, built here so that forks share
         # them and no reader ever writes one lazily. Road edges are stored as
         # positions in `junctions`, the node list of the road view.

@@ -2,10 +2,10 @@
 
 A mask graph keeps the node set but deletes and adds a fraction of edges per
 layer while preserving layer typing (forest for electricity, supplier
-uniqueness for dependencies). Retraining re-fits GNN weights on the mask
-graph under the link-prediction margin loss plus a pull-back term that keeps
-the new embeddings near the originals, so a frozen value network stays
-usable.
+uniqueness for dependencies). Retraining is `embed.train` on the mask graph
+with the original embeddings as the fixed input and a pull-back term
+(`pull`) that keeps the new embeddings near them, so a frozen value network
+stays usable.
 """
 
 from __future__ import annotations
@@ -42,11 +42,15 @@ class RetrainConfig:
     distance_weight: float = 1.0
     lr: float = 1e-3
     seed: int = 0
-    embed: embed_mod.EmbedConfig = None   # None = defaults with matching seed
 
     def validate(self):
-        if self.epochs < 1 or self.distance_weight < 0:
-            raise TransferError("need epochs >= 1 and distance_weight >= 0")
+        for key, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("distance_weight", self.distance_weight >= 0, ">= 0"),
+            ("lr", self.lr > 0, "> 0"),
+        ):
+            if not ok:
+                raise TransferError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 def _sample_keep(edges, fraction, rng):
@@ -121,45 +125,20 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
 
 
 def retrain(g_mask: CoupledGraph, old_emb, cfg: RetrainConfig):
-    """Re-fit GNN weights on the mask graph; returns the new embeddings.
+    """Re-fit GNN weights on the mask graph; returns (embeddings, losses).
 
-    Loss per epoch: margin link-prediction loss of the forward output on the
-    mask graph plus distance_weight times the mean squared deviation from
-    the original embeddings. The forward input is fixed at the original
-    embeddings throughout.
+    The forward input is fixed at the original embeddings. The loss per
+    epoch is the margin link-prediction loss on the mask graph plus
+    distance_weight times the mean squared deviation from the originals.
     """
     cfg.validate()
-    F_old = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
-    ecfg = cfg.embed or embed_mod.EmbedConfig(d=F_old.shape[0], seed=cfg.seed)
-    if ecfg.d != F_old.shape[0]:
-        raise TransferError("embedding dimension mismatch")
-    problem = embed_mod.problem_for(g_mask, "coupled", ecfg)
-    if F_old.shape[1] != problem.n:
+    F = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
+    if F.shape[1] != g_mask.n:
         raise TransferError("embedding column count does not match the graph")
-    rng = np.random.default_rng(cfg.seed)
-    params = embed_mod.init_params(ecfg, rng)
-    scale = F_old.size
-    losses = []
-    for epoch in range(cfg.epochs):
-        neg = embed_mod.sample_negatives(rng, problem, len(problem.edges) * ecfg.neg_ratio)
-        Z, caches = embed_mod.forward(F_old, params, problem, ecfg.aggregator,
-                                      want_cache=True)
-        recon, dZ = embed_mod.margin_loss(
-            Z, problem.edges, neg, ecfg, pos_weights=problem.edge_weights,
-            params=params, want_grad=True,
-        )
-        diff = Z - F_old
-        distant = float(np.sum(diff ** 2) / scale)
-        loss = recon + cfg.distance_weight * distant
-        if not np.isfinite(loss):
-            raise TransferError(f"retraining diverged at epoch {epoch}")
-        losses.append(loss)
-        dZ = dZ + cfg.distance_weight * 2.0 * diff / scale
-        dWs, _ = embed_mod._backward(dZ, params, caches, problem, ecfg.aggregator)
-        for W, dW in zip(params.weights, dWs):
-            W -= cfg.lr * (dW + 2.0 * ecfg.l2 * W)
-    Z = embed_mod.forward(F_old, params, problem, ecfg.aggregator)
-    return embed_mod.EmbeddingMatrix(Z, provenance=embed_mod.PRETRAINED), losses
+    ecfg = embed_mod.EmbedConfig(d=F.shape[0], lr=cfg.lr, epochs=cfg.epochs, seed=cfg.seed)
+    emb, _, losses = embed_mod.train(embed_mod.problem_for(g_mask, "coupled", ecfg), ecfg,
+                                     F=F, pull=cfg.distance_weight)
+    return emb, losses
 
 
 def transfer_attack(g_mask: CoupledGraph, new_emb, frozen_params, budget: int,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infranet import agent, cascade
+from infranet import agent, cascade, embed
 from infranet.cascade import (
     AttackReport,
     RewardWeights,
@@ -9,7 +9,6 @@ from infranet.cascade import (
     damage,
     gcc,
     power,
-    reward_from_outcome,
     sigma,
 )
 from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
@@ -213,6 +212,20 @@ def oracle_ci(g, radius=1):
     return scores
 
 
+def reward_from_outcome(out, g, w):
+    """Composite reward of one damage() outcome: a_r * sigma drop, plus
+    a_e * power drop when the damaged node is a station."""
+    r = w.a_r * (out.sigma_before - out.sigma_after)
+    if g.kind[out.node] == STATION:
+        r += w.a_e * (out.power_before - out.power_after)
+    return float(r)
+
+
+def reward(g, v, w):
+    """Composite reward of damaging v; applies the damage to g."""
+    return reward_from_outcome(damage(g, v), g, w)
+
+
 def reference_run_attack(g, policy, budget, weights, method="attack"):
     """The from-scratch episode loop: a fresh damage() per step and every
     metric recomputed after it. Drop-in for cascade.run_attack."""
@@ -272,7 +285,7 @@ def oracle_train(g, emb, cfg):
             removed.append(a)
             s_next = agent.pooled_state(Z, removed)
             done = k == cfg.budget - 1
-            buf.push(agent.Transition(s, a, r, s_next, done, env.state == NORMAL))
+            buf.push(s, a, r, s_next, done, env.state == NORMAL)
             s = s_next
             cum += r
             step += 1
@@ -306,3 +319,35 @@ def oracle_greedy_attack(g, emb, params, budget, weights=None, method="agent"):
         return a
 
     return cascade.run_attack(g, policy, budget, weights, method=method)
+
+
+def oracle_retrain(g_mask, old_emb, cfg):
+    """The transfer retraining loop as a separate epoch loop: forward, hinge
+    loss, pull-back term, backward and update written out. Drop-in for
+    transfer.retrain."""
+    cfg.validate()
+    F_old = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
+    ecfg = embed.EmbedConfig(d=F_old.shape[0], seed=cfg.seed)
+    problem = embed.problem_for(g_mask, "coupled", ecfg)
+    rng = np.random.default_rng(cfg.seed)
+    params = embed.init_params(ecfg, rng)
+    scale = F_old.size
+    losses = []
+    for epoch in range(cfg.epochs):
+        neg = embed.sample_negatives(rng, problem, len(problem.edges) * ecfg.neg_ratio)
+        Z, caches = embed.forward(F_old, params, problem, ecfg.aggregator,
+                                  want_cache=True)
+        recon, dZ = embed.margin_loss(
+            Z, problem.edges, neg, ecfg, pos_weights=problem.edge_weights,
+            params=params, want_grad=True,
+        )
+        diff = Z - F_old
+        distant = float(np.sum(diff ** 2) / scale)
+        loss = recon + cfg.distance_weight * distant
+        losses.append(loss)
+        dZ = dZ + cfg.distance_weight * 2.0 * diff / scale
+        dWs, _ = embed._backward(dZ, params, caches, problem, ecfg.aggregator)
+        for W, dW in zip(params, dWs):
+            W -= cfg.lr * (dW + 2.0 * ecfg.l2 * W)
+    Z = embed.forward(F_old, params, problem, ecfg.aggregator)
+    return embed.EmbeddingMatrix(Z, provenance=embed.PRETRAINED), losses

@@ -139,7 +139,7 @@ def test_criterion_3_gradient_checks():
         neg = sample_negatives(rng, problem, len(problem.edges))
         _, dWs = loss_and_grads(F, params, problem, neg, cfg)
         fn = lambda: loss_and_grads(F, params, problem, neg, cfg)[0]
-        if central_diff_check(fn, params.weights, dWs,
+        if central_diff_check(fn, params, dWs,
                               np.random.default_rng(seed + 1), rtol=1e-3) >= 4:
             margin_ok += 1
 

@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
+from infranet import cascade
 from infranet.agent import (
     AgentConfig,
     AgentError,
     QNetParams,
     ReplayBuffer,
-    Transition,
     greedy_attack,
     pooled_state,
     q_values,
@@ -18,7 +18,7 @@ from infranet.agent import (
 )
 from infranet.cascade import RewardWeights
 from infranet.embed import random_embeddings
-from infranet.graph import NORMAL
+from infranet.graph import DAMAGED, NORMAL
 from infranet.netgen import generate, preset_config
 
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     oracle_greedy_attack,
     oracle_train,
     random_coupled,
+    reward,
 )
 
 
@@ -190,9 +191,8 @@ def test_td_gradient_matches_finite_differences(seed):
 def test_replay_buffer_fifo_ring():
     buf = ReplayBuffer(capacity=3, d=2, n_nodes=4)
     for i in range(5):
-        t = Transition(np.full(2, i), i % 4, float(i), np.full(2, i + 1),
-                       False, np.ones(4, dtype=bool))
-        buf.push(t)
+        buf.push(np.full(2, i), i % 4, float(i), np.full(2, i + 1),
+                 False, np.ones(4, dtype=bool))
     assert buf.size == 3
     # oldest surviving rewards are 2,3,4
     assert sorted(buf.r.tolist()) == [2.0, 3.0, 4.0]
@@ -201,7 +201,7 @@ def test_replay_buffer_fifo_ring():
 def test_replay_buffer_mask_roundtrip():
     buf = ReplayBuffer(capacity=2, d=2, n_nodes=5)
     mask = np.array([True, False, True, False, True])
-    buf.push(Transition(np.zeros(2), 1, 0.0, np.zeros(2), False, mask))
+    buf.push(np.zeros(2), 1, 0.0, np.zeros(2), False, mask)
     rng = np.random.default_rng(0)
     _, _, _, _, _, alive = buf.sample(4, rng)
     assert alive.shape == (4, 5)
@@ -306,6 +306,21 @@ def test_greedy_attack_scale_invariance():
         greedy_attack(g, emb, scaled, 5, w).nodes
 
 
+def test_budget_above_normal_count_errors_before_any_episode(toy_chain, monkeypatch):
+    emb = random_embeddings(toy_chain, 4, 0)
+    params = QNetParams.init(4, np.random.default_rng(0))
+    cfg = AgentConfig(budget=7, episodes=2, batch_size=2, buffer_size=8)
+    with pytest.raises(AgentError, match="budget 7 exceeds the 6 Normal nodes"):
+        greedy_attack(toy_chain, emb, params, 7)
+    # train fails before its environment exists, so before any episode
+    monkeypatch.setattr(cascade, "AttackEnv", None)
+    with pytest.raises(AgentError, match="budget 7 exceeds the 6 Normal nodes"):
+        train(toy_chain, emb, cfg)
+    toy_chain.state[5] = DAMAGED
+    with pytest.raises(AgentError, match="budget 6 exceeds the 5 Normal nodes"):
+        greedy_attack(toy_chain, emb, params, 6)
+
+
 def test_greedy_attack_budget_zero(toy_chain):
     emb = random_embeddings(toy_chain, 4, 0)
     params = QNetParams.init(4, np.random.default_rng(0))
@@ -317,11 +332,10 @@ def test_greedy_attack_budget_zero(toy_chain):
 def test_greedy_picks_supply_chain(toy_chain):
     # exhaustive one-step oracle: damaging any station on the supply chain
     # (0, 1, or 2) drops the full load; the trained net must pick one of them
-    from infranet import cascade
     from infranet.embed import EmbedConfig, train_coupled
 
     w = RewardWeights(a_e=1.0, a_r=0.0)
-    rewards = [cascade.reward(toy_chain.fork(), v, w) for v in range(toy_chain.n)]
+    rewards = [reward(toy_chain.fork(), v, w) for v in range(toy_chain.n)]
     optimal = {v for v, r in enumerate(rewards) if r == max(rewards)}
     assert optimal == {0, 1, 2}
     emb, _, _ = train_coupled(toy_chain, EmbedConfig(d=8, epochs=30, seed=0))

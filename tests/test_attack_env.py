@@ -15,7 +15,6 @@ from infranet.cascade import (
     damage,
     gcc,
     power,
-    reward_from_outcome,
     sigma,
 )
 from infranet.embed import random_embeddings
@@ -30,6 +29,7 @@ from conftest import (
     oracle_sigma,
     random_coupled,
     reference_run_attack,
+    reward_from_outcome,
 )
 
 

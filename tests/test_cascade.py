@@ -10,14 +10,19 @@ from infranet.cascade import (
     gcc,
     power,
     replay_attack,
-    reward,
-    reward_from_outcome,
     run_attack,
     sigma,
 )
 from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
 
-from conftest import oracle_gcc, oracle_power, oracle_sigma, random_coupled
+from conftest import (
+    oracle_gcc,
+    oracle_power,
+    oracle_sigma,
+    random_coupled,
+    reward,
+    reward_from_outcome,
+)
 
 
 def test_damage_root_kills_tree(toy_chain):
@@ -162,9 +167,8 @@ def test_monotone_along_random_trajectories(seed):
 def test_cascade_fixed_point(toy_chain):
     out = damage(toy_chain, 0)
     # propagation reached a fixed point: no Normal node depends on a dead one
-    for j in toy_chain.junction_ids():
-        s = toy_chain.dep_supplier[j]
-        if s != -1 and toy_chain.state[s] != NORMAL:
+    for s, j in toy_chain.dep_edges:
+        if toy_chain.state[s] != NORMAL:
             assert toy_chain.state[j] != NORMAL
     for _, c in toy_chain.elec_edges:
         p = toy_chain.elec_parent[c]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from infranet import agent, embed, harness, transfer
+from infranet import agent, baselines, embed, harness, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
 from infranet.graph import CoupledGraph
@@ -159,6 +159,30 @@ def test_transfer_weights_normalized_on_mask_graph(tmp_path, workdir):
                                    2, weights)
     rep.save_csv(tmp_path / "library.csv")
     assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_transfer_mask_out_feeds_ci_baseline(tmp_path, workdir):
+    mask = tmp_path / "mask.json"
+    main(["transfer", "--graph", str(workdir / "g.json"),
+          "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
+          "--budget", "3", "--retrain-epochs", "2", "--seed", "4",
+          "--out", str(tmp_path / "transfer.csv"), "--mask-out", str(mask)])
+    g_mask = transfer.mask_graph(CoupledGraph.from_file(workdir / "g.json"),
+                                 transfer.MaskSpec(seed=4))
+    assert mask.read_text() == g_mask.to_json()
+    out = tmp_path / "ci.csv"
+    main(["baseline", "--kind", "ci", "--graph", str(mask), "--budget", "3",
+          "--out", str(out)])
+    baselines.ci_attack(g_mask, 3, weights=RewardWeights.normalized(g_mask)).save_csv(
+        tmp_path / "library.csv")
+    assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_transfer_rejects_nonpositive_retrain_lr(tmp_path, workdir):
+    with pytest.raises(transfer.TransferError, match="lr must be > 0, got -1.0"):
+        main(["transfer", "--graph", str(workdir / "g.json"),
+              "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
+              "--retrain-lr", "-1", "--out", str(tmp_path / "transfer.csv")])
 
 
 def test_report_runs_plan(tmp_path, workdir):

@@ -6,7 +6,6 @@ from infranet.embed import (
     EmbedConfig,
     EmbedError,
     EmbeddingMatrix,
-    GnnParams,
     forward,
     init_features,
     init_params,
@@ -62,7 +61,7 @@ def test_forward_isolated_node_halves_feature():
     problem = problem_for(g, "road", cfg)
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
     F = np.array([[2.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-    Z = forward(F, GnnParams([W]), problem)
+    Z = forward(F, [W], problem)
     # node 0 has no neighbors: mean(f, 0) = f/2
     np.testing.assert_allclose(Z[:, 0], [1.0, 2.0])
 
@@ -73,7 +72,7 @@ def test_forward_equal_neighbor_fixed_point():
     problem = problem_for(g, "road", cfg)
     f = np.array([1.0, 3.0])
     F = np.stack([f, f], axis=1)
-    Z = forward(F, GnnParams([2.0 * np.eye(2)]), problem)
+    Z = forward(F, [2.0 * np.eye(2)], problem)
     np.testing.assert_allclose(Z[:, 0], 2.0 * f)
     np.testing.assert_allclose(Z[:, 1], 2.0 * f)
 
@@ -92,7 +91,7 @@ def test_forward_matches_dense_oracle():
     for u, v in zip(g.edge_u, g.edge_v):
         A[u, v] = A[v, u] = 1.0
     H = F.copy()
-    for W in params.weights:
+    for W in params:
         HN = H @ A
         H = np.maximum(W @ ((H + HN) / 2.0), 0.0)
     np.testing.assert_allclose(Z, H, atol=1e-12)
@@ -158,7 +157,7 @@ def test_pipeline_gradient_matches_finite_differences(seed):
 
     loss, dWs = loss_and_grads(F, params, problem, neg, cfg)
     loss_fn = lambda: loss_and_grads(F, params, problem, neg, cfg)[0]
-    checked = central_diff_check(loss_fn, params.weights, dWs,
+    checked = central_diff_check(loss_fn, params, dWs,
                                  np.random.default_rng(seed + 1))
     assert checked >= 8
 
@@ -206,7 +205,7 @@ def test_descent_on_fixed_batch():
     params = init_params(cfg, rng)
     neg = sample_negatives(rng, problem, len(problem.edges))
     loss0, dWs = loss_and_grads(F, params, problem, neg, cfg)
-    for W, dW in zip(params.weights, dWs):
+    for W, dW in zip(params, dWs):
         W -= 1e-4 * dW
     loss1, _ = loss_and_grads(F, params, problem, neg, cfg)
     assert loss1 <= loss0 + 1e-12
@@ -249,7 +248,7 @@ def test_train_coupled_runs(toy_chain):
     cfg = EmbedConfig(d=4, epochs=3, seed=0)
     emb, params, _ = train_coupled(toy_chain, cfg)
     assert emb.Z.shape == (4, toy_chain.n)
-    assert len(params.weights) == cfg.depth
+    assert len(params) == cfg.depth
 
 
 def test_mean_aggregator_variant():
@@ -257,6 +256,6 @@ def test_mean_aggregator_variant():
     cfg = EmbedConfig(d=2, depth=1, aggregator="mean")
     problem = problem_for(g, "road", cfg)
     F = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-    Z = forward(F, GnnParams([np.eye(2)]), problem, aggregator="mean")
+    Z = forward(F, [np.eye(2)], problem, aggregator="mean")
     # endpoints: mean with the single neighbor, e.g. node 0 -> (1+2)/2
     np.testing.assert_allclose(Z[0], [1.5, 2.0, 2.5])

@@ -42,7 +42,7 @@ def test_coupling_fraction_extremes():
     assert generate(cfg0).dep_edges.tolist() == []
     cfg1 = GenConfig(seed=0, road_nodes=20, coupling_fraction=1.0)
     g = generate(cfg1)
-    assert all(g.dep_supplier[j] != -1 for j in g.junction_ids())
+    assert set(g.dep_edges[:, 1].tolist()) == set(g.junction_ids().tolist())
 
 
 def test_impossible_coupling_errors():

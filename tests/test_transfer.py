@@ -13,7 +13,7 @@ from infranet.transfer import (
     transfer_attack,
 )
 
-from conftest import random_coupled
+from conftest import oracle_retrain, random_coupled
 
 
 def test_mask_identity_when_fractions_zero():
@@ -76,11 +76,9 @@ def test_retrain_pulls_embeddings_toward_originals():
     emb, _, _ = train_coupled(g, ecfg)
     m = mask_graph(g, MaskSpec(seed=1))
     weak = retrain(m, emb, RetrainConfig(epochs=40, distance_weight=0.0,
-                                         lr=0.01, seed=0,
-                                         embed=EmbedConfig(d=6, seed=0)))[0]
+                                         lr=0.01, seed=0))[0]
     strong = retrain(m, emb, RetrainConfig(epochs=40, distance_weight=100.0,
-                                           lr=0.01, seed=0,
-                                           embed=EmbedConfig(d=6, seed=0)))[0]
+                                           lr=0.01, seed=0))[0]
     dist = lambda e: float(np.sum((e.Z - emb.Z) ** 2))
     assert dist(strong) < dist(weak)
 
@@ -93,18 +91,40 @@ def test_retrain_loss_decreases():
     assert losses[-1] < losses[0]
 
 
-def test_retrain_dimension_mismatch():
-    g = random_coupled(5)
-    emb = random_embeddings(g, 6, 0)
-    with pytest.raises(TransferError):
-        retrain(g, emb, RetrainConfig(embed=EmbedConfig(d=4)))
-
-
 def test_retrain_column_mismatch():
     g = random_coupled(5)
     bad = np.zeros((4, g.n + 1))
     with pytest.raises(TransferError):
-        retrain(g, bad, RetrainConfig(embed=EmbedConfig(d=4)))
+        retrain(g, bad, RetrainConfig())
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"lr": -0.5}, "lr must be > 0, got -0.5"),
+    ({"lr": 0.0}, "lr must be > 0, got 0.0"),
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"distance_weight": -1.0}, "distance_weight must be >= 0, got -1.0"),
+])
+def test_retrain_config_rejects_bad_values(overrides, message):
+    g = random_coupled(5)
+    emb = random_embeddings(g, 4, 0)
+    with pytest.raises(TransferError, match=message):
+        retrain(g, emb, RetrainConfig(**overrides))
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.05])
+@pytest.mark.parametrize("distance_weight", [0.0, 1.0, 100.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_retrain_matches_epoch_loop_oracle(seed, distance_weight, lr):
+    # retrain is embed.train with a pull term; the written-out loop must give
+    # the same bits
+    g = random_coupled(seed + 20)
+    emb = random_embeddings(g, 4 + 2 * seed, seed)
+    m = mask_graph(g, MaskSpec(seed=seed))
+    cfg = RetrainConfig(epochs=8, distance_weight=distance_weight, lr=lr, seed=seed)
+    new, losses = retrain(m, emb, cfg)
+    ref, ref_losses = oracle_retrain(m, emb, cfg)
+    assert np.array_equal(new.Z, ref.Z)
+    assert losses == ref_losses
 
 
 def test_retrain_deterministic():
