@@ -276,9 +276,12 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             a = select_action(scores, eps, rng, env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
-            s_next = pooled_state(Z, removed)
-            done = k == cfg.budget - 1
-            buf.push(s, a, r, s_next, done, env.state == NORMAL)
+            alive = env.state == NORMAL
+            # an episode ends early once no Normal node is left; the TD target
+            # never reads s_next of a done step, which may have no node to pool
+            done = k == cfg.budget - 1 or not alive.any()
+            s_next = pooled_state(Z, removed) if len(removed) < g.n else np.zeros_like(s)
+            buf.push(s, a, r, s_next, done, alive)
             s = s_next
             cum += r
             step += 1
@@ -297,6 +300,8 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             if step % cfg.target_sync == 0:
                 params.sync_target()
                 Y_hat = None
+            if done:
+                break
         log.episode.append(ep)
         log.cum_reward.append(cum)
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
@@ -306,7 +311,12 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
 
 def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
                   weights: RewardWeights = None, method: str = "agent") -> AttackReport:
-    """One evaluation episode with epsilon = 0; never touches params."""
+    """One evaluation episode with epsilon = 0; never touches params.
+
+    Once a cascade leaves no Normal node, every further pick is a dead node
+    (node 0, the argmax over all -inf scores), which `run_attack` records as
+    a no-op step with reward 0, so the report still has budget steps.
+    """
     _check_budget(g, budget)
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)

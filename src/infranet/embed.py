@@ -102,8 +102,18 @@ class EmbedProblem:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
         self.pool = np.asarray(self.pool, dtype=np.int64)
-        # undirected edge keys min*n+max, for the rejection in sample_negatives
-        self.edge_set = set((self.edges.min(axis=1) * self.n + self.edges.max(axis=1)).tolist())
+        # sorted undirected edge keys min*n+max, for the rejection in sample_negatives
+        keys = self.edges.min(axis=1) * self.n + self.edges.max(axis=1)
+        self.edge_keys = np.unique(keys)
+        # a non-edge pair exists unless the distinct in-pool edges number
+        # p*(p-1)/2, which takes at least that many edge keys
+        nodes = np.unique(self.pool)
+        pairs = len(nodes) * (len(nodes) - 1) // 2
+        if len(self.edge_keys) >= pairs > 0:
+            inner = (np.isin(self.edges, nodes).all(axis=1)
+                     & (self.edges[:, 0] != self.edges[:, 1]))
+            pairs -= len(np.unique(keys[inner]))
+        self.has_non_edge = pairs > 0
         m = len(self.edges)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
@@ -207,20 +217,99 @@ def score(Z: np.ndarray, edges) -> np.ndarray:
     return np.einsum("ij,ij->j", Z[:, e[:, 0]], Z[:, e[:, 1]])
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _words(head, raw):
+    """The 32-bit words `Generator.integers` reads below 2**32: a buffered
+    half-word, if any, then the low and the high half of each raw output."""
+    w = np.empty(len(head) + 2 * len(raw), dtype=np.uint64)
+    w[:len(head)] = head
+    w[len(head)::2] = raw & _LOW32
+    w[len(head) + 1::2] = raw >> np.uint64(32)
+    return w
+
+
+def _bounded(words, bound):
+    """The values in [0, bound) that `rng.integers(0, bound)` makes of a word
+    stream, and the index of the word each one took.
+
+    numpy maps a word w to (w * bound) >> 32 and rejects it when the low half
+    of the product falls below (2**32 - bound) % bound (Lemire's method).
+    """
+    m = words * np.uint64(bound)
+    took = np.flatnonzero((m & _LOW32) >= (2**32 - bound) % bound)
+    return (m[took] >> np.uint64(32)).astype(np.int64), took
+
+
+def draw_pairs(rng, pool, count, keep) -> np.ndarray:
+    """The `count` pairs the loop
+
+        while len(out) < count:
+            u, v = pool[rng.integers(0, len(pool), size=2)]
+            if keep(u, v): out.append((u, v))
+
+    returns, drawn in bulk as a (count, 2) array; `rng` ends where that loop
+    leaves it. `rng` must run on PCG64 and len(pool) be at most 2**32, where
+    numpy draws 32-bit words. `keep` maps the arrays u, v of every pair drawn so far, in
+    draw order, to a bool mask; the verdict on a pair must not depend on
+    later pairs, and some pair must pass, or this never returns.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise EmbedError(f"bulk sampling needs a PCG64 generator, got {type(bg).__name__}")
+    if count == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    bound = len(pool)
+    start = bg.state
+    head = [start["uinteger"]] if start["has_uint32"] else []
+    raw = bg.random_raw(count + count // 8 + 8)
+    while True:
+        values, took = _bounded(_words(head, raw), bound)
+        half = len(values) // 2
+        u, v = pool[values[0:2 * half:2]], pool[values[1:2 * half:2]]
+        kept = np.flatnonzero(keep(u, v))
+        if len(kept) >= count:
+            break
+        need = (count - len(kept)) * (half + 1) // (len(kept) + 1)
+        raw = np.concatenate([raw, bg.random_raw(max(need, len(raw)))])
+    kept = kept[:count]
+    # replay the words the loop reads, so the generator ends where it would
+    n_words = int(took[2 * kept[-1] + 1]) + 1 - len(head)
+    n_raw = (n_words + 1) // 2
+    bg.state = start
+    bg.random_raw(n_raw)
+    end = bg.state
+    end["has_uint32"] = n_words % 2
+    end["uinteger"] = int(raw[n_raw - 1] >> np.uint64(32))
+    bg.state = end
+    return np.stack([u[kept], v[kept]], axis=1)
+
+
+def _member(sorted_keys, keys):
+    """Bool mask: which of keys occur in the sorted array sorted_keys."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    i = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[i] == keys
+
+
 def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
-    """Uniform non-edges within the pool, excluding self-loops."""
-    pool = problem.pool
-    if len(pool) < 2:
+    """Uniform non-edges within the pool, excluding self-loops.
+
+    The draws are those of a loop of `rng.integers(0, len(pool), size=2)`
+    pairs that keeps each pair u != v that is not an edge.
+    """
+    if len(problem.pool) < 2:
         raise EmbedError("pool too small to sample negatives")
-    n, edge_set = problem.n, problem.edge_set
-    out = np.empty((count, 2), dtype=np.int64)
-    k = 0
-    while k < count:
-        u, v = pool[rng.integers(0, len(pool), size=2)].tolist()
-        if u != v and min(u, v) * n + max(u, v) not in edge_set:
-            out[k] = (u, v)
-            k += 1
-    return out
+    if not problem.has_non_edge:
+        raise EmbedError("pool has no non-edge pair")
+    n, edge_keys = problem.n, problem.edge_keys
+
+    def non_edge(u, v):
+        return (u != v) & ~_member(edge_keys, np.minimum(u, v) * n + np.maximum(u, v))
+
+    return draw_pairs(rng, problem.pool, count, non_edge)
 
 
 def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
@@ -255,14 +344,16 @@ def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
     if not want_grad:
         return loss
 
+    # dZ[:, rows[i]] += c[i] * Z[:, other[i]], one bincount per row of Z;
+    # bincount adds in input order, so each cell sums as a scatter-add would
     coef = (w_rep * active) / P
-    dZT = np.zeros((Z.shape[1], Z.shape[0]))
-    ZT = Z.T
-    np.add.at(dZT, pos_rep[:, 0], -coef[:, None] * ZT[pos_rep[:, 1]])
-    np.add.at(dZT, pos_rep[:, 1], -coef[:, None] * ZT[pos_rep[:, 0]])
-    np.add.at(dZT, neg[:, 0], coef[:, None] * ZT[neg[:, 1]])
-    np.add.at(dZT, neg[:, 1], coef[:, None] * ZT[neg[:, 0]])
-    return loss, dZT.T
+    rows = np.concatenate([pos_rep[:, 0], pos_rep[:, 1], neg[:, 0], neg[:, 1]])
+    other = np.concatenate([pos_rep[:, 1], pos_rep[:, 0], neg[:, 1], neg[:, 0]])
+    c = np.concatenate([-coef, -coef, coef, coef])
+    dZ = np.empty(Z.shape)
+    for j in range(Z.shape[0]):
+        dZ[j] = np.bincount(rows, weights=c * Z[j, other], minlength=Z.shape[1])
+    return loss, dZ
 
 
 def loss_and_grads(F, params: list, problem: EmbedProblem, neg, cfg: EmbedConfig,

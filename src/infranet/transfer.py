@@ -88,17 +88,25 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
             raise TransferError(f"no valid parent level for station {v}")
         new_elec.append((cand[rng.integers(0, len(cand))], v))
 
-    # road additions: uniform new junction pairs, keyed min*n+max
+    # road additions: uniform new junction pairs, keyed min*n+max; a pair is
+    # kept if it is no kept edge and the first draw of its key
     add_road = int(round(spec.add_fraction * len(g.road_edges)))
     junctions = g.junction_ids()
-    existing = set((road[:, 0] * g.n + road[:, 1]).tolist())
-    new_road = []
-    while len(new_road) < add_road:
-        u, v = junctions[rng.integers(0, len(junctions), size=2)].tolist()
-        key = min(u, v) * g.n + max(u, v)
-        if u != v and key not in existing:
-            existing.add(key)
-            new_road.append((u, v))
+    free_pairs = len(junctions) * (len(junctions) - 1) // 2 - len(road)
+    if add_road > free_pairs:
+        raise TransferError(
+            f"cannot add {add_road} road edges: only {free_pairs} junction "
+            f"pair(s) are not edges"
+        )
+    existing = road[:, 0] * g.n + road[:, 1]
+
+    def new_pair(u, v):
+        key = np.minimum(u, v) * g.n + np.maximum(u, v)
+        first = np.zeros(len(key), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        return (u != v) & first & ~np.isin(key, existing)
+
+    new_road = embed_mod.draw_pairs(rng, junctions, add_road, new_pair)
 
     # dependency additions: unsupplied junctions get a random 10kV station
     add_dep = int(round(spec.add_fraction * len(g.dep_edges)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infranet import agent, cascade, embed
+from infranet import agent, cascade, embed, transfer
 from infranet.cascade import (
     AttackReport,
     RewardWeights,
@@ -283,9 +283,11 @@ def oracle_train(g, emb, cfg):
                                     env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
-            s_next = agent.pooled_state(Z, removed)
-            done = k == cfg.budget - 1
-            buf.push(s, a, r, s_next, done, env.state == NORMAL)
+            alive = env.state == NORMAL
+            done = k == cfg.budget - 1 or not alive.any()
+            s_next = (agent.pooled_state(Z, removed) if len(removed) < g.n
+                      else np.zeros_like(s))
+            buf.push(s, a, r, s_next, done, alive)
             s = s_next
             cum += r
             step += 1
@@ -297,6 +299,8 @@ def oracle_train(g, emb, cfg):
                 losses.append(loss)
             if step % cfg.target_sync == 0:
                 params.sync_target()
+            if done:
+                break
         log.episode.append(ep)
         log.cum_reward.append(cum)
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
@@ -351,3 +355,82 @@ def oracle_retrain(g_mask, old_emb, cfg):
             W -= cfg.lr * (dW + 2.0 * ecfg.l2 * W)
     Z = embed.forward(F_old, params, problem, ecfg.aggregator)
     return embed.EmbeddingMatrix(Z, provenance=embed.PRETRAINED), losses
+
+
+def oracle_sample_negatives(rng, problem, count):
+    """The one-pair-at-a-time negative sampler: draw two pool indices with
+    `rng.integers`, keep the pair if it is no self-pair and no edge. Drop-in
+    for embed.sample_negatives on a pool that has a non-edge pair."""
+    pool, n = problem.pool, problem.n
+    edge_set = set((problem.edges.min(axis=1) * n + problem.edges.max(axis=1)).tolist())
+    out = np.empty((count, 2), dtype=np.int64)
+    k = 0
+    while k < count:
+        u, v = pool[rng.integers(0, len(pool), size=2)].tolist()
+        if u != v and min(u, v) * n + max(u, v) not in edge_set:
+            out[k] = (u, v)
+            k += 1
+    return out
+
+
+def oracle_margin_loss(Z, pos, neg, cfg, pos_weights=None, params=None):
+    """The hinge loss with its gradient written as four scatter-adds
+    (`np.add.at`) over the (node, column) cells. Drop-in for
+    embed.margin_loss(..., want_grad=True)."""
+    pos = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
+    neg = np.asarray(neg, dtype=np.int64).reshape(-1, 2)
+    r = len(neg) // len(pos)
+    w = np.ones(len(pos)) if pos_weights is None else np.asarray(pos_weights, float)
+    pos_rep = np.repeat(pos, r, axis=0)
+    w_rep = np.repeat(w, r)
+    hinge = cfg.margin - embed.score(Z, pos_rep) + embed.score(Z, neg)
+    P = len(pos_rep)
+    loss = float(np.sum(w_rep * np.maximum(hinge, 0.0)) / P)
+    if params is not None:
+        loss += cfg.l2 * sum(float(np.sum(W * W)) for W in params)
+    coef = (w_rep * (hinge > 0)) / P
+    dZT = np.zeros((Z.shape[1], Z.shape[0]))
+    ZT = Z.T
+    np.add.at(dZT, pos_rep[:, 0], -coef[:, None] * ZT[pos_rep[:, 1]])
+    np.add.at(dZT, pos_rep[:, 1], -coef[:, None] * ZT[pos_rep[:, 0]])
+    np.add.at(dZT, neg[:, 0], coef[:, None] * ZT[neg[:, 1]])
+    np.add.at(dZT, neg[:, 1], coef[:, None] * ZT[neg[:, 0]])
+    return loss, dZT.T
+
+
+def oracle_mask_graph(g, spec):
+    """transfer.mask_graph with its road additions drawn one pair at a time
+    against a growing set of keys. Drop-in for transfer.mask_graph on specs
+    it can satisfy."""
+    rng = np.random.default_rng(spec.seed)
+    elec = transfer._sample_keep(g.elec_edges, spec.delete_fraction, rng)
+    road = transfer._sample_keep(g.road_edges, spec.delete_fraction, rng)
+    dep = transfer._sample_keep(g.dep_edges, spec.delete_fraction, rng)
+    add_elec = int(round(spec.add_fraction * len(g.elec_edges)))
+    orphans = np.setdiff1d(np.flatnonzero(np.isin(g.level, (110, 10))), elec[:, 1])
+    parents = {110: g.station_ids(level=220), 10: g.station_ids(level=110)}
+    new_elec = []
+    for v in orphans[rng.permutation(len(orphans))[:add_elec]]:
+        cand = parents[int(g.level[v])]
+        new_elec.append((cand[rng.integers(0, len(cand))], v))
+    add_road = int(round(spec.add_fraction * len(g.road_edges)))
+    junctions = g.junction_ids()
+    existing = set((road[:, 0] * g.n + road[:, 1]).tolist())
+    new_road = []
+    while len(new_road) < add_road:
+        u, v = junctions[rng.integers(0, len(junctions), size=2)].tolist()
+        key = min(u, v) * g.n + max(u, v)
+        if u != v and key not in existing:
+            existing.add(key)
+            new_road.append((u, v))
+    add_dep = int(round(spec.add_fraction * len(g.dep_edges)))
+    free = np.setdiff1d(junctions, dep[:, 1])
+    leaves = g.station_ids(level=10)
+    new_dep = [(leaves[rng.integers(0, len(leaves))], j)
+               for j in free[rng.permutation(len(free))[:add_dep]]]
+    return CoupledGraph(
+        kind=g.kind.copy(), level=g.level.copy(), load=g.load.copy(),
+        elec_edges=transfer._with_added(elec, new_elec),
+        road_edges=transfer._with_added(road, new_road),
+        dep_edges=transfer._with_added(dep, new_dep),
+    )

@@ -18,7 +18,7 @@ from infranet.agent import (
 )
 from infranet.cascade import RewardWeights
 from infranet.embed import random_embeddings
-from infranet.graph import DAMAGED, NORMAL
+from infranet.graph import DAMAGED, JUNCTION, NORMAL, CoupledGraph
 from infranet.netgen import generate, preset_config
 
 from conftest import (
@@ -319,6 +319,47 @@ def test_budget_above_normal_count_errors_before_any_episode(toy_chain, monkeypa
     toy_chain.state[5] = DAMAGED
     with pytest.raises(AgentError, match="budget 6 exceeds the 5 Normal nodes"):
         greedy_attack(toy_chain, emb, params, 6)
+
+
+def test_train_ends_an_episode_when_no_normal_node_is_left(toy_chain, monkeypatch):
+    # on the toy chain every episode runs out of Normal nodes before budget 6
+    pushes = []
+    push = ReplayBuffer.push
+
+    def record(self, s, action, r, s_next, done, next_alive):
+        pushes.append((done, bool(next_alive.any())))
+        push(self, s, action, r, s_next, done, next_alive)
+
+    monkeypatch.setattr(ReplayBuffer, "push", record)
+    emb = random_embeddings(toy_chain, 4, 0)
+    cfg = AgentConfig(budget=6, episodes=20, batch_size=4, buffer_size=64, seed=0)
+    params, log = train(toy_chain, emb, cfg)
+    assert log.episode == list(range(20))
+    assert np.all(np.isfinite(log.cum_reward)) and np.all(np.isfinite(log.loss_mean))
+    assert sum(done for done, _ in pushes) == 20
+    episodes, steps = [], 0
+    for done, alive_left in pushes:
+        steps += 1
+        assert done == (not alive_left or steps == cfg.budget)
+        if done:
+            episodes.append(steps)
+            steps = 0
+    assert max(episodes) < cfg.budget
+    # the greedy attack pads the same run-out with no-op picks of dead node 0
+    rep = greedy_attack(toy_chain, emb, params, 6)
+    assert rep.nodes[-2:] == [0, 0] and rep.reward[-2:] == [0.0, 0.0]
+
+
+def test_train_with_budget_equal_to_node_count_picks_every_node():
+    # no cascade on a bare road path: the last pick removes the last node
+    g = CoupledGraph(kind=[JUNCTION] * 4, level=[0] * 4, load=[0.0] * 4,
+                     elec_edges=[], road_edges=[(0, 1), (1, 2), (2, 3)], dep_edges=[])
+    emb = random_embeddings(g, 4, 0)
+    cfg = AgentConfig(budget=4, episodes=5, batch_size=2, buffer_size=16, seed=1)
+    params, log = train(g, emb, cfg)
+    assert log.episode == list(range(5))
+    assert np.all(np.isfinite(log.loss_mean))
+    assert sorted(greedy_attack(g, emb, params, 4).nodes) == [0, 1, 2, 3]
 
 
 def test_greedy_attack_budget_zero(toy_chain):

@@ -7,7 +7,7 @@ import pytest
 from infranet import agent, baselines, embed, harness, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
-from infranet.graph import CoupledGraph
+from infranet.graph import JUNCTION, STATION, CoupledGraph
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +213,18 @@ def test_cli_byte_determinism(tmp_path, workdir):
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_embed_exits_with_embed_error_on_a_road_triangle(tmp_path):
+    # a triangle of junctions has no non-edge pair to sample as a negative
+    graph = tmp_path / "triangle.json"
+    CoupledGraph(kind=[STATION] * 3 + [JUNCTION] * 3, level=[220, 110, 10, 0, 0, 0],
+                 load=[0, 0, 5.0, 0, 0, 0], elec_edges=[(0, 1), (1, 2)],
+                 road_edges=[(3, 4), (4, 5), (3, 5)], dep_edges=[(2, 3)]).save(graph)
+    with pytest.raises(embed.EmbedError, match="pool has no non-edge pair"):
+        main(["embed", "--graph", str(graph), "--d", "4", "--epochs", "2",
+              "--out", str(tmp_path / "emb.bin")])
+    assert not (tmp_path / "emb.bin").exists()
 
 
 def test_unknown_command_exits():

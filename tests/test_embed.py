@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from infranet import embed
 from infranet.embed import (
@@ -20,7 +21,12 @@ from infranet.embed import (
 )
 from infranet.graph import JUNCTION, CoupledGraph
 
-from conftest import central_diff_check, random_coupled
+from conftest import (
+    central_diff_check,
+    oracle_margin_loss,
+    oracle_sample_negatives,
+    random_coupled,
+)
 
 
 def road_graph(edges, n):
@@ -259,3 +265,168 @@ def test_mean_aggregator_variant():
     Z = forward(F, [np.eye(2)], problem, aggregator="mean")
     # endpoints: mean with the single neighbor, e.g. node 0 -> (1+2)/2
     np.testing.assert_allclose(Z[0], [1.5, 2.0, 2.5])
+
+
+def _buffered_rng(seed, buffered):
+    """A generator, with a half-word buffered when asked: one 32-bit draw
+    reads the low half of a raw output and keeps the high half."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _assert_same_generator(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+    np.testing.assert_array_equal(a.integers(0, 1000, size=9), b.integers(0, 1000, size=9))
+    np.testing.assert_array_equal(a.random(5), b.random(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=st.integers(0, 30), scope=st.sampled_from(["elec", "road", "coupled"]),
+       neg_ratio=st.integers(1, 3), seed=st.integers(0, 10_000), buffered=st.booleans())
+def test_sample_negatives_matches_loop_oracle(graph, scope, neg_ratio, seed, buffered):
+    g = random_coupled(graph)
+    assume(scope != "road" or len(g.road_edges) > 0)
+    problem = problem_for(g, scope, EmbedConfig())
+    assume(problem.has_non_edge)
+    count = len(problem.edges) * neg_ratio
+    a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
+    got = sample_negatives(a, problem, count)
+    assert np.array_equal(got, oracle_sample_negatives(b, problem, count))
+    _assert_same_generator(a, b)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("missing", [1, 2, 6])
+def test_sample_negatives_on_nearly_complete_pool(buffered, missing):
+    # most draws are rejected, so the bulk draw needs several batches
+    n = 9
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = road_graph(pairs[missing:], n)
+    problem = problem_for(g, "road", EmbedConfig())
+    count = 3 * len(problem.edges)
+    for seed in range(5):
+        a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
+        got = sample_negatives(a, problem, count)
+        assert np.array_equal(got, oracle_sample_negatives(b, problem, count))
+        _assert_same_generator(a, b)
+        keys = set((got.min(axis=1) * n + got.max(axis=1)).tolist())
+        assert keys <= {u * n + v for u, v in pairs[:missing]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(bound=st.sampled_from([3, 15_774, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32]),
+       seed=st.integers(0, 10_000), buffered=st.booleans(), k=st.integers(1, 200))
+def test_bounded_words_match_one_at_a_time_integers(bound, seed, buffered, k):
+    rng = _buffered_rng(seed, buffered)
+    start = rng.bit_generator.state
+    expect = [int(rng.integers(0, bound)) for _ in range(k)]
+    bg = np.random.default_rng().bit_generator
+    bg.state = start
+    head = [start["uinteger"]] if start["has_uint32"] else []
+    values, took = embed._bounded(embed._words(head, bg.random_raw(4 * k)), bound)
+    assert np.array_equal(values[:k], expect)
+    assert np.all(np.diff(took) > 0)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_draw_pairs_first_key_matches_set_loop(buffered):
+    # the road-addition rule of transfer.mask_graph: a pair is kept if it is
+    # no old edge and the first draw of its key
+    pool = np.array([2, 3, 5, 8, 9, 11])
+    n = 12
+    old = {2 * n + 3, 5 * n + 9, 8 * n + 11}
+    old_keys = np.array(sorted(old))
+
+    def first_new(u, v):
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        first = np.zeros(len(key), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        return (u != v) & first & ~np.isin(key, old_keys)
+
+    for count in (0, 1, 5, 12):       # 12 = every pair left
+        for seed in range(5):
+            a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
+            got = embed.draw_pairs(a, pool, count, first_new)
+            seen, expect = set(old), []
+            while len(expect) < count:
+                u, v = pool[b.integers(0, len(pool), size=2)].tolist()
+                key = min(u, v) * n + max(u, v)
+                if u != v and key not in seen:
+                    seen.add(key)
+                    expect.append((u, v))
+            assert np.array_equal(got, np.array(expect, dtype=np.int64).reshape(-1, 2))
+            _assert_same_generator(a, b)
+
+
+def test_sample_negatives_requires_pcg64():
+    problem = problem_for(road_graph([(0, 1)], 4), "road", EmbedConfig())
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(EmbedError, match="needs a PCG64 generator, got MT19937"):
+        sample_negatives(rng, problem, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: problem_for(road_graph([(0, 1), (1, 2), (0, 2)], 3), "road", EmbedConfig()),
+    lambda: problem_for(road_graph([(u, v) for u in range(4) for v in range(u + 1, 4)], 4),
+                        "road", EmbedConfig()),
+    # one edge listed three ways, a repeated pool node and an edge leaving the pool
+    lambda: embed.EmbedProblem(n=4, edges=[(0, 1), (1, 0), (0, 1), (1, 3)],
+                               edge_weights=np.ones(4), pool=[1, 0, 1]),
+], ids=["triangle", "K4", "repeats"])
+def test_pool_without_non_edge_pair_raises_before_drawing(make):
+    problem = make()
+    assert not problem.has_non_edge
+    rng = np.random.default_rng(0)
+    start = rng.bit_generator.state
+    with pytest.raises(EmbedError, match="pool has no non-edge pair"):
+        sample_negatives(rng, problem, 4)
+    assert rng.bit_generator.state == start
+    with pytest.raises(EmbedError, match="pool has no non-edge pair"):
+        train(problem, EmbedConfig(d=2, epochs=1))
+
+
+def test_pool_with_one_non_edge_pair_samples_it():
+    g = road_graph([(0, 1), (1, 2)], 3)
+    problem = problem_for(g, "road", EmbedConfig())
+    assert problem.has_non_edge
+    neg = sample_negatives(np.random.default_rng(0), problem, 6)
+    assert sorted(map(sorted, neg.tolist())) == [[0, 2]] * 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12), m=st.integers(1, 30),
+       r=st.integers(1, 3), d=st.integers(1, 5), weighted=st.booleans())
+def test_margin_gradient_matches_scatter_add_oracle(seed, n, m, r, d, weighted):
+    # few nodes and many pairs, so most cells collect several terms
+    rng = np.random.default_rng(seed)
+    cfg = EmbedConfig(d=d, margin=float(rng.uniform(0.1, 3.0)))
+    Z = rng.normal(size=(d, n))
+    pos = rng.integers(0, n, size=(m, 2))
+    neg = rng.integers(0, n, size=(m * r, 2))
+    w = rng.uniform(0.0, 2.0, size=m) if weighted else None
+    params = [rng.normal(size=(d, d))]
+    loss, dZ = margin_loss(Z, pos, neg, cfg, pos_weights=w, params=params, want_grad=True)
+    o_loss, o_dZ = oracle_margin_loss(Z, pos, neg, cfg, pos_weights=w, params=params)
+    assert loss == o_loss
+    assert np.array_equal(dZ, o_dZ)
+
+
+@pytest.mark.parametrize("graph", range(4))
+def test_train_coupled_matches_loop_and_scatter_add_kernels(graph, monkeypatch):
+    g = random_coupled(graph)
+    cfg = EmbedConfig(d=6, epochs=6, neg_ratio=1 + graph % 3, seed=graph, lr=0.01)
+    emb, params, losses = train_coupled(g, cfg)
+
+    def scatter_add(Z, pos, neg, cfg, pos_weights=None, params=None, want_grad=False):
+        assert want_grad
+        return oracle_margin_loss(Z, pos, neg, cfg, pos_weights, params)
+
+    monkeypatch.setattr(embed, "sample_negatives", oracle_sample_negatives)
+    monkeypatch.setattr(embed, "margin_loss", scatter_add)
+    o_emb, o_params, o_losses = train_coupled(g, cfg)
+    assert np.array_equal(emb.Z, o_emb.Z)
+    assert all(np.array_equal(W, oW) for W, oW in zip(params, o_params))
+    assert losses == o_losses

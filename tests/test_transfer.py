@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infranet.agent import QNetParams
 from infranet.cascade import RewardWeights
 from infranet.embed import EmbedConfig, random_embeddings, train_coupled
+from infranet.graph import JUNCTION, CoupledGraph
+from infranet.netgen import generate, preset_config
 from infranet.transfer import (
     MaskSpec,
     RetrainConfig,
@@ -13,7 +16,7 @@ from infranet.transfer import (
     transfer_attack,
 )
 
-from conftest import oracle_retrain, random_coupled
+from conftest import oracle_mask_graph, oracle_retrain, random_coupled
 
 
 def test_mask_identity_when_fractions_zero():
@@ -62,6 +65,37 @@ def test_mask_keeps_layer_invariants():
         assert len(supplied) == len(set(supplied))
         parents = [c for _, c in m.elec_edges]
         assert len(parents) == len(set(parents))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.integers(0, 30), seed=st.integers(0, 10_000),
+       delete=st.sampled_from([0.0, 0.1, 0.3, 1.0]), add=st.sampled_from([0.0, 0.1, 0.2, 0.5]))
+def test_mask_matches_one_pair_at_a_time_oracle(graph, seed, delete, add):
+    g = random_coupled(graph)
+    spec = MaskSpec(delete_fraction=delete, add_fraction=add, seed=seed)
+    try:
+        m = mask_graph(g, spec)
+    except TransferError:
+        return          # a spec the graph cannot satisfy; the oracle may hang on it
+    assert m.to_json() == oracle_mask_graph(g, spec).to_json()
+
+
+def test_mask_matches_oracle_on_desk():
+    g = generate(preset_config("desk", seed=0))
+    for seed in range(10):
+        for spec in (MaskSpec(seed=seed), MaskSpec(0.3, 0.2, seed=seed)):
+            assert mask_graph(g, spec).to_json() == oracle_mask_graph(g, spec).to_json()
+
+
+def test_mask_rejects_more_road_additions_than_non_edges():
+    # K5 minus one edge: 9 road edges and a single junction pair left free
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)][1:]
+    g = CoupledGraph(kind=[JUNCTION] * 5, level=[0] * 5, load=[0.0] * 5,
+                     elec_edges=[], road_edges=pairs, dep_edges=[])
+    with pytest.raises(TransferError, match="cannot add 4 road edges: only 1 junction pair"):
+        mask_graph(g, MaskSpec(delete_fraction=0.0, add_fraction=0.5, seed=0))
+    m = mask_graph(g, MaskSpec(delete_fraction=0.0, add_fraction=0.1, seed=0))
+    assert len(m.road_edges) == 10
 
 
 def test_mask_bad_fraction():
