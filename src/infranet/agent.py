@@ -10,6 +10,16 @@ A (d, n) node-value matrix is recomputed only when its parameters change:
 in training, the online one at the first exploit step after an SGD update
 and the target one at the first TD loss after a target sync; a greedy
 attack computes its one matrix up front.
+
+`train` allocates its buffers once per run and the per-step kernels write
+into them: a (2d, n) hidden array and one (d, n) output each for the online
+and the target node values, and for the pooled state a node-major (n, d)
+copy of Z plus an (n, d) scratch array (`greedy_attack` makes the last two
+as well). The pooled state copies the kept rows of the node-major copy into
+the scratch array, in id order, and averages over axis 0. That adds the
+kept nodes one after another in id order, as the column mean of the kept
+columns `Z[:, keep].mean(axis=1)` does, so the state keeps its float bits;
+for d = 1 both reduce one contiguous vector pairwise.
 """
 
 from __future__ import annotations
@@ -124,20 +134,44 @@ class ReplayBuffer:
 
 # -- value network -----------------------------------------------------------
 
-def pooled_state(Z: np.ndarray, removed) -> np.ndarray:
-    """Column-wise mean of Z over the nodes not yet removed."""
-    keep = np.ones(Z.shape[1], dtype=bool)
-    keep[np.asarray(list(removed), dtype=np.int64)] = False
-    if not keep.any():
+def pooled_state(Z: np.ndarray, removed, ZT: np.ndarray = None,
+                 buf: np.ndarray = None) -> np.ndarray:
+    """Column-wise mean of Z over the nodes not yet removed.
+
+    `ZT` is Z as a C-ordered (n, d) array and `buf` an (n, d) scratch array;
+    both are made here when not given.
+    """
+    n = Z.shape[1]
+    cut = np.unique(np.asarray(list(removed), dtype=np.int64))
+    if len(cut) and (cut[0] < 0 or cut[-1] >= n):
+        raise AgentError(f"removed node ids must lie in [0, {n})")
+    kept = n - len(cut)
+    if kept == 0:
         raise AgentError("all nodes removed; pooled state undefined")
-    return Z[:, keep].mean(axis=1)
+    if ZT is None:
+        ZT = np.ascontiguousarray(Z.T)
+    if buf is None:
+        buf = np.empty_like(ZT)
+    # the kept rows are the runs between consecutive removed ids
+    pos = 0
+    for lo, hi in zip([0, *(cut + 1).tolist()], [*cut.tolist(), n]):
+        buf[pos:pos + hi - lo] = ZT[lo:hi]
+        pos += hi - lo
+    return buf[:kept].mean(axis=0)
 
 
-def node_values(Z: np.ndarray, params: QNetParams, target: bool = False) -> np.ndarray:
-    """(d, n) transformed per-node embeddings; q(v) = s . column v."""
+def node_values(Z: np.ndarray, params: QNetParams, target: bool = False,
+                hidden: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
+    """(d, n) transformed per-node embeddings; q(v) = s . column v.
+
+    The (2d, n) `hidden` and (d, n) `out` arrays are written in place when
+    given, and allocated otherwise.
+    """
     t1 = params.theta1_hat if target else params.theta1
     t2 = params.theta2_hat if target else params.theta2
-    return t2 @ np.maximum(t1 @ Z, 0.0)
+    h = np.matmul(t1, Z, out=hidden)
+    np.maximum(h, 0.0, out=h)
+    return np.matmul(t2, h, out=out)
 
 
 def q_values(Z: np.ndarray, s: np.ndarray, params: QNetParams,
@@ -171,7 +205,7 @@ def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
 def _td_targets(batch, Y_hat: np.ndarray, gamma: float):
     s, a, r, s_next, done, alive = batch
     next_scores = s_next @ Y_hat                      # (B, n)
-    next_scores = np.where(alive, next_scores, -np.inf)
+    next_scores[~alive] = -np.inf
     next_max = next_scores.max(axis=1)
     next_max = np.where(np.isfinite(next_max), next_max, 0.0)
     return r + gamma * next_max * (~done)
@@ -255,20 +289,25 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = TrainLog()
     env = cascade.AttackEnv(g, weights)
+    d = Z.shape[0]
+    hidden = np.empty((2 * d, g.n))
+    Y_out, Y_hat_out = np.empty((d, g.n)), np.empty((d, g.n))
+    ZT = np.ascontiguousarray(Z.T)
+    pool = np.empty_like(ZT)
     Y = None                      # online node values; None once theta changes
     Y_hat = None                  # target node values; None once the target syncs
 
     def scores():
         nonlocal Y
         if Y is None:
-            Y = node_values(Z, params)
+            Y = node_values(Z, params, hidden=hidden, out=Y_out)
         return s @ Y
 
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
         removed = []
-        s = pooled_state(Z, removed)
+        s = pooled_state(Z, removed, ZT, pool)
         cum = 0.0
         losses = []
         for k in range(cfg.budget):
@@ -280,7 +319,8 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             # an episode ends early once no Normal node is left; the TD target
             # never reads s_next of a done step, which may have no node to pool
             done = k == cfg.budget - 1 or not alive.any()
-            s_next = pooled_state(Z, removed) if len(removed) < g.n else np.zeros_like(s)
+            s_next = (pooled_state(Z, removed, ZT, pool) if len(removed) < g.n
+                      else np.zeros_like(s))
             buf.push(s, a, r, s_next, done, alive)
             s = s_next
             cum += r
@@ -288,7 +328,8 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             if buf.size >= cfg.batch_size:
                 batch = buf.sample(cfg.batch_size, rng)
                 if Y_hat is None:
-                    Y_hat = node_values(Z, params, target=True)
+                    Y_hat = node_values(Z, params, target=True, hidden=hidden,
+                                        out=Y_hat_out)
                 loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True,
                                        Y_hat=Y_hat)
                 if not np.isfinite(loss):
@@ -321,11 +362,13 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)
+    ZT = np.ascontiguousarray(Z.T)
+    pool = np.empty_like(ZT)
     removed = []
 
     def policy(graph, k):
         alive = graph.state == NORMAL
-        q = np.where(alive, pooled_state(Z, removed) @ Y, -np.inf)
+        q = np.where(alive, pooled_state(Z, removed, ZT, pool) @ Y, -np.inf)
         a = int(np.argmax(q))
         removed.append(a)
         return a
@@ -343,5 +386,14 @@ def save_qnet(path, params: QNetParams, cfg: AgentConfig = None):
 
 
 def load_qnet(path) -> QNetParams:
-    arrays, _ = serial.read_tensors(path)
+    """Raises serial.FormatError unless the file holds a finite (2d, d) and
+    (d, 2d) pair for the d its header states."""
+    arrays, header = serial.read_tensors(path)
+    d = header["d"]
+    shapes = [a.shape for a in arrays]
+    if shapes != [(2 * d, d), (d, 2 * d)]:
+        raise serial.FormatError(f"{path}: expected thetas of shapes {(2 * d, d)} and "
+                                 f"{(d, 2 * d)} for d={d}, got {shapes}")
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise serial.FormatError(f"{path}: non-finite value-net entries")
     return QNetParams(theta1=arrays[0], theta2=arrays[1])

@@ -177,16 +177,28 @@ def random_embeddings(g: CoupledGraph, d: int, seed: int) -> EmbeddingMatrix:
 
 # -- forward / backward -----------------------------------------------------
 
+def _neighbor_sum(adj, X: np.ndarray) -> np.ndarray:
+    """(adj @ X.T).T as a C-ordered (d, n) array, one sparse product per row
+    of X. Each entry sums its neighbors in the order `adj @ X.T` does, and
+    no (n, d) transpose is made."""
+    out = np.empty((X.shape[0], adj.shape[0]))
+    for j, row in enumerate(X):
+        out[j] = adj @ row
+    return out
+
+
 def forward(F: np.ndarray, params: list, problem: EmbedProblem,
             aggregator: str = "sum", want_cache: bool = False):
     """params: the depth weight matrices, each (d, d)."""
     H = np.asarray(F, dtype=np.float64)
     caches = []
     for W in params:
-        HN = (problem.adj @ H.T).T
+        HN = _neighbor_sum(problem.adj, H)
         if aggregator == "mean":
-            HN = HN / np.maximum(problem.deg, 1.0)
-        M = 0.5 * (H + HN)
+            HN /= np.maximum(problem.deg, 1.0)
+        # M takes H's memory order, which picks the BLAS path of W @ M
+        M = np.add(H, HN, out=np.empty_like(H))
+        M *= 0.5
         pre = W @ M
         caches.append((M, pre))
         H = np.maximum(pre, 0.0)
@@ -194,19 +206,21 @@ def forward(F: np.ndarray, params: list, problem: EmbedProblem,
 
 
 def _backward(dZ, params: list, caches, problem: EmbedProblem, aggregator: str):
-    """Backprop dLoss/dZ through the layer stack; returns per-matrix grads."""
+    """Backprop dLoss/dZ through the layer stack; returns the per-matrix grads.
+
+    The gradient with respect to the input features is not formed."""
     dWs = [None] * len(params)
     dH = dZ
     for i in range(len(params) - 1, -1, -1):
         M, pre = caches[i]
         G = dH * (pre > 0)
         dWs[i] = G @ M.T
-        dM = params[i].T @ G
-        dHN = 0.5 * dM
-        if aggregator == "mean":
-            dHN = dHN / np.maximum(problem.deg, 1.0)
-        dH = 0.5 * dM + (problem.adj @ dHN.T).T
-    return dWs, dH
+        if i == 0:
+            break
+        half = 0.5 * (params[i].T @ G)
+        dHN = half / np.maximum(problem.deg, 1.0) if aggregator == "mean" else half
+        dH = half + _neighbor_sum(problem.adj, dHN)
+    return dWs
 
 
 # -- scoring and loss ---------------------------------------------------------
@@ -372,7 +386,7 @@ def loss_and_grads(F, params: list, problem: EmbedProblem, neg, cfg: EmbedConfig
         diff = Z - F
         loss += pull * float(np.sum(diff ** 2) / F.size)
         dZ = dZ + pull * 2.0 * diff / F.size
-    dWs, _ = _backward(dZ, params, caches, problem, cfg.aggregator)
+    dWs = _backward(dZ, params, caches, problem, cfg.aggregator)
     for dW, W in zip(dWs, params):
         dW += 2.0 * cfg.l2 * W
     return loss, dWs
@@ -437,8 +451,16 @@ def save_embedding(path, emb: EmbeddingMatrix, cfg: EmbedConfig = None):
 
 
 def load_embedding(path) -> EmbeddingMatrix:
+    """Raises serial.FormatError unless the file holds one finite array of
+    the (d, n_nodes) shape its header states."""
     arrays, header = serial.read_tensors(path)
-    prov = PRETRAINED
-    if header["sidecar"]:
-        prov = header["sidecar"].get("provenance", PRETRAINED)
+    shape = (header["d"], header["n_nodes"])
+    if [a.shape for a in arrays] != [shape]:
+        raise serial.FormatError(f"{path}: expected one {shape} array as the header "
+                                 f"states, got shapes {[a.shape for a in arrays]}")
+    if not np.all(np.isfinite(arrays[0])):
+        raise serial.FormatError(f"{path}: non-finite embedding entries")
+    prov = (header["sidecar"] or {}).get("provenance", PRETRAINED)
+    if prov not in (PRETRAINED, RANDOM):
+        raise serial.FormatError(f"{path}.json: unknown provenance {prov!r}")
     return EmbeddingMatrix(arrays[0], provenance=prov)

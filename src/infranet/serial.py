@@ -41,7 +41,8 @@ def read_tensors(path):
     """Returns (arrays, header dict); loads the sidecar when present.
 
     A file that ends inside a part raises FormatError naming the part:
-    the header, an array's shape or an array's payload.
+    the header, an array's shape or an array's payload. So do bytes after
+    the last array, and a sidecar that is not a JSON object.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -65,10 +66,18 @@ def read_tensors(path):
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of array {i}"))
         data = np.frombuffer(take(4 * math.prod(shape), f"payload of array {i}"), dtype="<f4")
         arrays.append(np.reshape(data, shape, order="F").astype(np.float64))
+    if pos != len(raw):
+        raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last array")
     header = {"version": version, "d": d, "n_nodes": n_nodes, "depth": depth}
     try:
-        with open(str(path) + ".json") as f:
-            header["sidecar"] = json.load(f)
+        with open(str(path) + ".json", encoding="utf-8") as f:
+            sidecar = json.load(f)
     except FileNotFoundError:
-        header["sidecar"] = None
+        sidecar = None
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"{path}.json: sidecar is not valid JSON: {e}") from None
+    if sidecar is not None and not isinstance(sidecar, dict):
+        raise FormatError(f"{path}.json: sidecar must be a JSON object, "
+                          f"got {type(sidecar).__name__}")
+    header["sidecar"] = sidecar
     return arrays, header

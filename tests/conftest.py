@@ -258,10 +258,33 @@ def reference_run_attack(g, policy, budget, weights, method="attack"):
     return rep
 
 
+def oracle_pooled_state(Z, removed):
+    """The pooled state as a column mean over a boolean mask of the kept
+    nodes. Drop-in for agent.pooled_state."""
+    keep = np.ones(Z.shape[1], dtype=bool)
+    keep[np.asarray(list(removed), dtype=np.int64)] = False
+    if not keep.any():
+        raise agent.AgentError("all nodes removed; pooled state undefined")
+    return Z[:, keep].mean(axis=1)
+
+
+def oracle_node_values(Z, params, target=False):
+    """The node-value matrix as one allocating expression. Drop-in for
+    agent.node_values without buffers."""
+    t1 = params.theta1_hat if target else params.theta1
+    t2 = params.theta2_hat if target else params.theta2
+    return t2 @ np.maximum(t1 @ Z, 0.0)
+
+
+def oracle_q_values(Z, s, params, alive_mask=None):
+    q = s @ oracle_node_values(Z, params)
+    return q if alive_mask is None else np.where(alive_mask, q, -np.inf)
+
+
 def oracle_train(g, emb, cfg):
-    """The per-step DQN training loop: `q_values` at every step, and the
-    target node values recomputed inside every `td_loss`. Drop-in for
-    agent.train."""
+    """The per-step DQN training loop: the node values and the pooled state
+    from scratch at every step, and the target node values recomputed
+    inside every `td_loss`. Drop-in for agent.train."""
     cfg.validate()
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     rng = np.random.default_rng(cfg.seed)
@@ -274,18 +297,18 @@ def oracle_train(g, emb, cfg):
     for ep in range(cfg.episodes):
         env.reset()
         removed = []
-        s = agent.pooled_state(Z, removed)
+        s = oracle_pooled_state(Z, removed)
         cum = 0.0
         losses = []
         for k in range(cfg.budget):
             eps = agent._epsilon_at(step, cfg)
-            a = agent.select_action(agent.q_values(Z, s, params), eps, rng,
+            a = agent.select_action(oracle_q_values(Z, s, params), eps, rng,
                                     env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
             alive = env.state == NORMAL
             done = k == cfg.budget - 1 or not alive.any()
-            s_next = (agent.pooled_state(Z, removed) if len(removed) < g.n
+            s_next = (oracle_pooled_state(Z, removed) if len(removed) < g.n
                       else np.zeros_like(s))
             buf.push(s, a, r, s_next, done, alive)
             s = s_next
@@ -293,7 +316,8 @@ def oracle_train(g, emb, cfg):
             step += 1
             if buf.size >= cfg.batch_size:
                 batch = buf.sample(cfg.batch_size, rng)
-                loss, d1, d2 = agent.td_loss(batch, Z, params, cfg.gamma, want_grad=True)
+                loss, d1, d2 = agent.td_loss(batch, Z, params, cfg.gamma, want_grad=True,
+                                             Y_hat=oracle_node_values(Z, params, target=True))
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
                 losses.append(loss)
@@ -309,20 +333,53 @@ def oracle_train(g, emb, cfg):
 
 
 def oracle_greedy_attack(g, emb, params, budget, weights=None, method="agent"):
-    """The per-step greedy attack: `q_values` from the parameters at every
-    step. Drop-in for agent.greedy_attack."""
+    """The per-step greedy attack: the node values and the pooled state from
+    scratch at every step. Drop-in for agent.greedy_attack."""
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
     removed = []
 
     def policy(graph, k):
-        s = agent.pooled_state(Z, removed)
-        q = agent.q_values(Z, s, params, alive_mask=graph.state == NORMAL)
+        s = oracle_pooled_state(Z, removed)
+        q = oracle_q_values(Z, s, params, alive_mask=graph.state == NORMAL)
         a = int(np.argmax(q))
         removed.append(a)
         return a
 
     return cascade.run_attack(g, policy, budget, weights, method=method)
+
+
+def oracle_forward(F, params, problem, aggregator="sum", want_cache=False):
+    """The GNN forward pass with the sparse aggregation on transposes,
+    `(adj @ H.T).T`. Drop-in for embed.forward."""
+    H = np.asarray(F, dtype=np.float64)
+    caches = []
+    for W in params:
+        HN = (problem.adj @ H.T).T
+        if aggregator == "mean":
+            HN = HN / np.maximum(problem.deg, 1.0)
+        M = 0.5 * (H + HN)
+        pre = W @ M
+        caches.append((M, pre))
+        H = np.maximum(pre, 0.0)
+    return (H, caches) if want_cache else H
+
+
+def oracle_backward(dZ, params, caches, problem, aggregator):
+    """Backprop through oracle_forward's caches down to the input features;
+    returns (per-matrix grads, input gradient)."""
+    dWs = [None] * len(params)
+    dH = dZ
+    for i in range(len(params) - 1, -1, -1):
+        M, pre = caches[i]
+        G = dH * (pre > 0)
+        dWs[i] = G @ M.T
+        dM = params[i].T @ G
+        dHN = 0.5 * dM
+        if aggregator == "mean":
+            dHN = dHN / np.maximum(problem.deg, 1.0)
+        dH = 0.5 * dM + (problem.adj @ dHN.T).T
+    return dWs, dH
 
 
 def oracle_retrain(g_mask, old_emb, cfg):
@@ -339,8 +396,8 @@ def oracle_retrain(g_mask, old_emb, cfg):
     losses = []
     for epoch in range(cfg.epochs):
         neg = embed.sample_negatives(rng, problem, len(problem.edges) * ecfg.neg_ratio)
-        Z, caches = embed.forward(F_old, params, problem, ecfg.aggregator,
-                                  want_cache=True)
+        Z, caches = oracle_forward(F_old, params, problem, ecfg.aggregator,
+                                   want_cache=True)
         recon, dZ = embed.margin_loss(
             Z, problem.edges, neg, ecfg, pos_weights=problem.edge_weights,
             params=params, want_grad=True,
@@ -350,10 +407,10 @@ def oracle_retrain(g_mask, old_emb, cfg):
         loss = recon + cfg.distance_weight * distant
         losses.append(loss)
         dZ = dZ + cfg.distance_weight * 2.0 * diff / scale
-        dWs, _ = embed._backward(dZ, params, caches, problem, ecfg.aggregator)
+        dWs, _ = oracle_backward(dZ, params, caches, problem, ecfg.aggregator)
         for W, dW in zip(params, dWs):
             W -= cfg.lr * (dW + 2.0 * ecfg.l2 * W)
-    Z = embed.forward(F_old, params, problem, ecfg.aggregator)
+    Z = oracle_forward(F_old, params, problem, ecfg.aggregator)
     return embed.EmbeddingMatrix(Z, provenance=embed.PRETRAINED), losses
 
 

@@ -3,13 +3,14 @@ import copy
 import numpy as np
 import pytest
 
-from infranet import cascade
+from infranet import agent, cascade
 from infranet.agent import (
     AgentConfig,
     AgentError,
     QNetParams,
     ReplayBuffer,
     greedy_attack,
+    node_values,
     pooled_state,
     q_values,
     select_action,
@@ -24,6 +25,8 @@ from infranet.netgen import generate, preset_config
 from conftest import (
     central_diff_check,
     oracle_greedy_attack,
+    oracle_node_values,
+    oracle_pooled_state,
     oracle_train,
     random_coupled,
     reward,
@@ -63,6 +66,87 @@ def test_pooled_state_random_removal_matches_mean():
 def test_pooled_state_all_removed_errors():
     with pytest.raises(AgentError):
         pooled_state(np.ones((2, 2)), [0, 1])
+
+
+def removed_sets(n, rng):
+    """Removed-id lists that cut the kept rows into every kind of run."""
+    sets = [[], [0], [n - 1], list(range(1, n)), list(range(n - 1))]
+    if n > 4:
+        sets += [[n - 1, 0], [1, 2, 3], [n - 3, n - 2, 0], [2, 1, 2]]  # adjacent, a repeat
+    for _ in range(3):
+        k = int(rng.integers(1, n))
+        sets.append(rng.choice(n, size=k, replace=False).tolist())
+    return sets
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+@pytest.mark.parametrize("n", [2, 9, 130, 1488, 15774])   # 1488 = desk, 15774 = paper
+def test_pooled_state_matches_mask_mean_bit_for_bit(d, n):
+    rng = np.random.default_rng(d * n)
+    for order in "CF":
+        Z = np.asarray(rng.normal(size=(d, n)), order=order)
+        if n > 2:
+            Z[:, n // 2] = 0.0      # a dead node's all-zero embedding
+        ZT = np.ascontiguousarray(Z.T)
+        buf = np.full_like(ZT, np.nan)   # reused, so stale rows must not leak in
+        for removed in removed_sets(n, rng):
+            want = oracle_pooled_state(Z, removed)
+            assert pooled_state(Z, removed, ZT, buf).tobytes() == want.tobytes(), removed
+            assert pooled_state(Z, removed).tobytes() == want.tobytes(), removed
+
+
+def test_pooled_state_rejects_ids_out_of_range():
+    Z = np.ones((2, 5))
+    for removed in ([5], [-1], [0, 7]):
+        with pytest.raises(AgentError, match=r"removed node ids must lie in \[0, 5\)"):
+            pooled_state(Z, removed)
+
+
+@pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (6, 130), (16, 1488), (64, 2000)])
+def test_buffered_node_values_match_allocating_formula(d, n):
+    rng = np.random.default_rng(d + n)
+    hidden, out = np.full((2 * d, n), np.nan), np.full((d, n), np.nan)
+    for order in "CF":
+        Z = np.asarray(rng.normal(size=(d, n)), order=order)
+        for _ in range(2):
+            params = QNetParams.init(d, rng)
+            params.theta1_hat = rng.normal(size=(2 * d, d))
+            for target in (False, True):
+                got = node_values(Z, params, target, hidden=hidden, out=out)
+                assert got is out
+                want = oracle_node_values(Z, params, target)
+                assert got.tobytes() == want.tobytes()
+                assert node_values(Z, params, target).tobytes() == want.tobytes()
+
+
+def test_train_recomputes_the_reused_online_buffer_after_every_update(monkeypatch):
+    # always exploit and update every step: every step but the first reads
+    # online node values that the previous step's SGD update made stale
+    g = random_coupled(1)
+    emb = random_embeddings(g, 5, 2)
+    cfg = AgentConfig(budget=4, episodes=6, batch_size=1, buffer_size=8, target_sync=3,
+                      eps_start=0.0, eps_end=0.0, lr=0.3, gamma=0.9, seed=4)
+    calls = []
+    compute = agent.node_values
+
+    def record(Z, params, target=False, hidden=None, out=None):
+        calls.append((target, id(hidden), id(out)))
+        return compute(Z, params, target, hidden=hidden, out=out)
+
+    monkeypatch.setattr(agent, "node_values", record)
+    params, log = train(g, emb, cfg)
+    steps = len(log.episode) * cfg.budget
+    online = [c for c in calls if not c[0]]
+    targets = [c for c in calls if c[0]]
+    assert len(online) == steps
+    assert len(targets) == -(-steps // cfg.target_sync)
+    assert len({c[1] for c in calls}) == 1                 # one hidden array per run
+    assert len({c[2] for c in online}) == 1 and len({c[2] for c in targets}) == 1
+    assert online[0][2] != targets[0][2]
+    o_params, o_log = oracle_train(g, emb, cfg)
+    assert np.array_equal(params.theta1, o_params.theta1)
+    assert np.array_equal(params.theta2, o_params.theta2)
+    assert log.cum_reward == o_log.cum_reward and log.loss_mean == o_log.loss_mean
 
 
 def test_q_values_zero_cases():
@@ -171,6 +255,19 @@ def test_td_loss_empty_batch_errors():
              np.zeros((0, 3), dtype=bool))
     with pytest.raises(AgentError):
         td_loss(batch, Z, params, gamma=0.9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_td_targets_match_masked_max_formula(seed):
+    rng = np.random.default_rng(seed)
+    s, a, r, s_next, done, alive = make_batch(rng, B=16, d=5, n=40)
+    alive[:, 0] = rng.random(16) < 0.5
+    alive[3] = False                       # no alive next node: target is r
+    Y_hat = rng.normal(size=(5, 40))
+    batch = (s, a, r, s_next, done, alive)
+    next_max = np.where(alive, s_next @ Y_hat, -np.inf).max(axis=1)
+    want = r + 0.9 * np.where(np.isfinite(next_max), next_max, 0.0) * (~done)
+    assert agent._td_targets(batch, Y_hat, 0.9).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -20,9 +20,12 @@ from infranet.embed import (
     train_coupled,
 )
 from infranet.graph import JUNCTION, CoupledGraph
+from infranet.netgen import generate, preset_config
 
 from conftest import (
     central_diff_check,
+    oracle_backward,
+    oracle_forward,
     oracle_margin_loss,
     oracle_sample_negatives,
     random_coupled,
@@ -429,4 +432,52 @@ def test_train_coupled_matches_loop_and_scatter_add_kernels(graph, monkeypatch):
     o_emb, o_params, o_losses = train_coupled(g, cfg)
     assert np.array_equal(emb.Z, o_emb.Z)
     assert all(np.array_equal(W, oW) for W, oW in zip(params, o_params))
+    assert losses == o_losses
+
+
+# Sizes where numpy's BLAS takes a different path when the operand layout
+# of `W @ M` or `G @ M.T` changes (d = 16 on desk, small n at d = 16-64), so
+# the cached M must keep the memory order the transposed aggregation gave it.
+@pytest.mark.parametrize("graph", ["random0", "random3", "random5", "desk"])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 16, 32, 64])
+def test_forward_backward_match_transpose_oracle_bit_for_bit(graph, d):
+    g = (generate(preset_config("desk", seed=0)) if graph == "desk"
+         else random_coupled(int(graph[-1])))
+    rng = np.random.default_rng(d)
+    for aggregator in ("sum", "mean"):
+        problem = problem_for(g, "coupled", EmbedConfig(d=d, aggregator=aggregator))
+        for order, depth in (("C", 2), ("F", 2), ("C", 1), ("F", 3)):
+            F = np.asarray(rng.uniform(-1, 1, size=(d, g.n)), order=order)
+            params = [rng.uniform(-0.6, 0.6, size=(d, d)) for _ in range(depth)]
+            Z, caches = forward(F, params, problem, aggregator, want_cache=True)
+            oZ, o_caches = oracle_forward(F, params, problem, aggregator, want_cache=True)
+            assert Z.tobytes() == oZ.tobytes()
+            for (M, pre), (oM, o_pre) in zip(caches, o_caches):
+                assert M.tobytes(order="A") == oM.tobytes(order="A")
+                assert M.flags.c_contiguous == oM.flags.c_contiguous
+                assert pre.tobytes() == o_pre.tobytes()
+            dZ = rng.normal(size=Z.shape)
+            dWs = embed._backward(dZ, params, caches, problem, aggregator)
+            o_dWs, _ = oracle_backward(dZ, params, o_caches, problem, aggregator)
+            assert [dW.tobytes() for dW in dWs] == [dW.tobytes() for dW in o_dWs]
+
+
+@pytest.mark.parametrize("graph", range(3))
+def test_train_coupled_matches_all_oracle_kernels(graph, monkeypatch):
+    g = random_coupled(graph + 4)
+    cfg = EmbedConfig(d=5 + graph, epochs=5, seed=graph, lr=0.02,
+                      aggregator="mean" if graph == 1 else "sum")
+    emb, params, losses = train_coupled(g, cfg)
+
+    def scatter_add(Z, pos, neg, cfg, pos_weights=None, params=None, want_grad=False):
+        assert want_grad
+        return oracle_margin_loss(Z, pos, neg, cfg, pos_weights, params)
+
+    monkeypatch.setattr(embed, "sample_negatives", oracle_sample_negatives)
+    monkeypatch.setattr(embed, "margin_loss", scatter_add)
+    monkeypatch.setattr(embed, "forward", oracle_forward)
+    monkeypatch.setattr(embed, "_backward", lambda *args: oracle_backward(*args)[0])
+    o_emb, o_params, o_losses = train_coupled(g, cfg)
+    assert emb.Z.tobytes() == o_emb.Z.tobytes()
+    assert all(W.tobytes() == oW.tobytes() for W, oW in zip(params, o_params))
     assert losses == o_losses

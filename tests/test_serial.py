@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from infranet.agent import QNetParams, load_qnet, save_qnet
 from infranet.embed import EmbeddingMatrix, load_embedding, save_embedding
@@ -110,3 +111,157 @@ def test_qnet_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.theta1, params.theta1)
     np.testing.assert_array_equal(back.theta2, params.theta2)
     assert back.checksum() == params.checksum()
+
+
+# -- malformed files fail with FormatError -----------------------------------
+
+def _qnet_file(tmp_path, d=2):
+    params = QNetParams.init(d, np.random.default_rng(0))
+    p = tmp_path / "q.bin"
+    save_qnet(p, params)
+    return p
+
+
+def _embedding_file(tmp_path, shape=(2, 3)):
+    p = tmp_path / "emb.bin"
+    save_embedding(p, EmbeddingMatrix(np.ones(shape)))
+    return p
+
+
+@pytest.mark.parametrize("raw", [b"{", b"not json", b'{"provenance": }', b"\xff\xfe{}"])
+def test_sidecar_that_is_not_json_raises_format_error(tmp_path, raw):
+    p = _embedding_file(tmp_path)
+    (tmp_path / "emb.bin.json").write_bytes(raw)
+    for read in (read_tensors, load_embedding):
+        with pytest.raises(FormatError, match=r"emb\.bin\.json: sidecar is not valid JSON"):
+            read(p)
+
+
+@pytest.mark.parametrize("doc", ["[]", '["provenance"]', "3", '"random"', "null"])
+def test_sidecar_that_is_not_an_object_raises_format_error(tmp_path, doc):
+    p = _embedding_file(tmp_path)
+    (tmp_path / "emb.bin.json").write_text(doc)
+    if doc == "null":
+        # an explicit null reads like a missing sidecar: no config recorded
+        assert read_tensors(p)[1]["sidecar"] is None
+        return
+    for read in (read_tensors, load_embedding):
+        with pytest.raises(FormatError, match="sidecar must be a JSON object"):
+            read(p)
+
+
+def test_unknown_provenance_raises_format_error(tmp_path):
+    p = _embedding_file(tmp_path)
+    (tmp_path / "emb.bin.json").write_text('{"provenance": ["random"]}')
+    with pytest.raises(FormatError, match="unknown provenance"):
+        load_embedding(p)
+
+
+def test_file_without_arrays_raises_format_error(tmp_path):
+    p = tmp_path / "empty.bin"
+    write_tensors(p, [], d=2, n_nodes=3, depth=1)
+    with pytest.raises(FormatError, match=r"expected one \(2, 3\) array"):
+        load_embedding(p)
+    with pytest.raises(FormatError, match="expected thetas"):
+        load_qnet(p)
+
+
+@pytest.mark.parametrize("make", [_qnet_file, _embedding_file])
+def test_trailing_bytes_raise_format_error(tmp_path, make):
+    p = make(tmp_path)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="1 trailing bytes after the last array"):
+        read_tensors(p)
+
+
+def test_header_shape_must_match_the_embedding(tmp_path):
+    p = tmp_path / "emb.bin"
+    write_tensors(p, [np.zeros((4, 4))], d=2, n_nodes=3, depth=0)
+    with pytest.raises(FormatError, match=r"expected one \(2, 3\) array .* \[\(4, 4\)\]"):
+        load_embedding(p)
+    write_tensors(p, [np.zeros((2, 3)), np.zeros((2, 3))], d=2, n_nodes=3, depth=0)
+    with pytest.raises(FormatError, match="expected one"):
+        load_embedding(p)
+    write_tensors(p, [np.zeros(6)], d=2, n_nodes=3, depth=0)
+    with pytest.raises(FormatError, match="expected one"):
+        load_embedding(p)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(4, 2)], [(4, 2), (2, 4), (2, 4)], [(2, 4), (4, 2)], [(4, 2), (2, 3)],
+    [(6, 3), (3, 6)],   # a valid pair for d=3 under a header saying d=2
+])
+def test_qnet_thetas_must_match_the_header_d(tmp_path, shapes):
+    p = tmp_path / "q.bin"
+    write_tensors(p, [np.zeros(s) for s in shapes], d=2, n_nodes=0, depth=2)
+    with pytest.raises(FormatError, match=r"expected thetas of shapes \(4, 2\) and \(2, 4\)"):
+        load_qnet(p)
+
+
+def test_non_finite_payload_raises_format_error(tmp_path):
+    p = tmp_path / "t.bin"
+    write_tensors(p, [np.array([[1.0, np.inf, 0.0], [0.0, 0.0, 0.0]])],
+                  d=2, n_nodes=3, depth=0)
+    with pytest.raises(FormatError, match="non-finite embedding entries"):
+        load_embedding(p)
+    theta1 = np.zeros((4, 2))
+    theta1[1, 1] = np.nan
+    write_tensors(p, [theta1, np.zeros((2, 4))], d=2, n_nodes=0, depth=2)
+    with pytest.raises(FormatError, match="non-finite value-net entries"):
+        load_qnet(p)
+
+
+# -- fuzzing: the readers raise nothing but FormatError ----------------------
+
+READERS = (read_tensors, load_embedding, load_qnet)
+
+
+def _only_format_errors(path):
+    for read in READERS:
+        try:
+            read(path)
+        except FormatError:
+            pass
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=200))
+def test_fuzz_arbitrary_bytes(tmp_path, data):
+    p = tmp_path / "fuzz.bin"
+    p.write_bytes(data)
+    _only_format_errors(p)
+    # the same bytes behind a valid magic and version reach the array parser
+    p.write_bytes(b"NVDT" + struct.pack("<I", 1) + data)
+    _only_format_errors(p)
+
+
+@pytest.mark.parametrize("make", [_qnet_file, _embedding_file])
+def test_fuzz_every_truncation(tmp_path, make):
+    p = make(tmp_path)
+    raw = p.read_bytes()
+    for size in range(len(raw)):
+        p.write_bytes(raw[:size])
+        for read in READERS:
+            with pytest.raises(FormatError):
+                read(p)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=10), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=JSON | st.dictionaries(st.just("provenance"), JSON, min_size=1),
+       text=st.one_of(st.none(), st.text(max_size=40)),
+       which=st.sampled_from(["qnet", "embedding"]))
+def test_fuzz_sidecars(tmp_path, doc, text, which):
+    p = _qnet_file(tmp_path) if which == "qnet" else _embedding_file(tmp_path)
+    sidecar = tmp_path / (p.name + ".json")
+    sidecar.write_text(json.dumps(doc) if text is None else text, encoding="utf-8")
+    _only_format_errors(p)
