@@ -137,7 +137,7 @@ def cmd_transfer(args):
 
 
 def cmd_report(args):
-    with open(args.plan) as f:
+    with open(args.plan, "rb") as f:
         plan = harness.ExperimentPlan.from_json(f.read())
     reports = harness.run_plan(plan, args.out)
     harness.emit_curves(reports.values(), args.out, svg=not args.no_svg)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import CoupledGraph
 from . import serial
@@ -25,6 +24,13 @@ PRETRAINED = "pretrained"
 RANDOM = "random"
 
 DEFAULT_EDGE_TYPE_WEIGHTS = {"elec": 1.0, "road": 1.0, "dep": 1.0}
+
+
+# embedding rows per np.bincount call in _neighbor_sum, and edges per einsum
+# call in score. Small blocks keep each call's temporaries small, and a fresh
+# process then faults in far fewer pages than for whole-array temporaries.
+_CHUNK = 4
+_EDGE_BLOCK = 1024
 
 
 class EmbedError(ValueError):
@@ -102,6 +108,8 @@ class EmbedProblem:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
         self.pool = np.asarray(self.pool, dtype=np.int64)
+        if self.edges.size and not 0 <= self.edges.min() <= self.edges.max() < self.n:
+            raise EmbedError(f"edge endpoints must lie in [0, {self.n})")
         # sorted undirected edge keys min*n+max, for the rejection in sample_negatives
         keys = self.edges.min(axis=1) * self.n + self.edges.max(axis=1)
         self.edge_keys = np.unique(keys)
@@ -114,13 +122,19 @@ class EmbedProblem:
                      & (self.edges[:, 0] != self.edges[:, 1]))
             pairs -= len(np.unique(keys[inner]))
         self.has_non_edge = pairs > 0
-        m = len(self.edges)
+        # the symmetric adjacency as neighbor pairs in CSR order (rows
+        # ascending, columns ascending within a row), each distinct pair once
+        # with its multiplicity, as a CSR matrix sums duplicate entries
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        self.adj = sp.csr_matrix(
-            (np.ones(2 * m), (rows, cols)), shape=(self.n, self.n)
-        )
-        self.deg = np.asarray(self.adj.sum(axis=1)).ravel()
+        pair_keys, mult = np.unique(rows * self.n + cols, return_counts=True)
+        self.nbr_rows, self.nbr_cols = np.divmod(pair_keys, self.n)
+        self.nbr_mult = mult.astype(np.float64)
+        # the pairs that occur more than once; a product by 1.0 changes no bit
+        self.nbr_repeated = np.flatnonzero(mult > 1)
+        # bincount keys of _CHUNK embedding rows: row_in_chunk * n + node
+        self.nbr_keys = (np.arange(_CHUNK)[:, None] * self.n + self.nbr_rows).ravel()
+        self.deg = np.bincount(rows, minlength=self.n).astype(np.float64)
 
 
 def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
@@ -177,28 +191,51 @@ def random_embeddings(g: CoupledGraph, d: int, seed: int) -> EmbeddingMatrix:
 
 # -- forward / backward -----------------------------------------------------
 
-def _neighbor_sum(adj, X: np.ndarray) -> np.ndarray:
-    """(adj @ X.T).T as a C-ordered (d, n) array, one sparse product per row
-    of X. Each entry sums its neighbors in the order `adj @ X.T` does, and
-    no (n, d) transpose is made."""
-    out = np.empty((X.shape[0], adj.shape[0]))
-    for j, row in enumerate(X):
-        out[j] = adj @ row
+def _neighbor_sum(problem: EmbedProblem, X: np.ndarray) -> np.ndarray:
+    """(adj @ X.T).T as a C-ordered (d, n) array, for the symmetric adjacency
+    of problem's edges.
+
+    Each entry adds its neighbor terms one after another from +0.0, in CSR
+    order, as a CSR product does; np.bincount adds its weights in input order.
+    One bincount serves _CHUNK rows of X.
+    """
+    d, n = X.shape[0], problem.n
+    cols, rep = problem.nbr_cols, problem.nbr_repeated
+    out = np.empty((d, n))
+    for j in range(0, d, _CHUNK):
+        k = min(_CHUNK, d - j)
+        terms = np.take(X[j:j + k], cols, axis=1)
+        terms[:, rep] *= problem.nbr_mult[rep]
+        out[j:j + k] = np.bincount(problem.nbr_keys[:k * len(cols)], weights=terms.ravel(),
+                                   minlength=k * n).reshape(k, n)
     return out
 
 
+def _aggregate(H: np.ndarray, problem: EmbedProblem, aggregator: str) -> np.ndarray:
+    """A layer's input M = 0.5 * (H + neighbor aggregate of H).
+
+    M takes H's memory order, which picks the BLAS path of W @ M. The
+    aggregate is C-ordered, so for a C-ordered H, M is made in its buffer."""
+    HN = _neighbor_sum(problem, H)
+    if aggregator == "mean":
+        HN /= np.maximum(problem.deg, 1.0)
+    M = np.add(H, HN, out=HN if H.flags.c_contiguous else np.empty_like(H))
+    M *= 0.5
+    return M
+
+
 def forward(F: np.ndarray, params: list, problem: EmbedProblem,
-            aggregator: str = "sum", want_cache: bool = False):
-    """params: the depth weight matrices, each (d, d)."""
+            aggregator: str = "sum", want_cache: bool = False, M0: np.ndarray = None):
+    """params: the depth weight matrices, each (d, d).
+
+    M0, when given, is layer 0's input `_aggregate(F, problem, aggregator)`;
+    it depends on F alone, so a training run computes it once."""
     H = np.asarray(F, dtype=np.float64)
+    M = _aggregate(H, problem, aggregator) if M0 is None else M0
     caches = []
     for W in params:
-        HN = _neighbor_sum(problem.adj, H)
-        if aggregator == "mean":
-            HN /= np.maximum(problem.deg, 1.0)
-        # M takes H's memory order, which picks the BLAS path of W @ M
-        M = np.add(H, HN, out=np.empty_like(H))
-        M *= 0.5
+        if caches:
+            M = _aggregate(H, problem, aggregator)
         pre = W @ M
         caches.append((M, pre))
         H = np.maximum(pre, 0.0)
@@ -219,16 +256,25 @@ def _backward(dZ, params: list, caches, problem: EmbedProblem, aggregator: str):
             break
         half = 0.5 * (params[i].T @ G)
         dHN = half / np.maximum(problem.deg, 1.0) if aggregator == "mean" else half
-        dH = half + _neighbor_sum(problem.adj, dHN)
+        dH = half + _neighbor_sum(problem, dHN)
     return dWs
 
 
 # -- scoring and loss ---------------------------------------------------------
 
 def score(Z: np.ndarray, edges) -> np.ndarray:
-    """Inner product of the endpoint embeddings, one score per edge."""
+    """Inner product of the endpoint embeddings, one score per edge.
+
+    The edges go through the einsum _EDGE_BLOCK at a time, so the gathered
+    endpoint columns stay small; each score is the same einsum reduction over
+    its own column, whatever the block.
+    """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return np.einsum("ij,ij->j", Z[:, e[:, 0]], Z[:, e[:, 1]])
+    out = np.empty(len(e))
+    for s in range(0, len(e), _EDGE_BLOCK):
+        b = e[s:s + _EDGE_BLOCK]
+        out[s:s + _EDGE_BLOCK] = np.einsum("ij,ij->j", Z[:, b[:, 0]], Z[:, b[:, 1]])
+    return out
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -371,13 +417,13 @@ def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
 
 
 def loss_and_grads(F, params: list, problem: EmbedProblem, neg, cfg: EmbedConfig,
-                   pull: float = 0.0):
+                   pull: float = 0.0, M0: np.ndarray = None):
     """Full-pipeline loss (forward + hinge + L2) and gradients per weight matrix.
 
     A nonzero `pull` adds pull times the mean squared deviation of the
-    output Z from the input F to the loss.
+    output Z from the input F to the loss. M0 is passed on to forward.
     """
-    Z, caches = forward(F, params, problem, cfg.aggregator, want_cache=True)
+    Z, caches = forward(F, params, problem, cfg.aggregator, want_cache=True, M0=M0)
     loss, dZ = margin_loss(
         Z, problem.edges, neg, cfg, pos_weights=problem.edge_weights,
         params=params, want_grad=True,
@@ -410,16 +456,17 @@ def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None,
     if F is None:
         F = _uniform(rng, (cfg.d, problem.n), cfg.d)
     params = init_params(cfg, rng)
+    M0 = _aggregate(np.asarray(F, dtype=np.float64), problem, cfg.aggregator)
     losses = []
     for epoch in range(cfg.epochs):
         neg = sample_negatives(rng, problem, len(problem.edges) * cfg.neg_ratio)
-        loss, dWs = loss_and_grads(F, params, problem, neg, cfg, pull)
+        loss, dWs = loss_and_grads(F, params, problem, neg, cfg, pull, M0)
         if not np.isfinite(loss):
             raise EmbedError(f"training diverged at epoch {epoch}")
         for W, dW in zip(params, dWs):
             W -= cfg.lr * dW
         losses.append(loss)
-    Z = forward(F, params, problem, cfg.aggregator)
+    Z = forward(F, params, problem, cfg.aggregator, M0=M0)
     return EmbeddingMatrix(Z, provenance=PRETRAINED), params, losses
 
 

@@ -14,6 +14,7 @@ layers, `road_u`/`road_v` and `feeds`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -234,15 +235,20 @@ class CoupledGraph:
                 f'"road_edges":{road},"version":{GRAPH_FORMAT_VERSION}}}\n')
 
     @classmethod
-    def from_json(cls, text: str) -> "CoupledGraph":
+    def from_json(cls, text) -> "CoupledGraph":
+        """The graph a document (str, or bytes in a JSON encoding) describes.
+
+        Node ids, levels and edge endpoints must be JSON integers and loads
+        JSON numbers; anything else is a GraphError, not a conversion."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:     # bad syntax, encoding or depth
             raise GraphError(f"graph document is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise GraphError("graph document must be a JSON object")
-        if doc.get("version") != GRAPH_FORMAT_VERSION:
-            raise GraphError(f"unsupported graph format version {doc.get('version')!r}")
+        version = doc.get("version")
+        if type(version) is not int or version != GRAPH_FORMAT_VERSION:
+            raise GraphError(f"unsupported graph format version {version!r}")
         for key in ("nodes", "elec_edges", "road_edges", "dep_edges"):
             if not isinstance(doc.get(key), list):
                 raise GraphError(f"graph field {key!r} is missing or not a list")
@@ -259,15 +265,29 @@ class CoupledGraph:
         if [r["id"] for r in nodes] != list(range(len(nodes))):
             raise GraphError("node ids must be dense 0..n-1")
         kind = np.array([NODE_KINDS[r["kind"]] for r in nodes], dtype=np.int8)
+        levels = [r.get("level", 0) for r in nodes]
+        loads = [r.get("load", 0.0) for r in nodes]
+        # a null load reads as NaN, which the graph rejects as non-finite
+        for name, values, types in (("level", levels, {int}),
+                                    ("load", loads, {int, float, type(None)})):
+            if not set(map(type, values)) <= types:
+                bad = next(x for x in values if type(x) not in types)
+                raise GraphError(f"node field 'level' or 'load' is not a number: "
+                                 f"{name} {bad!r} is not a JSON "
+                                 f"{'integer' if name == 'level' else 'number'}")
+        for key in ("elec_edges", "road_edges", "dep_edges"):
+            pairs = doc[key]
+            if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+                    and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
+                raise GraphError(f"graph field {key!r} must be a list of [u, v] integer pairs")
         try:
-            level = np.array([r.get("level", 0) for r in nodes], dtype=np.int16)
-            load = np.array([r.get("load", 0.0) for r in nodes], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as e:
+            level = np.array(levels, dtype=np.int16)
+        except OverflowError as e:
             raise GraphError(f"node field 'level' or 'load' is not a number: {e}") from None
         return cls(
             kind=kind,
             level=level,
-            load=load,
+            load=np.array(loads, dtype=np.float64),
             elec_edges=doc["elec_edges"],
             road_edges=doc["road_edges"],
             dep_edges=doc["dep_edges"],
@@ -279,5 +299,5 @@ class CoupledGraph:
 
     @classmethod
     def from_file(cls, path) -> "CoupledGraph":
-        with open(path) as f:
+        with open(path, "rb") as f:
             return cls.from_json(f.read())

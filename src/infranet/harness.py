@@ -27,11 +27,17 @@ from . import agent as agent_mod
 from . import baselines, embed as embed_mod
 from .cascade import AttackReport, RewardWeights
 from .graph import CoupledGraph
-from .netgen import generate, preset_config
+from .netgen import PRESETS, generate, preset_config
 
 
 class PlanError(ValueError):
     pass
+
+
+# the keys a plan document and its graph block may hold
+_PLAN_KEYS = ("graph", "methods", "budget", "seeds", "ci_radius", "weights", "embed",
+              "agent", "gdm")
+_GRAPH_KEYS = ("preset", "seed", "file")
 
 
 @dataclass
@@ -58,10 +64,18 @@ class ExperimentPlan:
         if not all(_is_int(s) for s in self.seeds):
             raise PlanError(f"plan key 'seeds' must be a list of integers, got {list(self.seeds)!r}")
         for m in self.methods:
-            if m not in METHODS:
+            if not isinstance(m, str) or m not in METHODS:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.graph_preset is None and self.graph_file is None:
             raise PlanError("plan needs a graph preset or file")
+        if self.graph_preset is not None and (not isinstance(self.graph_preset, str)
+                                              or self.graph_preset not in PRESETS):
+            raise PlanError(f"unknown graph preset {self.graph_preset!r}; "
+                            f"choose from {sorted(PRESETS)}")
+        if self.graph_file is not None and not isinstance(self.graph_file, (str, os.PathLike)):
+            raise PlanError(f"graph file must be a path, got {self.graph_file!r}")
+        if not _is_int(self.graph_seed):
+            raise PlanError(f"graph seed must be an integer, got {self.graph_seed!r}")
         for block, cfg in (("embed", self.embed_config), ("agent", self.agent_config),
                            ("gdm", self.gdm_config)):
             try:
@@ -70,19 +84,29 @@ class ExperimentPlan:
                 raise PlanError(f"plan block {block!r}: {e}") from None
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentPlan":
+    def from_json(cls, text) -> "ExperimentPlan":
+        """The plan a document (str, or bytes in a JSON encoding) describes."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:     # bad syntax, encoding or depth
             raise PlanError(f"plan document is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise PlanError("plan document must be a JSON object")
+        for key in doc:
+            if key not in _PLAN_KEYS:
+                raise PlanError(f"unknown plan key {key!r}; choose from {list(_PLAN_KEYS)}")
         for block in ("graph", "weights", "embed", "agent", "gdm"):
             if block in doc and not isinstance(doc[block], dict):
                 raise PlanError(f"plan block {block!r} must be a JSON object, "
                                 f"got {doc[block]!r}")
+        for key in doc.get("graph", {}):
+            if key not in _GRAPH_KEYS:
+                raise PlanError(f"unknown key {key!r} in plan block 'graph'; "
+                                f"choose from {list(_GRAPH_KEYS)}")
         if not isinstance(doc.get("seeds", []), list):
             raise PlanError(f"plan key 'seeds' must be a list of integers, got {doc['seeds']!r}")
+        if not isinstance(doc.get("methods", []), list):
+            raise PlanError(f"plan key 'methods' must be a list of names, got {doc['methods']!r}")
         graph = doc.get("graph", {})
         weights = doc.get("weights")
         plan = cls(

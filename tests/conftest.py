@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from infranet import agent, cascade, embed, transfer
 from infranet.cascade import (
@@ -13,6 +15,15 @@ from infranet.cascade import (
 )
 from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import GenConfig, generate
+
+
+# arbitrary JSON values, for fuzzing the readers
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=10), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 def make_toy_chain():
@@ -349,15 +360,27 @@ def oracle_greedy_attack(g, emb, params, budget, weights=None, method="agent"):
     return cascade.run_attack(g, policy, budget, weights, method=method)
 
 
-def oracle_forward(F, params, problem, aggregator="sum", want_cache=False):
+def oracle_adjacency(problem):
+    """The symmetric adjacency of problem's edges as a scipy CSR matrix, and
+    its row sums as the degree vector."""
+    m = len(problem.edges)
+    rows = np.concatenate([problem.edges[:, 0], problem.edges[:, 1]])
+    cols = np.concatenate([problem.edges[:, 1], problem.edges[:, 0]])
+    adj = sp.csr_matrix((np.ones(2 * m), (rows, cols)), shape=(problem.n, problem.n))
+    return adj, np.asarray(adj.sum(axis=1)).ravel()
+
+
+def oracle_forward(F, params, problem, aggregator="sum", want_cache=False, M0=None):
     """The GNN forward pass with the sparse aggregation on transposes,
-    `(adj @ H.T).T`. Drop-in for embed.forward."""
+    `(adj @ H.T).T`. Drop-in for embed.forward; it ignores M0 and
+    aggregates layer 0 itself."""
+    adj, deg = oracle_adjacency(problem)
     H = np.asarray(F, dtype=np.float64)
     caches = []
     for W in params:
-        HN = (problem.adj @ H.T).T
+        HN = (adj @ H.T).T
         if aggregator == "mean":
-            HN = HN / np.maximum(problem.deg, 1.0)
+            HN = HN / np.maximum(deg, 1.0)
         M = 0.5 * (H + HN)
         pre = W @ M
         caches.append((M, pre))
@@ -368,6 +391,7 @@ def oracle_forward(F, params, problem, aggregator="sum", want_cache=False):
 def oracle_backward(dZ, params, caches, problem, aggregator):
     """Backprop through oracle_forward's caches down to the input features;
     returns (per-matrix grads, input gradient)."""
+    adj, deg = oracle_adjacency(problem)
     dWs = [None] * len(params)
     dH = dZ
     for i in range(len(params) - 1, -1, -1):
@@ -377,8 +401,8 @@ def oracle_backward(dZ, params, caches, problem, aggregator):
         dM = params[i].T @ G
         dHN = 0.5 * dM
         if aggregator == "mean":
-            dHN = dHN / np.maximum(problem.deg, 1.0)
-        dH = 0.5 * dM + (problem.adj @ dHN.T).T
+            dHN = dHN / np.maximum(deg, 1.0)
+        dH = 0.5 * dM + (adj @ dHN.T).T
     return dWs, dH
 
 
@@ -398,10 +422,8 @@ def oracle_retrain(g_mask, old_emb, cfg):
         neg = embed.sample_negatives(rng, problem, len(problem.edges) * ecfg.neg_ratio)
         Z, caches = oracle_forward(F_old, params, problem, ecfg.aggregator,
                                    want_cache=True)
-        recon, dZ = embed.margin_loss(
-            Z, problem.edges, neg, ecfg, pos_weights=problem.edge_weights,
-            params=params, want_grad=True,
-        )
+        recon, dZ = oracle_margin_loss(Z, problem.edges, neg, ecfg,
+                                       pos_weights=problem.edge_weights, params=params)
         diff = Z - F_old
         distant = float(np.sum(diff ** 2) / scale)
         loss = recon + cfg.distance_weight * distant
@@ -430,6 +452,12 @@ def oracle_sample_negatives(rng, problem, count):
     return out
 
 
+def oracle_score(Z, edges):
+    """Inner product of the endpoint columns of Z, one score per edge."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.einsum("ij,ij->j", Z[:, e[:, 0]], Z[:, e[:, 1]])
+
+
 def oracle_margin_loss(Z, pos, neg, cfg, pos_weights=None, params=None):
     """The hinge loss with its gradient written as four scatter-adds
     (`np.add.at`) over the (node, column) cells. Drop-in for
@@ -440,7 +468,7 @@ def oracle_margin_loss(Z, pos, neg, cfg, pos_weights=None, params=None):
     w = np.ones(len(pos)) if pos_weights is None else np.asarray(pos_weights, float)
     pos_rep = np.repeat(pos, r, axis=0)
     w_rep = np.repeat(w, r)
-    hinge = cfg.margin - embed.score(Z, pos_rep) + embed.score(Z, neg)
+    hinge = cfg.margin - oracle_score(Z, pos_rep) + oracle_score(Z, neg)
     P = len(pos_rep)
     loss = float(np.sum(w_rep * np.maximum(hinge, 0.0)) / P)
     if params is not None:

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infranet
 from infranet import agent, baselines, embed, harness, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
@@ -230,3 +235,15 @@ def test_embed_exits_with_embed_error_on_a_road_triangle(tmp_path):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_import_loads_no_scipy():
+    # importing scipy costs a fresh process about 0.2 s and 20 MB; the package
+    # and its command line must not pull it in
+    code = ("import infranet, infranet.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(infranet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

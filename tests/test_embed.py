@@ -24,10 +24,12 @@ from infranet.netgen import generate, preset_config
 
 from conftest import (
     central_diff_check,
+    oracle_adjacency,
     oracle_backward,
     oracle_forward,
     oracle_margin_loss,
     oracle_sample_negatives,
+    oracle_score,
     random_coupled,
 )
 
@@ -238,7 +240,8 @@ def test_edge_type_weights_only_affect_loss():
     p_even = problem_for(g, "coupled", cfg_even)
     p_biased = problem_for(g, "coupled", cfg_biased)
     np.testing.assert_array_equal(p_even.edges, p_biased.edges)
-    assert (p_even.adj != p_biased.adj).nnz == 0
+    for name in ("nbr_rows", "nbr_cols", "nbr_mult", "deg"):
+        assert getattr(p_even, name).tobytes() == getattr(p_biased, name).tobytes()
     assert not np.array_equal(p_even.edge_weights, p_biased.edge_weights)
 
 
@@ -391,6 +394,67 @@ def test_pool_without_non_edge_pair_raises_before_drawing(make):
         train(problem, EmbedConfig(d=2, epochs=1))
 
 
+@settings(max_examples=80, deadline=None)
+@given(graph=st.integers(0, 30), scope=st.sampled_from(["elec", "road", "coupled", "repeats"]),
+       loop=st.booleans(), d=st.sampled_from([1, 7, 8, 9, 16, 64]),
+       aggregator=st.sampled_from(["sum", "mean"]), order=st.sampled_from("CF"),
+       seed=st.integers(0, 10_000))
+def test_neighbor_sum_matches_csr_product_bit_for_bit(graph, scope, loop, d, aggregator,
+                                                      order, seed):
+    # duplicated and reversed edges and self-loops give pairs of multiplicity
+    # above 1; -0.0 terms, and neighborhoods of -0.0 only, tell a sum that
+    # starts from +0.0 from one seeded with its first term
+    rng = np.random.default_rng(seed)
+    if scope == "repeats":
+        n, edges = 4, np.array([(0, 1), (1, 0), (0, 1), (1, 3)])
+    else:
+        g = random_coupled(graph)
+        assume(scope != "road" or len(g.road_edges) > 0)
+        n, edges = g.n, problem_for(g, scope, EmbedConfig()).edges
+    if loop:
+        v = int(rng.integers(0, n))
+        edges = np.vstack([edges, [(v, v)]])
+    problem = embed.EmbedProblem(n=n, edges=edges, edge_weights=np.ones(len(edges)),
+                                 pool=np.arange(n))
+    X = rng.normal(size=(d, n))
+    X[rng.random(X.shape) < 0.3] = -0.0
+    v = int(rng.integers(0, n))
+    X[:, problem.nbr_cols[problem.nbr_rows == v]] = -0.0
+    X = np.asarray(X, order=order)
+    adj, _ = oracle_adjacency(problem)
+    got = embed._neighbor_sum(problem, X)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == (adj @ X.T).T.tobytes()
+    M = embed._aggregate(X, problem, aggregator)
+    (oM, _), = oracle_forward(X, [np.eye(d)], problem, aggregator, want_cache=True)[1]
+    assert M.tobytes(order="A") == oM.tobytes(order="A")
+    assert M.flags.c_contiguous == oM.flags.c_contiguous
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 7, 16, 64])
+def test_score_in_edge_blocks_matches_one_einsum(d, order):
+    # more edges than one block: each edge must get the bits of the single
+    # einsum over all edges
+    g = generate(preset_config("desk", seed=0))
+    problem = problem_for(g, "coupled", EmbedConfig())
+    rng = np.random.default_rng(d)
+    Z = rng.normal(size=(d, g.n))
+    Z[Z > 1.5] = -0.0
+    Z = np.asarray(Z, order=order)
+    neg = sample_negatives(rng, problem, 2 * len(problem.edges))
+    for edges in (problem.edges, neg, neg[:embed._EDGE_BLOCK + 1]):
+        assert len(edges) > embed._EDGE_BLOCK
+        assert score(Z, edges).tobytes() == oracle_score(Z, edges).tobytes()
+
+
+@pytest.mark.parametrize("edge", [(0, 4), (-1, 2)])
+def test_problem_rejects_edge_endpoints_out_of_range(edge):
+    with pytest.raises(EmbedError, match=r"edge endpoints must lie in \[0, 4\)"):
+        embed.EmbedProblem(n=4, edges=[(0, 1), edge], edge_weights=np.ones(2),
+                           pool=np.arange(4))
+
+
 def test_pool_with_one_non_edge_pair_samples_it():
     g = road_graph([(0, 1), (1, 2)], 3)
     problem = problem_for(g, "road", EmbedConfig())
@@ -462,11 +526,17 @@ def test_forward_backward_match_transpose_oracle_bit_for_bit(graph, d):
             assert [dW.tobytes() for dW in dWs] == [dW.tobytes() for dW in o_dWs]
 
 
-@pytest.mark.parametrize("graph", range(3))
+# desk at d = 16 is a size where `W @ M` takes another BLAS path if the
+# cached layer-0 input M0 is in the wrong memory order
+@pytest.mark.parametrize("graph", [0, 1, 2, "desk"])
 def test_train_coupled_matches_all_oracle_kernels(graph, monkeypatch):
-    g = random_coupled(graph + 4)
-    cfg = EmbedConfig(d=5 + graph, epochs=5, seed=graph, lr=0.02,
-                      aggregator="mean" if graph == 1 else "sum")
+    if graph == "desk":
+        g = generate(preset_config("desk", seed=0))
+        cfg = EmbedConfig(d=16, epochs=2, seed=3, lr=0.02)
+    else:
+        g = random_coupled(graph + 4)
+        cfg = EmbedConfig(d=5 + graph, epochs=5, seed=graph, lr=0.02,
+                          aggregator="mean" if graph == 1 else "sum")
     emb, params, losses = train_coupled(g, cfg)
 
     def scatter_add(Z, pos, neg, cfg, pos_weights=None, params=None, want_grad=False):

@@ -1,7 +1,10 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infranet.graph import (
     DAMAGED,
@@ -14,7 +17,7 @@ from infranet.graph import (
 )
 from infranet.netgen import generate, preset_config
 
-from conftest import make_toy_chain, oracle_degree, random_coupled
+from conftest import JSON_VALUES, make_toy_chain, oracle_degree, random_coupled
 
 
 def test_degree_path():
@@ -241,6 +244,14 @@ def without(key):
     (graph_doc(nodes=[{"id": 0, "kind": "station", "level": 10, "load": None}]),
      r"non-finite load"),
     (graph_doc(road_edges=[[3, 4], [4, 3]]), r"duplicate road edge \(3,4\)"),
+    (graph_doc(nodes=[{"id": 0, "kind": "station", "level": 220.5}]),
+     r"node field 'level' or 'load' is not a number: level 220.5 is not a JSON integer"),
+    (graph_doc(nodes=[{"id": 0, "kind": "station", "level": 10, "load": True}]),
+     r"load True is not a JSON number"),
+    (graph_doc(road_edges=[[3, "4"]]), r"graph field 'road_edges' must be a list of \[u, v\] integer"),
+    (graph_doc(dep_edges=[[2, 3.0]]), r"graph field 'dep_edges' must be a list of \[u, v\] integer"),
+    (graph_doc(elec_edges=[[0, 1, 2]]), r"graph field 'elec_edges' must be a list of \[u, v\] integer"),
+    (graph_doc(version=True), r"unsupported graph format version True"),
 ])
 def test_from_json_rejects_malformed_document(doc, message):
     with pytest.raises(GraphError, match=message):
@@ -250,3 +261,67 @@ def test_from_json_rejects_malformed_document(doc, message):
 def test_from_json_rejects_invalid_json():
     with pytest.raises(GraphError, match="not valid JSON"):
         CoupledGraph.from_json('{"version": 1,')
+
+
+# -- fuzzing: from_json raises nothing but GraphError, and never misreads ----
+
+def _read_graph(text):
+    try:
+        return CoupledGraph.from_json(text)
+    except GraphError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200) | st.text(max_size=200)
+       | JSON_VALUES.map(json.dumps))
+def test_fuzz_from_json_arbitrary_input(data):
+    _read_graph(data)
+
+
+def test_from_json_rejects_deep_nesting_and_bad_encoding():
+    for text in ("[" * 100_000, b'{"version": 1, "nodes": "\xff"}'):
+        with pytest.raises(GraphError, match="not valid JSON"):
+            CoupledGraph.from_json(text)
+
+
+DELETE = object()
+
+GRAPH_FIELDS = [
+    ("version",), ("nodes",), ("elec_edges",), ("road_edges",), ("dep_edges",),
+    ("nodes", 0), ("nodes", 1, "id"), ("nodes", 2, "kind"), ("nodes", 1, "level"),
+    ("nodes", 2, "level"), ("nodes", 2, "load"), ("nodes", 4, "level"), ("nodes", 4, "load"),
+    ("elec_edges", 0), ("elec_edges", 1, 0), ("road_edges", 0, 1), ("road_edges", 1),
+    ("dep_edges", 0), ("dep_edges", 0, 0), ("dep_edges", 0, 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(GRAPH_FIELDS),
+       value=JSON_VALUES | st.sampled_from([DELETE, True, 1.0, 220.0, 2.5, "1", [1, 2],
+                                            65756, 2**70, float("nan")]))
+def test_fuzz_from_json_fields(path, value):
+    # one field of a valid document replaced or deleted: the reader rejects
+    # the document, or the graph holds exactly the document's values
+    doc = json.loads(make_toy_chain().to_json())
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if value is DELETE:
+        parent.pop(last) if isinstance(parent, list) else parent.pop(last, None)
+    else:
+        parent[last] = value
+    g = _read_graph(json.dumps(doc))
+    if g is None:
+        return
+    assert type(doc["version"]) is int and doc["version"] == 1
+    nodes = sorted(doc["nodes"], key=lambda r: r["id"])
+    levels = [r.get("level", 0) for r in nodes]
+    loads = [r.get("load", 0.0) for r in nodes]
+    assert all(type(x) is int for x in levels) and g.level.tolist() == levels
+    assert all(type(x) in (int, float) for x in loads) and g.load.tolist() == loads
+    for key in ("elec_edges", "road_edges", "dep_edges"):
+        pairs = [tuple(e) for e in doc[key]]
+        assert all(type(x) is int for e in pairs for x in e)
+        if key == "road_edges":
+            pairs = [(min(e), max(e)) for e in pairs]
+        assert sorted(pairs) == sorted(map(tuple, getattr(g, key).tolist()))

@@ -2,15 +2,19 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infranet.cascade import RewardWeights, replay_attack
 from infranet.harness import (
+    METHODS,
     ExperimentPlan,
     PlanError,
     emit_curves,
     run_plan,
 )
-from infranet.netgen import GenConfig, generate
+from infranet.netgen import PRESETS, GenConfig, generate
+
+from conftest import JSON_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,15 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
      r"plan block 'embed': edge_type_weights\['elec'\] must be a finite number >= 0, got inf"),
     ({"embed": {"edge_type_weights": {"elec": float("nan"), "road": 1, "dep": 1}}},
      r"plan block 'embed': edge_type_weights\['elec'\] must be a finite number >= 0, got nan"),
+    ({"graph": {"preset": "city"}}, r"unknown graph preset 'city'; choose from \['desk', 'paper'\]"),
+    ({"graph": {"preset": ["desk"]}}, r"unknown graph preset \['desk'\]"),
+    ({"graph": {"file": 3}}, r"graph file must be a path, got 3"),
+    ({"graph": {"file": "g.json", "seed": "1"}}, r"graph seed must be an integer, got '1'"),
+    ({"methods": "de"}, r"plan key 'methods' must be a list of names, got 'de'"),
+    ({"methods": [["de"]]}, r"unknown method \['de'\]"),
+    ({"budgte": 3}, r"unknown plan key 'budgte'; choose from \['graph', 'methods'"),
+    ({"graph": {"file": "g.json", "sede": 1}},
+     r"unknown key 'sede' in plan block 'graph'; choose from \['preset', 'seed', 'file'\]"),
 ])
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
@@ -150,6 +163,8 @@ def test_plan_accepts_zero_episodes_and_integer_floats(small_graph_file):
 @pytest.mark.parametrize("text, message", [
     ("[]", "must be a JSON object"),
     ('{"budget": 3', "not valid JSON"),
+    (b'{"budget": "\xff"}', "not valid JSON"),
+    ("[" * 100_000, "not valid JSON"),
 ])
 def test_plan_document_must_be_json_object(text, message):
     with pytest.raises(PlanError, match=message):
@@ -263,3 +278,56 @@ def test_emit_curves_guards(tmp_path, small_graph_file):
     b = replay_attack(g, [0, 1], w)
     with pytest.raises(PlanError, match="disagree on budget"):
         emit_curves([a, b], tmp_path)
+
+
+# -- fuzzing: from_json raises nothing but PlanError ----------------------------
+
+def _read_plan(text):
+    try:
+        return ExperimentPlan.from_json(text)
+    except PlanError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200) | st.text(max_size=200)
+       | JSON_VALUES.map(json.dumps))
+def test_fuzz_plan_from_json_arbitrary_input(data):
+    _read_plan(data)
+
+
+PLAN_FIELDS = [
+    ("graph",), ("graph", "preset"), ("graph", "file"), ("graph", "seed"), ("graph", "x"),
+    ("methods",), ("methods", 0), ("budget",), ("seeds",), ("seeds", 0), ("ci_radius",),
+    ("weights",), ("weights", "a_e"), ("embed",), ("embed", "d"), ("embed", "aggregator"),
+    ("embed", "edge_type_weights"), ("embed", "lr"), ("agent",), ("agent", "episodes"),
+    ("agent", "gamma"), ("gdm",), ("gdm", "positive_quantile"), ("gdm", "hidden"),
+    ("x",),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(PLAN_FIELDS),
+       value=JSON_VALUES | st.sampled_from(["desk", "paper", "agent", 2.0, True, 2**70,
+                                            ["de", "de"], float("inf")]))
+def test_fuzz_plan_from_json_fields(path, value):
+    # one field of a valid plan replaced: the reader rejects the plan, or every
+    # field it read has the type and range the runner needs
+    doc = {"graph": {"preset": "desk", "seed": 1}, "methods": ["de", "agent"],
+           "budget": 3, "seeds": [0, 2], "ci_radius": 1, "weights": {"a_e": 1.0},
+           "embed": {"d": 4}, "agent": {"episodes": 2}, "gdm": {"epochs": 1}}
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    plan = _read_plan(json.dumps(doc))
+    if plan is None:
+        return
+    assert plan.graph_preset is None or (type(plan.graph_preset) is str
+                                         and plan.graph_preset in PRESETS)
+    assert plan.graph_file is None or type(plan.graph_file) is str
+    assert type(plan.graph_seed) is int
+    assert all(type(m) is str and m in METHODS for m in plan.methods)
+    assert all(type(s) is int for s in plan.seeds)
+    assert path[0] != "x" and path[-1] != "x"

@@ -9,6 +9,8 @@ from infranet.agent import QNetParams, load_qnet, save_qnet
 from infranet.embed import EmbeddingMatrix, load_embedding, save_embedding
 from infranet.serial import FormatError, read_tensors, write_tensors
 
+from conftest import JSON_VALUES
+
 
 def test_roundtrip_arrays(tmp_path):
     p = tmp_path / "t.bin"
@@ -247,17 +249,9 @@ def test_fuzz_every_truncation(tmp_path, make):
                 read(p)
 
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=10), inner, max_size=4),
-    max_leaves=12,
-)
-
-
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=JSON | st.dictionaries(st.just("provenance"), JSON, min_size=1),
+@given(doc=JSON_VALUES | st.dictionaries(st.just("provenance"), JSON_VALUES, min_size=1),
        text=st.one_of(st.none(), st.text(max_size=40)),
        which=st.sampled_from(["qnet", "embedding"]))
 def test_fuzz_sidecars(tmp_path, doc, text, which):

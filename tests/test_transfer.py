@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from infranet.agent import QNetParams
 from infranet.cascade import RewardWeights
-from infranet.embed import EmbedConfig, random_embeddings, train_coupled
+from infranet.embed import EmbedConfig, EmbeddingMatrix, random_embeddings, train_coupled
 from infranet.graph import JUNCTION, CoupledGraph
 from infranet.netgen import generate, preset_config
 from infranet.transfer import (
@@ -157,7 +157,22 @@ def test_retrain_matches_epoch_loop_oracle(seed, distance_weight, lr):
     cfg = RetrainConfig(epochs=8, distance_weight=distance_weight, lr=lr, seed=seed)
     new, losses = retrain(m, emb, cfg)
     ref, ref_losses = oracle_retrain(m, emb, cfg)
-    assert np.array_equal(new.Z, ref.Z)
+    assert new.Z.tobytes() == ref.Z.tobytes()
+    assert losses == ref_losses
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [16, 32, 64])
+def test_retrain_keeps_layer0_input_in_embedding_order(d, order):
+    # retrain caches layer 0's input once; on these sizes `W @ M` gives
+    # other bits when M's memory order differs from the old embedding's
+    g = random_coupled(3)
+    emb = EmbeddingMatrix(np.asarray(random_embeddings(g, d, 0).Z, order=order))
+    m = mask_graph(g, MaskSpec(seed=0))
+    cfg = RetrainConfig(epochs=4, lr=0.05, seed=1)
+    new, losses = retrain(m, emb, cfg)
+    ref, ref_losses = oracle_retrain(m, emb, cfg)
+    assert new.Z.tobytes() == ref.Z.tobytes()
     assert losses == ref_losses
 
 
