@@ -261,12 +261,6 @@ class TrainLog:
                 wr.writerow((row[0], repr(row[1]), repr(row[2]), repr(row[3])))
 
 
-def _check_budget(g: CoupledGraph, budget: int):
-    normal = int(np.sum(g.state == NORMAL))
-    if budget > normal:
-        raise AgentError(f"budget {budget} exceeds the {normal} Normal nodes of the graph")
-
-
 def _epsilon_at(step: int, cfg: AgentConfig) -> float:
     decay = cfg.eps_decay_steps or max(1, cfg.episodes * cfg.budget // 2)
     frac = min(1.0, step / decay)
@@ -282,7 +276,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     if Z.shape[1] != g.n:
         raise AgentError("embedding column count does not match the graph")
-    _check_budget(g, cfg.budget)
+    cascade.check_budget(g, cfg.budget, AgentError)
     rng = np.random.default_rng(cfg.seed)
     params = QNetParams.init(Z.shape[0], rng)
     weights = cfg.weights or RewardWeights.normalized(g)
@@ -358,7 +352,7 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     (node 0, the argmax over all -inf scores), which `run_attack` records as
     a no-op step with reward 0, so the report still has budget steps.
     """
-    _check_budget(g, budget)
+    cascade.check_budget(g, budget, AgentError)
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)

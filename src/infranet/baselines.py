@@ -30,11 +30,6 @@ class BaselineError(ValueError):
     pass
 
 
-def _check_budget(g: CoupledGraph, budget: int):
-    if budget > int(np.sum(g.state == NORMAL)):
-        raise BaselineError("budget exceeds the number of Normal nodes")
-
-
 def de_ranking(g: CoupledGraph) -> np.ndarray:
     """Node ids by descending degree, lowest id first on ties."""
     deg = g.degrees()
@@ -42,7 +37,7 @@ def de_ranking(g: CoupledGraph) -> np.ndarray:
 
 
 def de_attack(g: CoupledGraph, budget: int, weights: RewardWeights = None) -> AttackReport:
-    _check_budget(g, budget)
+    cascade.check_budget(g, budget, BaselineError)
     weights = weights or RewardWeights.normalized(g)
     order = de_ranking(g)[:budget]
     return cascade.replay_attack(g, order, weights, method="de")
@@ -86,6 +81,8 @@ def _ring(n: int, head: np.ndarray, tail: np.ndarray, radius: int):
     before = np.arange(n, dtype=np.int64) * (n + 1)    # hop 0: (s, s)
     ring = _unique(head * n + tail)                     # hop 1
     for _ in range(radius - 1):
+        if not len(ring):       # past the farthest node every ring is empty
+            break
         src, node = np.divmod(ring, n)
         count = start[node + 1] - start[node]
         offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
@@ -107,7 +104,7 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 def ci_attack(g: CoupledGraph, budget: int, radius: int = 1,
               weights: RewardWeights = None) -> AttackReport:
-    _check_budget(g, budget)
+    cascade.check_budget(g, budget, BaselineError)
     weights = weights or RewardWeights.normalized(g)
 
     def policy(graph, k):
@@ -197,7 +194,7 @@ def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
 
 def gdm_attack(g: CoupledGraph, emb, budget: int, cfg: GdmConfig = GdmConfig(),
                weights: RewardWeights = None) -> AttackReport:
-    _check_budget(g, budget)
+    cascade.check_budget(g, budget, BaselineError)
     weights = weights or RewardWeights.normalized(g)
     scores = gdm_scores(g, emb, cfg, weights)
     order = np.lexsort((np.arange(g.n), -scores))[:budget]
@@ -206,7 +203,7 @@ def gdm_attack(g: CoupledGraph, emb, budget: int, cfg: GdmConfig = GdmConfig(),
 
 def random_attack(g: CoupledGraph, budget: int, seed: int = 0,
                   weights: RewardWeights = None) -> AttackReport:
-    _check_budget(g, budget)
+    cascade.check_budget(g, budget, BaselineError)
     weights = weights or RewardWeights.normalized(g)
     rng = np.random.default_rng(seed)
     normal = np.flatnonzero(g.state == NORMAL)

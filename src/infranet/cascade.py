@@ -48,8 +48,8 @@ class RewardWeights:
     a_r: float = 1.0
 
     def __post_init__(self):
-        if self.a_e < 0 or self.a_r < 0 or self.a_e + self.a_r <= 0:
-            raise CascadeError("weights must be nonnegative with positive sum")
+        if not (self.a_e >= 0 and self.a_r >= 0 and 0 < self.a_e + self.a_r < np.inf):
+            raise CascadeError("weights must be nonnegative and finite with positive sum")
 
     @classmethod
     def normalized(cls, g: CoupledGraph) -> "RewardWeights":
@@ -128,6 +128,15 @@ def anc(sigmas, sigma0: float) -> float:
     if sigma0 <= 0:
         raise CascadeError("sigma0 must be positive")
     return float(np.mean(np.asarray(sigmas, dtype=np.float64) / sigma0))
+
+
+def check_budget(g: CoupledGraph, budget: int, error=CascadeError):
+    """Raise `error` unless 1 <= budget <= the number of Normal nodes."""
+    normal = int(np.count_nonzero(g.state == NORMAL))
+    if budget < 1:
+        raise error(f"budget must be >= 1, got {budget}")
+    if budget > normal:
+        raise error(f"budget {budget} exceeds the {normal} Normal nodes of the graph")
 
 
 def _check_normal(g: CoupledGraph, v: int):
@@ -283,7 +292,8 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights,
 
     policy(graph, step) -> node id, where graph is the episode's fork; a
     node that is no longer Normal when its turn comes is recorded as a no-op
-    step (zero reward, metrics unchanged).
+    step (zero reward, metrics unchanged). A node id outside the graph is a
+    CascadeError.
     """
     t0 = time.perf_counter()
     env = AttackEnv(g, weights)
@@ -300,6 +310,8 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights,
     )
     for k in range(budget):
         v = int(policy(env.graph, k))
+        if not 0 <= v < g.n:
+            raise CascadeError(f"step {k}: node id {v} out of range [0,{g.n})")
         r = env.step(v)[0] if env.state[v] == NORMAL else 0.0
         rep.nodes.append(v)
         rep.power.append(env.power)

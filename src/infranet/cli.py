@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, embed, attack, train, baseline, transfer, report.
-Every invocation is deterministic given its flags and seeds.
+Every invocation is deterministic given its flags and seeds. A bad input
+file or flag value exits with status 2 and one `infranet: error: ...` line.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from .netgen import GenConfig, PRESETS, generate, preset_config
 _WEIGHTS_FORM = "'normalized' or 'ae=<float>,ar=<float>'"
 
 
+class UsageError(ValueError):
+    """A flag value the parser cannot check on its own."""
+
+
+def _parse_nodes(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--nodes {text!r}: expected comma-separated integer node ids") from None
+
+
 def _parse_weights(text: str, g: CoupledGraph) -> RewardWeights:
     if text == "normalized":
         return RewardWeights.normalized(g)
@@ -29,7 +41,7 @@ def _parse_weights(text: str, g: CoupledGraph) -> RewardWeights:
             raise ValueError(text)
         a_e, a_r = float(parts["ae"]), float(parts["ar"])
     except ValueError:
-        raise SystemExit(f"--weights {text!r}: expected {_WEIGHTS_FORM}") from None
+        raise UsageError(f"--weights {text!r}: expected {_WEIGHTS_FORM}") from None
     return RewardWeights(a_e=a_e, a_r=a_r)
 
 
@@ -75,7 +87,7 @@ def cmd_embed(args):
 def cmd_attack(args):
     g = CoupledGraph.from_file(args.graph)
     weights = _parse_weights(args.weights, g)
-    nodes = [int(x) for x in args.nodes.split(",")]
+    nodes = _parse_nodes(args.nodes)
     rep = cascade.replay_attack(g, nodes, weights, method="attack")
     rep.save_csv(args.out)
     print(f"wrote {args.out}: cum_reward {rep.final_cum_reward!r}")
@@ -109,7 +121,7 @@ def cmd_baseline(args):
     emb = None
     if method.needs_embedding:
         if not args.emb:
-            raise SystemExit(f"{args.kind} needs --emb")
+            raise UsageError(f"--kind {args.kind} needs --emb")
         emb = embed_mod.load_embedding(args.emb)
     rep = method.run(g, emb, plan, args.seed, weights)
     rep.save_csv(args.out)
@@ -242,8 +254,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except (OSError, ValueError) as e:
+        # file errors and the package's own errors report bad input; any
+        # other ValueError is a fault in the program and keeps its traceback.
+        # UsageError is named because `python -m` runs this module as __main__.
+        if not (isinstance(e, (OSError, UsageError))
+                or type(e).__module__.startswith(f"{__package__}.")):
+            raise
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
     return 0
 
 

@@ -24,6 +24,7 @@ import numpy as np
 STATION = 0
 JUNCTION = 1
 NODE_KINDS = {"station": STATION, "junction": JUNCTION}     # JSON names
+KIND_NAMES = tuple(NODE_KINDS)                             # by kind code
 
 # station levels (kV); junctions carry level 0
 LEVELS = (220, 110, 10)
@@ -33,7 +34,11 @@ NORMAL = 0
 DAMAGED = 1
 INVALID = 2
 
-GRAPH_FORMAT_VERSION = 1
+GRAPH_FORMAT_VERSION = 2
+
+# the fields of a version-2 graph document besides "version"
+NODE_COLUMNS = ("kind", "level", "load")
+EDGE_FIELDS = ("elec_edges", "road_edges", "dep_edges")
 
 
 class GraphError(ValueError):
@@ -54,6 +59,29 @@ def _edge_array(name: str, edges, undirected: bool = False) -> np.ndarray:
     if undirected:
         pairs = np.sort(pairs, axis=1)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _v1_columns(doc: dict) -> dict:
+    """The node columns and flat edge lists of a version-1 document, which
+    holds one record per node and one [u, v] list per edge."""
+    for r in doc["nodes"]:
+        for key in ("id", "kind"):
+            if not isinstance(r, dict) or key not in r:
+                raise GraphError(f"node record {r!r} has no field {key!r}")
+        if type(r["id"]) is not int:
+            raise GraphError(f"node field 'id' must be an integer, got {r['id']!r}")
+    nodes = sorted(doc["nodes"], key=lambda r: r["id"])
+    if [r["id"] for r in nodes] != list(range(len(nodes))):
+        raise GraphError("node ids must be dense 0..n-1")
+    cols = {"kind": [r["kind"] for r in nodes],
+            "level": [r.get("level", 0) for r in nodes],
+            "load": [r.get("load", 0.0) for r in nodes]}
+    for key in EDGE_FIELDS:
+        pairs = doc[key]
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+            raise GraphError(f"graph field {key!r} must be a list of [u, v] integer pairs")
+        cols[key] = list(itertools.chain.from_iterable(pairs))
+    return cols
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> int:
@@ -219,27 +247,28 @@ class CoupledGraph:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        """Compact JSON with sorted keys, as `json.dumps(doc, sort_keys=True,
-        separators=(",", ":"))` writes it. The node records are formatted
-        directly: loads are finite, so `repr` is json's float text."""
-        stations = (self.kind == STATION).tolist()
-        nodes = ",".join(
-            f'{{"id":{v},"kind":"junction"}}' if not st else
-            f'{{"id":{v},"kind":"station","level":{lv}}}' if lv != 10 else
-            f'{{"id":{v},"kind":"station","level":10,"load":{x!r}}}'
-            for v, (st, lv, x) in enumerate(zip(stations, self.level.tolist(),
-                                                self.load.tolist())))
-        dep, elec, road = (json.dumps(e.tolist(), separators=(",", ":"))
-                           for e in (self.dep_edges, self.elec_edges, self.road_edges))
-        return (f'{{"dep_edges":{dep},"elec_edges":{elec},"nodes":[{nodes}],'
-                f'"road_edges":{road},"version":{GRAPH_FORMAT_VERSION}}}\n')
+        """A version-2 document: one list per node column and one flat
+        `[u0, v0, u1, v1, ...]` list per edge layer, as `json.dumps(doc,
+        sort_keys=True, separators=(",", ":"))` writes it plus a newline."""
+        doc = {
+            "version": GRAPH_FORMAT_VERSION,
+            "kind": list(map(KIND_NAMES.__getitem__, self.kind.tolist())),
+            "level": self.level.tolist(),
+            "load": self.load.tolist(),
+        }
+        for key in EDGE_FIELDS:
+            doc[key] = getattr(self, key).ravel().tolist()
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text) -> "CoupledGraph":
         """The graph a document (str, or bytes in a JSON encoding) describes.
 
-        Node ids, levels and edge endpoints must be JSON integers and loads
-        JSON numbers; anything else is a GraphError, not a conversion."""
+        Version 2 holds the columns `to_json` writes; version 1 holds one
+        record per node and one `[u, v]` list per edge, and is read by
+        turning it into the same columns. Levels and edge endpoints must be
+        JSON integers and loads JSON numbers; anything else is a GraphError,
+        not a conversion."""
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as e:     # bad syntax, encoding or depth
@@ -247,26 +276,27 @@ class CoupledGraph:
         if not isinstance(doc, dict):
             raise GraphError("graph document must be a JSON object")
         version = doc.get("version")
-        if type(version) is not int or version != GRAPH_FORMAT_VERSION:
+        if type(version) is not int or version not in (1, GRAPH_FORMAT_VERSION):
             raise GraphError(f"unsupported graph format version {version!r}")
-        for key in ("nodes", "elec_edges", "road_edges", "dep_edges"):
+        for key in (("nodes",) if version == 1 else NODE_COLUMNS) + EDGE_FIELDS:
             if not isinstance(doc.get(key), list):
                 raise GraphError(f"graph field {key!r} is missing or not a list")
-        for r in doc["nodes"]:
-            for key in ("id", "kind"):
-                if not isinstance(r, dict) or key not in r:
-                    raise GraphError(f"node record {r!r} has no field {key!r}")
-            if type(r["id"]) is not int:
-                raise GraphError(f"node field 'id' must be an integer, got {r['id']!r}")
-            if not isinstance(r["kind"], str) or r["kind"] not in NODE_KINDS:
-                raise GraphError(f"node {r['id']}: unknown kind {r['kind']!r}; "
-                                 f"choose from {tuple(NODE_KINDS)}")
-        nodes = sorted(doc["nodes"], key=lambda r: r["id"])
-        if [r["id"] for r in nodes] != list(range(len(nodes))):
-            raise GraphError("node ids must be dense 0..n-1")
-        kind = np.array([NODE_KINDS[r["kind"]] for r in nodes], dtype=np.int8)
-        levels = [r.get("level", 0) for r in nodes]
-        loads = [r.get("load", 0.0) for r in nodes]
+        if version == 1:
+            return cls._from_columns(_v1_columns(doc), "a list of [u, v] integer pairs")
+        return cls._from_columns(doc, "a flat list of integers [u0, v0, u1, v1, ...]")
+
+    @classmethod
+    def _from_columns(cls, cols, edge_form: str) -> "CoupledGraph":
+        """The graph of JSON node columns and flat edge lists, each checked
+        whole; the constructor then checks every graph rule."""
+        kinds, levels, loads = (cols[key] for key in NODE_COLUMNS)
+        if not len(kinds) == len(levels) == len(loads):
+            raise GraphError(f"node columns disagree on length: {len(kinds)} kinds, "
+                             f"{len(levels)} levels, {len(loads)} loads")
+        if not (set(map(type, kinds)) <= {str} and set(kinds) <= NODE_KINDS.keys()):
+            v, bad = next((v, k) for v, k in enumerate(kinds)
+                          if not isinstance(k, str) or k not in NODE_KINDS)
+            raise GraphError(f"node {v}: unknown kind {bad!r}; choose from {tuple(NODE_KINDS)}")
         # a null load reads as NaN, which the graph rejects as non-finite
         for name, values, types in (("level", levels, {int}),
                                     ("load", loads, {int, float, type(None)})):
@@ -275,23 +305,18 @@ class CoupledGraph:
                 raise GraphError(f"node field 'level' or 'load' is not a number: "
                                  f"{name} {bad!r} is not a JSON "
                                  f"{'integer' if name == 'level' else 'number'}")
-        for key in ("elec_edges", "road_edges", "dep_edges"):
-            pairs = doc[key]
-            if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-                    and set(map(type, itertools.chain.from_iterable(pairs))) <= {int}):
-                raise GraphError(f"graph field {key!r} must be a list of [u, v] integer pairs")
+        for key in EDGE_FIELDS:
+            if len(cols[key]) % 2 or not set(map(type, cols[key])) <= {int}:
+                raise GraphError(f"graph field {key!r} must be {edge_form}")
         try:
             level = np.array(levels, dtype=np.int16)
+            load = np.array(loads, dtype=np.float64)
+            edges = {key: np.array(cols[key], dtype=np.int64).reshape(-1, 2)
+                     for key in EDGE_FIELDS}
         except OverflowError as e:
-            raise GraphError(f"node field 'level' or 'load' is not a number: {e}") from None
-        return cls(
-            kind=kind,
-            level=level,
-            load=np.array(loads, dtype=np.float64),
-            elec_edges=doc["elec_edges"],
-            road_edges=doc["road_edges"],
-            dep_edges=doc["dep_edges"],
-        )
+            raise GraphError(f"graph number out of range: {e}") from None
+        kind = np.fromiter(map(NODE_KINDS.__getitem__, kinds), dtype=np.int8, count=len(kinds))
+        return cls(kind=kind, level=level, load=load, **edges)
 
     def save(self, path):
         with open(path, "w") as f:

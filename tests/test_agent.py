@@ -460,11 +460,11 @@ def test_train_with_budget_equal_to_node_count_picks_every_node():
 
 
 def test_greedy_attack_budget_zero(toy_chain):
+    # a budget below 1 is refused, as in every baseline and in a plan
     emb = random_embeddings(toy_chain, 4, 0)
     params = QNetParams.init(4, np.random.default_rng(0))
-    rep = greedy_attack(toy_chain, emb, params, 0)
-    assert rep.nodes == []
-    assert len(rep.power) == 1
+    with pytest.raises(AgentError, match="budget must be >= 1, got 0"):
+        greedy_attack(toy_chain, emb, params, 0)
 
 
 def test_greedy_picks_supply_chain(toy_chain):
@@ -483,3 +483,13 @@ def test_greedy_picks_supply_chain(toy_chain):
     params, _ = train(toy_chain, emb, cfg)
     rep = greedy_attack(toy_chain, emb, params, 1, w)
     assert rep.nodes[0] in optimal
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_budget_below_one_rejected(toy_chain, budget):
+    emb = random_embeddings(toy_chain, 4, 0)
+    params = QNetParams.init(4, np.random.default_rng(0))
+    with pytest.raises(AgentError, match=f"budget must be >= 1, got {budget}"):
+        greedy_attack(toy_chain, emb, params, budget)
+    with pytest.raises(AgentError, match=f"budget must be >= 1, got {budget}"):
+        train(toy_chain, emb, AgentConfig(budget=budget, episodes=1))

@@ -267,3 +267,24 @@ def test_attacks_leave_input_graph_untouched():
     random_attack(g, 3)
     gdm_attack(g, random_embeddings(g, 4, 0), 3)
     assert g.to_json() == before
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_budget_below_one_rejected(toy_chain, budget):
+    # a negative budget once sliced a ranking from its end: de_attack(g, -2)
+    # replayed every node but the last two
+    emb = random_embeddings(toy_chain, 4, 0)
+    for attack in (lambda: de_attack(toy_chain, budget),
+                   lambda: ci_attack(toy_chain, budget),
+                   lambda: random_attack(toy_chain, budget),
+                   lambda: gdm_attack(toy_chain, emb, budget)):
+        with pytest.raises(BaselineError, match=f"budget must be >= 1, got {budget}"):
+            attack()
+
+
+def test_ci_scores_beyond_the_farthest_node():
+    # no node is 10**9 hops away: every boundary sum is empty, and the
+    # breadth-first expansion stops once its ring is
+    g = random_coupled(3)
+    assert ci_scores(g, 10**9).tolist() == ci_scores(g, g.n).tolist()
+    assert set(ci_scores(g, g.n).tolist()) <= {0.0}

@@ -213,3 +213,20 @@ def test_report_csv_columns(tmp_path, toy_chain):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,node,power,sigma,gcc,anc,reward,cum_reward"
     assert len(lines) == 3
+
+
+def test_replay_rejects_node_ids_outside_the_graph(toy_chain):
+    w = RewardWeights()
+    with pytest.raises(CascadeError, match=r"step 1: node id 6 out of range \[0,6\)"):
+        replay_attack(toy_chain, [0, 6], w)
+    # a negative id is not read as counting from the end
+    with pytest.raises(CascadeError, match=r"step 0: node id -1 out of range \[0,6\)"):
+        replay_attack(toy_chain, [-1], w)
+    assert replay_attack(toy_chain, [5], w).nodes == [5]
+
+
+@pytest.mark.parametrize("a_e, a_r", [(float("nan"), 1.0), (1.0, float("inf")),
+                                      (-1.0, 2.0), (0.0, 0.0)])
+def test_reward_weights_must_be_finite_nonnegative(a_e, a_r):
+    with pytest.raises(CascadeError, match="weights must be nonnegative and finite"):
+        RewardWeights(a_e=a_e, a_r=a_r)

@@ -7,12 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import infranet
 from infranet import agent, baselines, embed, harness, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
 from infranet.graph import JUNCTION, STATION, CoupledGraph
+
+from conftest import make_toy_chain
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +40,7 @@ def test_generate_writes_valid_graph(tmp_path):
     main(["generate", "--seed", "1", "--road-nodes", "16", "--out", str(out)])
     g = CoupledGraph.from_file(out)
     assert g.n > 16
-    assert json.loads(out.read_text())["version"] == 1
+    assert json.loads(out.read_text())["version"] == 2
 
 
 def test_generate_preset_and_overrides(tmp_path):
@@ -85,11 +88,21 @@ def test_baseline_kinds(tmp_path, workdir):
     assert out.exists()
 
 
+def cli_error(capsys, argv):
+    """The stderr of a command that must fail with status 2 and one error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infranet: error: ") and err.count("\n") == 1, err
+    return err
+
+
 @pytest.mark.parametrize("text", ["ae=1", "ae=x,ar=1", "junk"])
-def test_malformed_weights_exit(tmp_path, workdir, text):
-    with pytest.raises(SystemExit, match="ae=<float>,ar=<float>"):
-        main(["attack", "--graph", str(workdir / "g.json"), "--nodes", "0",
-              "--weights", text, "--out", str(tmp_path / "rep.csv")])
+def test_malformed_weights_exit(tmp_path, workdir, capsys, text):
+    err = cli_error(capsys, ["attack", "--graph", str(workdir / "g.json"), "--nodes", "0",
+                             "--weights", text, "--out", str(tmp_path / "rep.csv")])
+    assert f"--weights {text!r}: expected 'normalized' or 'ae=<float>,ar=<float>'" in err
 
 
 def test_baseline_kinds_are_harness_baselines():
@@ -183,11 +196,13 @@ def test_transfer_mask_out_feeds_ci_baseline(tmp_path, workdir):
     assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
-def test_transfer_rejects_nonpositive_retrain_lr(tmp_path, workdir):
+def test_transfer_rejects_nonpositive_retrain_lr(tmp_path, workdir, capsys):
+    err = cli_error(capsys, ["transfer", "--graph", str(workdir / "g.json"),
+                             "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
+                             "--retrain-lr", "-1", "--out", str(tmp_path / "transfer.csv")])
+    assert err == "infranet: error: lr must be > 0, got -1.0\n"
     with pytest.raises(transfer.TransferError, match="lr must be > 0, got -1.0"):
-        main(["transfer", "--graph", str(workdir / "g.json"),
-              "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
-              "--retrain-lr", "-1", "--out", str(tmp_path / "transfer.csv")])
+        transfer.RetrainConfig(lr=-1.0).validate()
 
 
 def test_report_runs_plan(tmp_path, workdir):
@@ -220,16 +235,18 @@ def test_cli_byte_determinism(tmp_path, workdir):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_embed_exits_with_embed_error_on_a_road_triangle(tmp_path):
+def test_embed_exits_with_embed_error_on_a_road_triangle(tmp_path, capsys):
     # a triangle of junctions has no non-edge pair to sample as a negative
     graph = tmp_path / "triangle.json"
     CoupledGraph(kind=[STATION] * 3 + [JUNCTION] * 3, level=[220, 110, 10, 0, 0, 0],
                  load=[0, 0, 5.0, 0, 0, 0], elec_edges=[(0, 1), (1, 2)],
                  road_edges=[(3, 4), (4, 5), (3, 5)], dep_edges=[(2, 3)]).save(graph)
-    with pytest.raises(embed.EmbedError, match="pool has no non-edge pair"):
-        main(["embed", "--graph", str(graph), "--d", "4", "--epochs", "2",
-              "--out", str(tmp_path / "emb.bin")])
+    argv = ["embed", "--graph", str(graph), "--d", "4", "--epochs", "2",
+            "--out", str(tmp_path / "emb.bin")]
+    assert "pool has no non-edge pair" in cli_error(capsys, argv)
     assert not (tmp_path / "emb.bin").exists()
+    with pytest.raises(embed.EmbedError, match="pool has no non-edge pair"):
+        embed.train_coupled(CoupledGraph.from_file(graph), embed.EmbedConfig(d=4, epochs=2))
 
 
 def test_unknown_command_exits():
@@ -247,3 +264,74 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
+    graph, out = str(workdir / "g.json"), str(tmp_path / "out.csv")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_bytes((workdir / "g.json").read_bytes()[:100])
+    emb, qnet = str(workdir / "emb.bin"), str(workdir / "q.bin")
+    for argv, message in [
+        (["baseline", "--kind", "de", "--budget", "-2"], "budget must be >= 1, got -2"),
+        (["baseline", "--kind", "ci", "--budget", "0"], "budget must be >= 1, got 0"),
+        (["baseline", "--kind", "random", "--budget", "-2"], "budget must be >= 1, got -2"),
+        (["baseline", "--kind", "gdm", "--emb", emb, "--budget", "-2"],
+         "budget must be >= 1, got -2"),
+        (["baseline", "--kind", "gdm"], "--kind gdm needs --emb"),
+        (["baseline", "--kind", "ci", "--radius", "0"], "CI radius must be >= 1"),
+        (["transfer", "--emb", emb, "--qnet", qnet, "--budget", "-2", "--retrain-epochs", "1"],
+         "budget must be >= 1, got -2"),
+        (["attack", "--nodes", "99999"], "step 0: node id 99999 out of range"),
+        (["attack", "--nodes", "0,-1"], "step 1: node id -1 out of range"),
+        (["attack", "--nodes", "1,x"], "--nodes '1,x': expected comma-separated integer node ids"),
+        (["attack", "--nodes", "0", "--weights", "ae=nan,ar=1"], "weights must be nonnegative and finite"),
+    ]:
+        err = cli_error(capsys, argv + ["--graph", graph, "--out", out])
+        assert message in err, (argv, err)
+    for path, message in [(truncated, "graph document is not valid JSON"),
+                          (tmp_path / "nope.json", "No such file or directory")]:
+        err = cli_error(capsys, ["attack", "--graph", str(path), "--nodes", "0", "--out", out])
+        assert message in err, err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_program_faults_keep_their_traceback(tmp_path, workdir, monkeypatch):
+    # a ValueError from outside the package is a fault, not bad input
+    def broken(*args, **kwargs):
+        raise ValueError("broken")
+    monkeypatch.setattr(baselines, "de_ranking", broken)
+    with pytest.raises(ValueError, match="broken"):
+        main(["baseline", "--kind", "de", "--graph", str(workdir / "g.json"),
+              "--out", str(tmp_path / "de.csv")])
+
+
+FLAG_TEXT = st.one_of(st.integers(-3, 70).map(str), st.sampled_from(
+    ["-99999", "99999", "10" * 12, "0", "1.5", "x", "", "nan"]))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["de", "ci", "random"]), budget=FLAG_TEXT, radius=FLAG_TEXT,
+       nodes=st.lists(FLAG_TEXT, min_size=1, max_size=3).map(",".join),
+       weights=st.sampled_from(["normalized", "ae=1,ar=0", "ae=0,ar=0", "ae=-1,ar=2",
+                                "ae=inf,ar=1", "ae=1", "ar=1,ae=2.5", "junk"]),
+       graph=st.sampled_from(["tiny", "missing", "garbage", "version3"]))
+def test_flag_values_succeed_or_exit_2(tmp_path, capsys, kind, budget, radius, nodes,
+                                       weights, graph):
+    # on a 6-node graph every flag value either runs or exits with status 2
+    files = tmp_path / "flags"
+    files.mkdir(exist_ok=True)
+    path = files / f"{graph}.json"
+    path.write_text({"tiny": make_toy_chain().to_json(), "missing": "",
+                     "garbage": '{"version": 2, "kind": ["station"',
+                     "version3": '{"version": 3}'}[graph])
+    if graph == "missing":
+        path.unlink()
+    out = str(files / "out.csv")
+    for argv in (["baseline", "--kind", kind, "--budget", budget, "--radius", radius],
+                 ["attack", "--nodes", nodes]):
+        try:
+            main(argv + ["--weights", weights, "--graph", str(path), "--out", out])
+        except SystemExit as e:
+            assert e.code == 2
+    capsys.readouterr()
