@@ -6,20 +6,27 @@ transform of the node's embedding. Training uses a FIFO replay buffer, a
 periodically synced target network, an epsilon-greedy policy, and plain SGD
 on the squared TD error; gradients are hand-derived.
 
-A (d, n) node-value matrix is recomputed only when its parameters change:
-in training, the online one at the first exploit step after an SGD update
-and the target one at the first TD loss after a target sync; a greedy
-attack computes its one matrix up front.
+Node values are recomputed only when their parameters change. In training,
+an exploit step scores the alive nodes as (s @ theta2) @ relu(theta1 @ Z),
+with the (2d, n) hidden array recomputed at the first exploit step after an
+SGD update; the TD targets read the target network's (d, n) node values,
+recomputed at the first TD loss after a target sync. Both passes write one
+(2d, n) hidden buffer, so a target pass also drops the online hidden array.
+A greedy attack computes its one (d, n) node-value matrix up front and
+scores s @ Y. The two forms of the scores agree up to the last bits, so in
+a near tie they may pick different nodes; exact ties break to the lowest id
+in both.
 
-`train` allocates its buffers once per run and the per-step kernels write
-into them: a (2d, n) hidden array and one (d, n) output each for the online
-and the target node values, and for the pooled state a node-major (n, d)
-copy of Z plus an (n, d) scratch array (`greedy_attack` makes the last two
-as well). The pooled state copies the kept rows of the node-major copy into
-the scratch array, in id order, and averages over axis 0. That adds the
-kept nodes one after another in id order, as the column mean of the kept
-columns `Z[:, keep].mean(axis=1)` does, so the state keeps its float bits;
-for d = 1 both reduce one contiguous vector pairwise.
+For the pooled state a run keeps one C-ordered node-major (n, d) copy of Z
+and sets each picked node's row to -0.0; `train` restores the picked rows
+from Z at every episode reset. The state is the copy's sum over axis 0 over
+the kept count. For d >= 2 numpy adds the rows of a C-ordered array one
+after another in id order, and -0.0 is the exact identity of IEEE addition
+(x + -0.0 == x for every x, +0.0 included, while -0.0 + +0.0 == +0.0), so
+however numpy seeds the sum, the state has the float bits of the column
+mean over the kept nodes, `Z[:, keep].mean(axis=1)`. For d = 1 numpy sums
+the one contiguous column pairwise, and the inserted rows would move the
+block boundaries, so d = 1 takes the mean over the kept nodes directly.
 """
 
 from __future__ import annotations
@@ -134,12 +141,12 @@ class ReplayBuffer:
 
 # -- value network -----------------------------------------------------------
 
-def pooled_state(Z: np.ndarray, removed, ZT: np.ndarray = None,
-                 buf: np.ndarray = None) -> np.ndarray:
+def pooled_state(Z: np.ndarray, removed, pool: np.ndarray = None) -> np.ndarray:
     """Column-wise mean of Z over the nodes not yet removed.
 
-    `ZT` is Z as a C-ordered (n, d) array and `buf` an (n, d) scratch array;
-    both are made here when not given.
+    `pool` is a C-ordered (n, d) copy of Z whose rows hold Z's values except
+    at removed ids; those rows are set to -0.0 here. It is made when not
+    given.
     """
     n = Z.shape[1]
     cut = np.unique(np.asarray(list(removed), dtype=np.int64))
@@ -148,16 +155,21 @@ def pooled_state(Z: np.ndarray, removed, ZT: np.ndarray = None,
     kept = n - len(cut)
     if kept == 0:
         raise AgentError("all nodes removed; pooled state undefined")
-    if ZT is None:
-        ZT = np.ascontiguousarray(Z.T)
-    if buf is None:
-        buf = np.empty_like(ZT)
-    # the kept rows are the runs between consecutive removed ids
-    pos = 0
-    for lo, hi in zip([0, *(cut + 1).tolist()], [*cut.tolist(), n]):
-        buf[pos:pos + hi - lo] = ZT[lo:hi]
-        pos += hi - lo
-    return buf[:kept].mean(axis=0)
+    if Z.shape[0] == 1:
+        keep = np.ones(n, dtype=bool)
+        keep[cut] = False
+        return Z[:, keep].mean(axis=1)
+    if pool is None:
+        pool = np.array(Z.T, order="C")
+    pool[cut] = -0.0
+    return pool.sum(axis=0) / kept
+
+
+def hidden_layer(Z: np.ndarray, params: QNetParams, target: bool = False,
+                 out: np.ndarray = None) -> np.ndarray:
+    """(2d, n) hidden array relu(theta1 @ Z), written into `out` when given."""
+    h = np.matmul(params.theta1_hat if target else params.theta1, Z, out=out)
+    return np.maximum(h, 0.0, out=h)
 
 
 def node_values(Z: np.ndarray, params: QNetParams, target: bool = False,
@@ -167,11 +179,8 @@ def node_values(Z: np.ndarray, params: QNetParams, target: bool = False,
     The (2d, n) `hidden` and (d, n) `out` arrays are written in place when
     given, and allocated otherwise.
     """
-    t1 = params.theta1_hat if target else params.theta1
-    t2 = params.theta2_hat if target else params.theta2
-    h = np.matmul(t1, Z, out=hidden)
-    np.maximum(h, 0.0, out=h)
-    return np.matmul(t2, h, out=out)
+    h = hidden_layer(Z, params, target, out=hidden)
+    return np.matmul(params.theta2_hat if target else params.theta2, h, out=out)
 
 
 def q_values(Z: np.ndarray, s: np.ndarray, params: QNetParams,
@@ -267,6 +276,38 @@ def _epsilon_at(step: int, cfg: AgentConfig) -> float:
     return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
 
+class _RunValues:
+    """The node values a training run reads, each cached per parameter set.
+
+    One (2d, n) buffer holds either the online hidden array that exploit
+    steps score against, or the target pass's hidden array on its way to the
+    target node values; so computing the target values drops the online
+    array. The caller sets `online` to None after an SGD update and `target`
+    to None after a target sync.
+    """
+
+    def __init__(self, Z: np.ndarray, params: QNetParams):
+        d, n = Z.shape
+        self.Z, self.params = Z, params
+        self.hidden = np.empty((2 * d, n))
+        self.target_out = np.empty((d, n))
+        self.online = None        # relu(theta1 @ Z), in `hidden`
+        self.target = None        # target node values, in `target_out`
+
+    def scores(self, s: np.ndarray) -> np.ndarray:
+        """Exploit scores (s @ theta2) @ relu(theta1 @ Z) of every node."""
+        if self.online is None:
+            self.online = hidden_layer(self.Z, self.params, out=self.hidden)
+        return (s @ self.params.theta2) @ self.online
+
+    def target_values(self) -> np.ndarray:
+        if self.target is None:
+            self.online = None    # the target pass overwrites `hidden`
+            self.target = node_values(self.Z, self.params, target=True,
+                                      hidden=self.hidden, out=self.target_out)
+        return self.target
+
+
 def train(g: CoupledGraph, emb, cfg: AgentConfig):
     """Train the value network against the cascade environment.
 
@@ -283,37 +324,27 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = TrainLog()
     env = cascade.AttackEnv(g, weights)
-    d = Z.shape[0]
-    hidden = np.empty((2 * d, g.n))
-    Y_out, Y_hat_out = np.empty((d, g.n)), np.empty((d, g.n))
-    ZT = np.ascontiguousarray(Z.T)
-    pool = np.empty_like(ZT)
-    Y = None                      # online node values; None once theta changes
-    Y_hat = None                  # target node values; None once the target syncs
-
-    def scores():
-        nonlocal Y
-        if Y is None:
-            Y = node_values(Z, params, hidden=hidden, out=Y_out)
-        return s @ Y
-
+    values = _RunValues(Z, params)
+    pool = np.array(Z.T, order="C")
+    removed = []
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
+        pool[removed] = Z.T[removed]      # undo the last episode's -0.0 rows
         removed = []
-        s = pooled_state(Z, removed, ZT, pool)
+        s = pooled_state(Z, removed, pool)
         cum = 0.0
         losses = []
         for k in range(cfg.budget):
             eps = _epsilon_at(step, cfg)
-            a = select_action(scores, eps, rng, env.state == NORMAL)
+            a = select_action(lambda: values.scores(s), eps, rng, env.state == NORMAL)
             r, _ = env.step(a)
             removed.append(a)
             alive = env.state == NORMAL
             # an episode ends early once no Normal node is left; the TD target
             # never reads s_next of a done step, which may have no node to pool
             done = k == cfg.budget - 1 or not alive.any()
-            s_next = (pooled_state(Z, removed, ZT, pool) if len(removed) < g.n
+            s_next = (pooled_state(Z, removed, pool) if len(removed) < g.n
                       else np.zeros_like(s))
             buf.push(s, a, r, s_next, done, alive)
             s = s_next
@@ -321,20 +352,17 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             step += 1
             if buf.size >= cfg.batch_size:
                 batch = buf.sample(cfg.batch_size, rng)
-                if Y_hat is None:
-                    Y_hat = node_values(Z, params, target=True, hidden=hidden,
-                                        out=Y_hat_out)
                 loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True,
-                                       Y_hat=Y_hat)
+                                       Y_hat=values.target_values())
                 if not np.isfinite(loss):
                     raise AgentError(f"TD loss diverged at episode {ep}, step {step}")
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
-                Y = None
+                values.online = None
                 losses.append(loss)
             if step % cfg.target_sync == 0:
                 params.sync_target()
-                Y_hat = None
+                values.target = None
             if done:
                 break
         log.episode.append(ep)
@@ -356,13 +384,12 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)
-    ZT = np.ascontiguousarray(Z.T)
-    pool = np.empty_like(ZT)
+    pool = np.array(Z.T, order="C")
     removed = []
 
     def policy(graph, k):
         alive = graph.state == NORMAL
-        q = np.where(alive, pooled_state(Z, removed, ZT, pool) @ Y, -np.inf)
+        q = np.where(alive, pooled_state(Z, removed, pool) @ Y, -np.inf)
         a = int(np.argmax(q))
         removed.append(a)
         return a

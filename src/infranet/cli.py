@@ -135,6 +135,7 @@ def cmd_transfer(args):
     spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
                                  add_fraction=args.mask_add, seed=args.seed)
     g_mask = transfer_mod.mask_graph(g, spec)
+    cascade.check_budget(g_mask, args.budget, agent_mod.AgentError)
     if args.mask_out:
         g_mask.save(args.mask_out)
     weights = _parse_weights(args.weights, g_mask)

@@ -27,6 +27,7 @@ from conftest import (
     oracle_greedy_attack,
     oracle_node_values,
     oracle_pooled_state,
+    oracle_q_values,
     oracle_train,
     random_coupled,
     reward,
@@ -73,6 +74,7 @@ def removed_sets(n, rng):
     sets = [[], [0], [n - 1], list(range(1, n)), list(range(n - 1))]
     if n > 4:
         sets += [[n - 1, 0], [1, 2, 3], [n - 3, n - 2, 0], [2, 1, 2]]  # adjacent, a repeat
+        sets.append([v for v in range(n) if v != n // 3])   # only the -0.0 node kept
     for _ in range(3):
         k = int(rng.integers(1, n))
         sets.append(rng.choice(n, size=k, replace=False).tolist())
@@ -87,12 +89,40 @@ def test_pooled_state_matches_mask_mean_bit_for_bit(d, n):
         Z = np.asarray(rng.normal(size=(d, n)), order=order)
         if n > 2:
             Z[:, n // 2] = 0.0      # a dead node's all-zero embedding
-        ZT = np.ascontiguousarray(Z.T)
-        buf = np.full_like(ZT, np.nan)   # reused, so stale rows must not leak in
+        if n > 4:
+            Z[:, n // 3] = -0.0     # a kept -0.0 embedding, alone in the last set
         for removed in removed_sets(n, rng):
             want = oracle_pooled_state(Z, removed)
-            assert pooled_state(Z, removed, ZT, buf).tobytes() == want.tobytes(), removed
+            pool = np.array(Z.T, order="C")
+            assert pooled_state(Z, removed, pool).tobytes() == want.tobytes(), removed
+            if d > 1:
+                assert np.all(pool[removed] == 0.0) and np.all(np.signbit(pool[removed]))
             assert pooled_state(Z, removed).tobytes() == want.tobytes(), removed
+
+
+@pytest.mark.parametrize("d", [1, 2, 64])
+def test_one_pool_serves_two_removed_sets_with_rows_restored_between(d):
+    # the way train reuses one pool: the removed list grows one pick at a
+    # time, and the episode reset writes the picked rows back from Z
+    n = 1488
+    rng = np.random.default_rng(d)
+    Z = np.asarray(rng.normal(size=(d, n)), order="F")
+    Z[:, 7] = 0.0
+    fresh = np.array(Z.T, order="C")
+    pool = fresh.copy()
+    first = [7, *rng.choice(n, size=12, replace=False).tolist()]
+    second = [v for v in rng.choice(n, size=12, replace=False).tolist() if v not in first]
+    stale = None
+    for removed in (first, second):
+        for k in range(len(removed) + 1):
+            want = oracle_pooled_state(Z, removed[:k])
+            assert pooled_state(Z, removed[:k], pool).tobytes() == want.tobytes(), k
+        if stale is None:
+            stale = pool.copy()
+        pool[removed] = Z.T[removed]
+        assert pool.tobytes() == fresh.tobytes()
+    if d > 1:   # without the restore the first set's rows stay out of the sum
+        assert pooled_state(Z, second, stale).tobytes() != want.tobytes()
 
 
 def test_pooled_state_rejects_ids_out_of_range():
@@ -119,21 +149,39 @@ def test_buffered_node_values_match_allocating_formula(d, n):
                 assert node_values(Z, params, target).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (6, 130), (16, 1488), (64, 2000)])
+def test_factored_scores_match_reference_bit_for_bit(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    for order in "CF":
+        Z = np.asarray(rng.normal(size=(d, n)), order=order)
+        params = QNetParams.init(d, rng)
+        values = agent._RunValues(Z, params)
+        for _ in range(4):
+            s = rng.normal(size=d)
+            got = values.scores(s)
+            want = (s @ params.theta2) @ np.maximum(params.theta1 @ Z, 0.0)
+            assert got.tobytes() == want.tobytes()
+            alive = rng.random(n) < 0.7
+            alive[rng.integers(0, n)] = True
+            assert select_action(got, 0.0, rng, alive) == \
+                int(np.argmax(oracle_q_values(Z, s, params, alive)))
+
+
 def test_train_recomputes_the_reused_online_buffer_after_every_update(monkeypatch):
     # always exploit and update every step: every step but the first reads
-    # online node values that the previous step's SGD update made stale
+    # an online hidden array that the previous step's SGD update made stale
     g = random_coupled(1)
     emb = random_embeddings(g, 5, 2)
     cfg = AgentConfig(budget=4, episodes=6, batch_size=1, buffer_size=8, target_sync=3,
                       eps_start=0.0, eps_end=0.0, lr=0.3, gamma=0.9, seed=4)
     calls = []
-    compute = agent.node_values
+    compute = agent.hidden_layer
 
-    def record(Z, params, target=False, hidden=None, out=None):
-        calls.append((target, id(hidden), id(out)))
-        return compute(Z, params, target, hidden=hidden, out=out)
+    def record(Z, params, target=False, out=None):
+        calls.append((target, id(out)))
+        return compute(Z, params, target, out=out)
 
-    monkeypatch.setattr(agent, "node_values", record)
+    monkeypatch.setattr(agent, "hidden_layer", record)
     params, log = train(g, emb, cfg)
     steps = len(log.episode) * cfg.budget
     online = [c for c in calls if not c[0]]
@@ -141,8 +189,18 @@ def test_train_recomputes_the_reused_online_buffer_after_every_update(monkeypatc
     assert len(online) == steps
     assert len(targets) == -(-steps // cfg.target_sync)
     assert len({c[1] for c in calls}) == 1                 # one hidden array per run
-    assert len({c[2] for c in online}) == 1 and len({c[2] for c in targets}) == 1
-    assert online[0][2] != targets[0][2]
+    # a target pass overwrites that array, so the next exploit recomputes it
+    params.theta1_hat = params.theta1 + 1.0
+    values = agent._RunValues(emb.Z, params)
+    s = emb.Z[:, 0]
+    want = (s @ params.theta2) @ np.maximum(params.theta1 @ emb.Z, 0.0)
+    calls.clear()
+    for read in ("online", "online", "target", "online", "target", "online"):
+        if read == "online":
+            assert values.scores(s).tobytes() == want.tobytes()
+        else:
+            values.target_values()
+    assert [target for target, _ in calls] == [False, True, False]
     o_params, o_log = oracle_train(g, emb, cfg)
     assert np.array_equal(params.theta1, o_params.theta1)
     assert np.array_equal(params.theta2, o_params.theta2)

@@ -13,7 +13,7 @@ import infranet
 from infranet import agent, baselines, embed, harness, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
-from infranet.graph import JUNCTION, STATION, CoupledGraph
+from infranet.graph import JUNCTION, NORMAL, STATION, CoupledGraph
 
 from conftest import make_toy_chain
 
@@ -203,6 +203,25 @@ def test_transfer_rejects_nonpositive_retrain_lr(tmp_path, workdir, capsys):
     assert err == "infranet: error: lr must be > 0, got -1.0\n"
     with pytest.raises(transfer.TransferError, match="lr must be > 0, got -1.0"):
         transfer.RetrainConfig(lr=-1.0).validate()
+
+
+def test_transfer_checks_budget_before_retraining(tmp_path, workdir, capsys, monkeypatch):
+    def no_retrain(*args, **kwargs):
+        raise AssertionError("transfer.retrain ran before the budget check")
+
+    monkeypatch.setattr(transfer, "retrain", no_retrain)
+    g_mask = transfer.mask_graph(CoupledGraph.from_file(workdir / "g.json"),
+                                 transfer.MaskSpec(seed=0))
+    normal = int(np.count_nonzero(g_mask.state == NORMAL))
+    mask = tmp_path / "mask.json"
+    for budget, message in [(-2, "budget must be >= 1, got -2"),
+                            (normal + 1, f"budget {normal + 1} exceeds the {normal} Normal nodes")]:
+        err = cli_error(capsys, ["transfer", "--graph", str(workdir / "g.json"),
+                                 "--emb", str(workdir / "emb.bin"), "--qnet", str(workdir / "q.bin"),
+                                 "--budget", str(budget), "--mask-out", str(mask),
+                                 "--out", str(tmp_path / "transfer.csv")])
+        assert message in err, err
+    assert not mask.exists() and not (tmp_path / "transfer.csv").exists()
 
 
 def test_report_runs_plan(tmp_path, workdir):
