@@ -73,6 +73,7 @@ class AgentConfig:
             ("eps_start", 0.0 <= self.eps_start <= 1.0, "in [0,1]"),
             ("eps_end", 0.0 <= self.eps_end <= 1.0, "in [0,1]"),
             ("buffer_size", self.buffer_size >= self.batch_size, ">= batch_size"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise AgentError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -382,6 +383,10 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     """
     cascade.check_budget(g, budget, AgentError)
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    d = params.theta2.shape[0]
+    if Z.shape != (d, g.n):
+        raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
+                         f"d={d} and the graph's {g.n} nodes")
     weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)
     pool = np.array(Z.T, order="C")

@@ -130,6 +130,7 @@ class GdmConfig:
             ("hidden", self.hidden >= 0, ">= 0"),
             ("lr", self.lr > 0, "> 0"),
             ("epochs", self.epochs >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise BaselineError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -184,6 +185,8 @@ def _train_mlp(X, y, hidden, lr, epochs, rng):
 def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
     cfg.validate()
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    if Z.shape[1] != g.n:
+        raise BaselineError("embedding column count does not match the graph")
     nodes, labels, _ = gdm_labels(g, cfg, weights)
     rng = np.random.default_rng(cfg.seed + 1)
     hidden = cfg.hidden or Z.shape[0]

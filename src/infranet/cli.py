@@ -2,7 +2,8 @@
 
 Subcommands: generate, embed, attack, train, baseline, transfer, report.
 Every invocation is deterministic given its flags and seeds. A bad input
-file or flag value exits with status 2 and one `infranet: error: ...` line.
+file or flag value exits with status 2 and one `infranet: error: ...` line;
+a flag that argparse rejects (`--seed -1`, `--budget x`) prints its usage too.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _parse_weights(text: str, g: CoupledGraph) -> RewardWeights:
     except ValueError:
         raise UsageError(f"--weights {text!r}: expected {_WEIGHTS_FORM}") from None
     return RewardWeights(a_e=a_e, a_r=a_r)
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _add_weights_flag(p):
@@ -132,6 +140,9 @@ def cmd_transfer(args):
     g = CoupledGraph.from_file(args.graph)
     emb = embed_mod.load_embedding(args.emb)
     params = agent_mod.load_qnet(args.qnet)
+    if params.theta2.shape[0] != emb.d:
+        raise agent_mod.AgentError(f"--qnet was trained at d={params.theta2.shape[0]}, "
+                                   f"but --emb has d={emb.d}")
     spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
                                  add_fraction=args.mask_add, seed=args.seed)
     g_mask = transfer_mod.mask_graph(g, spec)
@@ -164,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic coupled graph")
     g.add_argument("--preset", choices=sorted(PRESETS))
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=non_negative_int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--n-220", dest="n_220", type=int)
     g.add_argument("--fanout-110", dest="fanout_110", nargs=2, type=int,
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--lr", type=float, default=1e-3)
     e.add_argument("--neg-ratio", dest="neg_ratio", type=int, default=1)
     e.add_argument("--aggregator", choices=("sum", "mean"), default="sum")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=non_negative_int, default=0)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_embed)
 
@@ -210,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--target-sync", dest="target_sync", type=int, default=100)
     t.add_argument("--buffer-size", dest="buffer_size", type=int, default=100_000)
     t.add_argument("--eps-end", dest="eps_end", type=float, default=0.05)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(t)
     t.add_argument("--out", required=True)
     t.add_argument("--log")
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--emb")
     b.add_argument("--budget", type=int, default=10)
     b.add_argument("--radius", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(b)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_baseline)
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--retrain-epochs", dest="retrain_epochs", type=int, default=50)
     tr.add_argument("--distance-weight", dest="distance_weight", type=float, default=1.0)
     tr.add_argument("--retrain-lr", dest="retrain_lr", type=float, default=1e-3)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(tr)
     tr.add_argument("--out", required=True)
     tr.add_argument("--mask-out", dest="mask_out",

@@ -60,6 +60,7 @@ class EmbedConfig:
             ("epochs", self.epochs >= 0, ">= 0"),
             ("neg_ratio", self.neg_ratio >= 1, ">= 1"),
             ("aggregator", self.aggregator in ("sum", "mean"), "'sum' or 'mean'"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise EmbedError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -277,31 +278,6 @@ def score(Z: np.ndarray, edges) -> np.ndarray:
     return out
 
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _words(head, raw):
-    """The 32-bit words `Generator.integers` reads below 2**32: a buffered
-    half-word, if any, then the low and the high half of each raw output."""
-    w = np.empty(len(head) + 2 * len(raw), dtype=np.uint64)
-    w[:len(head)] = head
-    w[len(head)::2] = raw & _LOW32
-    w[len(head) + 1::2] = raw >> np.uint64(32)
-    return w
-
-
-def _bounded(words, bound):
-    """The values in [0, bound) that `rng.integers(0, bound)` makes of a word
-    stream, and the index of the word each one took.
-
-    numpy maps a word w to (w * bound) >> 32 and rejects it when the low half
-    of the product falls below (2**32 - bound) % bound (Lemire's method).
-    """
-    m = words * np.uint64(bound)
-    took = np.flatnonzero((m & _LOW32) >= (2**32 - bound) % bound)
-    return (m[took] >> np.uint64(32)).astype(np.int64), took
-
-
 def draw_pairs(rng, pool, count, keep) -> np.ndarray:
     """The `count` pairs the loop
 
@@ -310,39 +286,28 @@ def draw_pairs(rng, pool, count, keep) -> np.ndarray:
             if keep(u, v): out.append((u, v))
 
     returns, drawn in bulk as a (count, 2) array; `rng` ends where that loop
-    leaves it. `rng` must run on PCG64 and len(pool) be at most 2**32, where
-    numpy draws 32-bit words. `keep` maps the arrays u, v of every pair drawn so far, in
+    leaves it. One `rng.integers(0, len(pool), size=2 * k)` call draws the
+    values of k such calls of size 2, so the bulk draw is the loop's own
+    stream; the generator is then reset and made to draw exactly the values
+    the loop takes. `keep` maps the arrays u, v of every pair drawn so far, in
     draw order, to a bool mask; the verdict on a pair must not depend on
     later pairs, and some pair must pass, or this never returns.
     """
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):
-        raise EmbedError(f"bulk sampling needs a PCG64 generator, got {type(bg).__name__}")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     bound = len(pool)
-    start = bg.state
-    head = [start["uinteger"]] if start["has_uint32"] else []
-    raw = bg.random_raw(count + count // 8 + 8)
+    start = rng.bit_generator.state
+    draws = rng.integers(0, bound, size=2 * (count + count // 8 + 8))
     while True:
-        values, took = _bounded(_words(head, raw), bound)
-        half = len(values) // 2
-        u, v = pool[values[0:2 * half:2]], pool[values[1:2 * half:2]]
+        u, v = pool[draws[0::2]], pool[draws[1::2]]
         kept = np.flatnonzero(keep(u, v))
         if len(kept) >= count:
             break
-        need = (count - len(kept)) * (half + 1) // (len(kept) + 1)
-        raw = np.concatenate([raw, bg.random_raw(max(need, len(raw)))])
+        need = (count - len(kept)) * (len(u) + 1) // (len(kept) + 1)
+        draws = np.concatenate([draws, rng.integers(0, bound, size=2 * max(need, len(u)))])
     kept = kept[:count]
-    # replay the words the loop reads, so the generator ends where it would
-    n_words = int(took[2 * kept[-1] + 1]) + 1 - len(head)
-    n_raw = (n_words + 1) // 2
-    bg.state = start
-    bg.random_raw(n_raw)
-    end = bg.state
-    end["has_uint32"] = n_words % 2
-    end["uinteger"] = int(raw[n_raw - 1] >> np.uint64(32))
-    bg.state = end
+    rng.bit_generator.state = start
+    rng.integers(0, bound, size=2 * (int(kept[-1]) + 1))
     return np.stack([u[kept], v[kept]], axis=1)
 
 

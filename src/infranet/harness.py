@@ -61,8 +61,9 @@ class ExperimentPlan:
             value = getattr(self, key)
             if not _is_int(value) or value < 1:
                 raise PlanError(f"plan key {key!r} must be an integer >= 1, got {value!r}")
-        if not all(_is_int(s) for s in self.seeds):
-            raise PlanError(f"plan key 'seeds' must be a list of integers, got {list(self.seeds)!r}")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise PlanError("plan key 'seeds' must be a list of integers >= 0, "
+                            f"got {list(self.seeds)!r}")
         for m in self.methods:
             if not isinstance(m, str) or m not in METHODS:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -76,6 +77,8 @@ class ExperimentPlan:
             raise PlanError(f"graph file must be a path, got {self.graph_file!r}")
         if not _is_int(self.graph_seed):
             raise PlanError(f"graph seed must be an integer, got {self.graph_seed!r}")
+        if self.graph_seed < 0:
+            raise PlanError(f"graph seed must be >= 0, got {self.graph_seed!r}")
         for block, cfg in (("embed", self.embed_config), ("agent", self.agent_config),
                            ("gdm", self.gdm_config)):
             try:

@@ -34,6 +34,8 @@ class GenConfig:
     load_range: tuple = (50, 150)  # inclusive integer load of each 10kV station
 
     def validate(self):
+        if self.seed < 0:
+            raise GraphError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_220 <= 0 or self.road_nodes <= 0:
             raise GraphError("counts must be positive")
         for lo, hi in (self.fanout_110, self.fanout_10):

@@ -34,6 +34,8 @@ class MaskSpec:
         for f in (self.delete_fraction, self.add_fraction):
             if not 0.0 <= f <= 1.0:
                 raise TransferError("fractions must lie in [0,1]")
+        if self.seed < 0:
+            raise TransferError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,7 @@ class RetrainConfig:
             ("epochs", self.epochs >= 1, ">= 1"),
             ("distance_weight", self.distance_weight >= 0, ">= 0"),
             ("lr", self.lr > 0, "> 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise TransferError(f"{key} must be {rule}, got {getattr(self, key)!r}")

@@ -543,6 +543,15 @@ def test_greedy_picks_supply_chain(toy_chain):
     assert rep.nodes[0] in optimal
 
 
+@pytest.mark.parametrize("d, n", [(3, 6), (4, 5)])
+def test_greedy_attack_rejects_embedding_of_another_shape(toy_chain, d, n):
+    params = QNetParams.init(4, np.random.default_rng(0))
+    Z = np.random.default_rng(1).normal(size=(d, n))
+    with pytest.raises(AgentError, match=rf"embedding of shape \({d}, {n}\) does not match "
+                                         r"the value net's d=4 and the graph's 6 nodes"):
+        greedy_attack(toy_chain, Z, params, 2)
+
+
 @pytest.mark.parametrize("budget", [0, -2])
 def test_budget_below_one_rejected(toy_chain, budget):
     emb = random_embeddings(toy_chain, 4, 0)

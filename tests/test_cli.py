@@ -290,6 +290,10 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_bytes((workdir / "g.json").read_bytes()[:100])
     emb, qnet = str(workdir / "emb.bin"), str(workdir / "q.bin")
+    g = CoupledGraph.from_file(graph)
+    emb_d4, emb_other = str(tmp_path / "emb_d4.bin"), str(tmp_path / "emb_other.bin")
+    embed.save_embedding(emb_d4, embed.random_embeddings(g, 4, 0))
+    embed.save_embedding(emb_other, embed.random_embeddings(make_toy_chain(), 6, 0))
     for argv, message in [
         (["baseline", "--kind", "de", "--budget", "-2"], "budget must be >= 1, got -2"),
         (["baseline", "--kind", "ci", "--budget", "0"], "budget must be >= 1, got 0"),
@@ -304,6 +308,10 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
         (["attack", "--nodes", "0,-1"], "step 1: node id -1 out of range"),
         (["attack", "--nodes", "1,x"], "--nodes '1,x': expected comma-separated integer node ids"),
         (["attack", "--nodes", "0", "--weights", "ae=nan,ar=1"], "weights must be nonnegative and finite"),
+        (["transfer", "--emb", emb_d4, "--qnet", qnet, "--retrain-epochs", "1"],
+         "--qnet was trained at d=6, but --emb has d=4"),
+        (["baseline", "--kind", "gdm", "--emb", emb_other],
+         "embedding column count does not match the graph"),
     ]:
         err = cli_error(capsys, argv + ["--graph", graph, "--out", out])
         assert message in err, (argv, err)
@@ -311,7 +319,33 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
                           (tmp_path / "nope.json", "No such file or directory")]:
         err = cli_error(capsys, ["attack", "--graph", str(path), "--nodes", "0", "--out", out])
         assert message in err, err
+    plan = tmp_path / "plan.json"
+    for doc, message in [
+        ({"graph": {"file": graph}, "methods": ["random"], "seeds": [-1]},
+         "plan key 'seeds' must be a list of integers >= 0, got [-1]"),
+        ({"graph": {"preset": "desk", "seed": -1}}, "graph seed must be >= 0, got -1"),
+        ({"graph": {"file": graph}, "embed": {"seed": -1}},
+         "plan block 'embed': seed must be >= 0, got -1"),
+    ]:
+        plan.write_text(json.dumps(doc))
+        err = cli_error(capsys, ["report", "--plan", str(plan), "--out", str(tmp_path / "rep")])
+        assert message in err, (doc, err)
     assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "g.json"],
+    ["embed", "--graph", "g.json", "--out", "emb.bin"],
+    ["train", "--graph", "g.json", "--emb", "emb.bin", "--out", "q.bin"],
+    ["baseline", "--kind", "random", "--graph", "g.json", "--out", "r.csv"],
+    ["transfer", "--graph", "g.json", "--emb", "emb.bin", "--qnet", "q.bin", "--out", "t.csv"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-3"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer >= 0, got '-3'" in capsys.readouterr().err
 
 
 def test_program_faults_keep_their_traceback(tmp_path, workdir, monkeypatch):
@@ -331,11 +365,11 @@ FLAG_TEXT = st.one_of(st.integers(-3, 70).map(str), st.sampled_from(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(["de", "ci", "random"]), budget=FLAG_TEXT, radius=FLAG_TEXT,
-       nodes=st.lists(FLAG_TEXT, min_size=1, max_size=3).map(",".join),
+       seed=FLAG_TEXT, nodes=st.lists(FLAG_TEXT, min_size=1, max_size=3).map(",".join),
        weights=st.sampled_from(["normalized", "ae=1,ar=0", "ae=0,ar=0", "ae=-1,ar=2",
                                 "ae=inf,ar=1", "ae=1", "ar=1,ae=2.5", "junk"]),
        graph=st.sampled_from(["tiny", "missing", "garbage", "version3"]))
-def test_flag_values_succeed_or_exit_2(tmp_path, capsys, kind, budget, radius, nodes,
+def test_flag_values_succeed_or_exit_2(tmp_path, capsys, kind, budget, radius, seed, nodes,
                                        weights, graph):
     # on a 6-node graph every flag value either runs or exits with status 2
     files = tmp_path / "flags"
@@ -347,7 +381,8 @@ def test_flag_values_succeed_or_exit_2(tmp_path, capsys, kind, budget, radius, n
     if graph == "missing":
         path.unlink()
     out = str(files / "out.csv")
-    for argv in (["baseline", "--kind", kind, "--budget", budget, "--radius", radius],
+    for argv in (["baseline", "--kind", kind, "--budget", budget, "--radius", radius,
+                  "--seed", seed],
                  ["attack", "--nodes", nodes]):
         try:
             main(argv + ["--weights", weights, "--graph", str(path), "--out", out])

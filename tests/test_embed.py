@@ -273,18 +273,26 @@ def test_mean_aggregator_variant():
     np.testing.assert_allclose(Z[0], [1.5, 2.0, 2.5])
 
 
-def _buffered_rng(seed, buffered):
+def _buffered_rng(seed, buffered, bit_generator=np.random.PCG64):
     """A generator, with a half-word buffered when asked: one 32-bit draw
-    reads the low half of a raw output and keeps the high half."""
-    rng = np.random.default_rng(seed)
+    reads the low half of a 64-bit output and keeps the high half. MT19937
+    makes 32-bit outputs and has no such buffer."""
+    rng = np.random.Generator(bit_generator(seed))
     if buffered:
         rng.integers(0, 7)
-        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state.get("has_uint32", 1) == 1
     return rng
 
 
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so that == compares it."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
 def _assert_same_generator(a, b):
-    assert a.bit_generator.state == b.bit_generator.state
+    assert _plain(a.bit_generator.state) == _plain(b.bit_generator.state)
     np.testing.assert_array_equal(a.integers(0, 1000, size=9), b.integers(0, 1000, size=9))
     np.testing.assert_array_equal(a.random(5), b.random(5))
 
@@ -322,19 +330,34 @@ def test_sample_negatives_on_nearly_complete_pool(buffered, missing):
         assert keys <= {u * n + v for u, v in pairs[:missing]}
 
 
+class _IdentityPool:
+    """A pool of `size` nodes in which node i is i, too large to build."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, index):
+        return index
+
+
 @settings(max_examples=40, deadline=None)
-@given(bound=st.sampled_from([3, 15_774, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32]),
-       seed=st.integers(0, 10_000), buffered=st.booleans(), k=st.integers(1, 200))
-def test_bounded_words_match_one_at_a_time_integers(bound, seed, buffered, k):
-    rng = _buffered_rng(seed, buffered)
-    start = rng.bit_generator.state
-    expect = [int(rng.integers(0, bound)) for _ in range(k)]
-    bg = np.random.default_rng().bit_generator
-    bg.state = start
-    head = [start["uinteger"]] if start["has_uint32"] else []
-    values, took = embed._bounded(embed._words(head, bg.random_raw(4 * k)), bound)
-    assert np.array_equal(values[:k], expect)
-    assert np.all(np.diff(took) > 0)
+@given(bound=st.sampled_from([3, 15_774, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32, 2**40]),
+       seed=st.integers(0, 10_000), buffered=st.booleans(), count=st.integers(1, 200))
+def test_draw_pairs_matches_loop_on_large_pools(bound, seed, buffered, count):
+    # pools up to 2**32 draw 32-bit words, larger ones 64-bit outputs; keep
+    # rejects about half the pairs
+    a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
+    got = embed.draw_pairs(a, _IdentityPool(bound), count, lambda u, v: u < v)
+    expect = []
+    while len(expect) < count:
+        u, v = b.integers(0, bound, size=2).tolist()
+        if u < v:
+            expect.append((u, v))
+    assert np.array_equal(got, np.array(expect, dtype=np.int64))
+    _assert_same_generator(a, b)
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -367,11 +390,21 @@ def test_draw_pairs_first_key_matches_set_loop(buffered):
             _assert_same_generator(a, b)
 
 
-def test_sample_negatives_requires_pcg64():
-    problem = problem_for(road_graph([(0, 1)], 4), "road", EmbedConfig())
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(EmbedError, match="needs a PCG64 generator, got MT19937"):
-        sample_negatives(rng, problem, 3)
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_sample_negatives_matches_loop_on_other_bit_generators(bit_generator, buffered):
+    n = 9
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for problem in (problem_for(random_coupled(3), "coupled", EmbedConfig()),
+                    problem_for(road_graph(pairs[2:], n), "road", EmbedConfig())):
+        count = 2 * len(problem.edges)
+        for seed in range(3):
+            a = _buffered_rng(seed, buffered, bit_generator)
+            b = _buffered_rng(seed, buffered, bit_generator)
+            got = sample_negatives(a, problem, count)
+            assert np.array_equal(got, oracle_sample_negatives(b, problem, count))
+            _assert_same_generator(a, b)
 
 
 @pytest.mark.parametrize("make", [

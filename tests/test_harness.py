@@ -139,6 +139,11 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
     ({"budgte": 3}, r"unknown plan key 'budgte'; choose from \['graph', 'methods'"),
     ({"graph": {"file": "g.json", "sede": 1}},
      r"unknown key 'sede' in plan block 'graph'; choose from \['preset', 'seed', 'file'\]"),
+    ({"seeds": [0, -1]}, r"plan key 'seeds' must be a list of integers >= 0, got \[0, -1\]"),
+    ({"graph": {"file": "g.json", "seed": -1}}, r"graph seed must be >= 0, got -1"),
+    ({"embed": {"seed": -1}}, r"plan block 'embed': seed must be >= 0, got -1"),
+    ({"agent": {"seed": -2}}, r"plan block 'agent': seed must be >= 0, got -2"),
+    ({"gdm": {"seed": -3}}, r"plan block 'gdm': seed must be >= 0, got -3"),
 ])
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
@@ -302,7 +307,7 @@ PLAN_FIELDS = [
     ("weights",), ("weights", "a_e"), ("embed",), ("embed", "d"), ("embed", "aggregator"),
     ("embed", "edge_type_weights"), ("embed", "lr"), ("agent",), ("agent", "episodes"),
     ("agent", "gamma"), ("gdm",), ("gdm", "positive_quantile"), ("gdm", "hidden"),
-    ("x",),
+    ("x",), ("embed", "seed"),
 ]
 
 
@@ -327,7 +332,8 @@ def test_fuzz_plan_from_json_fields(path, value):
     assert plan.graph_preset is None or (type(plan.graph_preset) is str
                                          and plan.graph_preset in PRESETS)
     assert plan.graph_file is None or type(plan.graph_file) is str
-    assert type(plan.graph_seed) is int
+    assert type(plan.graph_seed) is int and plan.graph_seed >= 0
     assert all(type(m) is str and m in METHODS for m in plan.methods)
-    assert all(type(s) is int for s in plan.seeds)
+    assert all(type(s) is int and s >= 0 for s in plan.seeds)
+    assert type(plan.embed_config.seed) is int and plan.embed_config.seed >= 0
     assert path[0] != "x" and path[-1] != "x"

@@ -61,6 +61,8 @@ def test_bad_config_rejected():
         GenConfig(coupling_fraction=1.5).validate()
     with pytest.raises(GraphError):
         GenConfig(road_model="hex").validate()
+    with pytest.raises(GraphError, match="seed must be >= 0, got -1"):
+        GenConfig(seed=-1).validate()
 
 
 def test_forest_invariant_many_seeds():

@@ -102,6 +102,8 @@ def test_mask_bad_fraction():
     g = random_coupled(0)
     with pytest.raises(TransferError):
         mask_graph(g, MaskSpec(delete_fraction=1.5))
+    with pytest.raises(TransferError, match="seed must be >= 0, got -1"):
+        mask_graph(g, MaskSpec(seed=-1))
 
 
 def test_retrain_pulls_embeddings_toward_originals():
@@ -137,6 +139,7 @@ def test_retrain_column_mismatch():
     ({"lr": 0.0}, "lr must be > 0, got 0.0"),
     ({"epochs": 0}, "epochs must be >= 1, got 0"),
     ({"distance_weight": -1.0}, "distance_weight must be >= 0, got -1.0"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ])
 def test_retrain_config_rejects_bad_values(overrides, message):
     g = random_coupled(5)
