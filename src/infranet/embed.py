@@ -311,6 +311,19 @@ def draw_pairs(rng, pool, count, keep) -> np.ndarray:
     return np.stack([u[kept], v[kept]], axis=1)
 
 
+def draw_new_pairs(rng, pool, count, n, taken) -> np.ndarray:
+    """`draw_pairs` keeping each pair u != v whose key min*n+max is not in
+    `taken` and was not drawn before: `count` new distinct edges of a node
+    set whose ids are below n."""
+    def new(u, v):
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        first = np.zeros(len(key), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        return (u != v) & first & ~np.isin(key, taken)
+
+    return draw_pairs(rng, pool, count, new)
+
+
 def _member(sorted_keys, keys):
     """Bool mask: which of keys occur in the sorted array sorted_keys."""
     if len(sorted_keys) == 0:

@@ -69,6 +69,8 @@ class ExperimentPlan:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.graph_preset is None and self.graph_file is None:
             raise PlanError("plan needs a graph preset or file")
+        if self.graph_preset is not None and self.graph_file is not None:
+            raise PlanError("plan names both a graph preset and a graph file; give one")
         if self.graph_preset is not None and (not isinstance(self.graph_preset, str)
                                               or self.graph_preset not in PRESETS):
             raise PlanError(f"unknown graph preset {self.graph_preset!r}; "
@@ -128,6 +130,8 @@ class ExperimentPlan:
             plan.agent_config = _override("agent", plan.agent_config,
                                           {"budget": plan.budget, **doc["agent"]})
         plan.validate()
+        if "file" in graph and "seed" in graph:
+            raise PlanError("plan block 'graph': a seed applies to a preset, not to a file")
         if "agent" in doc and plan.agent_config.budget != plan.budget:
             raise PlanError(f"plan block 'agent': budget {plan.agent_config.budget!r} "
                             f"differs from the plan's budget {plan.budget!r}; agent cells "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .embed import draw_new_pairs
 from .graph import JUNCTION, STATION, CoupledGraph, GraphError
 
 ROAD_GRID = "grid"
@@ -20,6 +21,10 @@ ROAD_RANDOM = "random"
 
 # extra-chord fraction of the ring model; nominal edge/node ratio = 1 + this
 RANDOM_ROAD_CHORD_FRACTION = 0.05
+
+# the largest inclusive upper bound of a drawn range: each range is drawn
+# as rng.integers(low, high + 1), and numpy draws int64
+_MAX_HIGH = 2**63 - 2
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,15 @@ class GenConfig:
             raise GraphError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_220 <= 0 or self.road_nodes <= 0:
             raise GraphError("counts must be positive")
-        for lo, hi in (self.fanout_110, self.fanout_10):
-            if lo > hi or lo < 0:
-                raise GraphError("empty fanout range")
+        for name in ("fanout_110", "fanout_10", "load_range"):
+            lo, hi = getattr(self, name)
+            if not 0 <= lo <= hi <= _MAX_HIGH:
+                raise GraphError(f"{name} must satisfy 0 <= low <= high <= {_MAX_HIGH}, "
+                                 f"got {(lo, hi)!r}")
         if not 0.0 <= self.coupling_fraction <= 1.0:
             raise GraphError("coupling_fraction outside [0,1]")
         if self.road_model not in (ROAD_GRID, ROAD_RANDOM):
             raise GraphError(f"unknown road model {self.road_model!r}")
-        if self.load_range[0] > self.load_range[1] or self.load_range[0] < 0:
-            raise GraphError("bad load range")
 
 
 # named configurations; 'paper' approximates the published network sizes,
@@ -87,73 +92,57 @@ def _grid_edges(n: int, offset: int) -> np.ndarray:
                               np.concatenate([right + 1, down + cols])], axis=1)
 
 
-def _ring_chord_edges(n: int, offset: int, rng: np.random.Generator):
+def _ring_chord_edges(n: int, offset: int, rng: np.random.Generator) -> np.ndarray:
     if n < 3:
-        return [(offset + i, offset + i + 1) for i in range(n - 1)]
+        return offset + np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     order = rng.permutation(n)
-    edges = {(min(a, b), max(a, b)) for a, b in zip(order, np.roll(order, -1))}
-    want = len(edges) + int(np.floor(RANDOM_ROAD_CHORD_FRACTION * n))
-    while len(edges) < want:
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return [(offset + u, offset + v) for u, v in sorted(edges)]
+    ring = np.stack([order, np.roll(order, -1)], axis=1)
+    keys = ring.min(axis=1) * n + ring.max(axis=1)
+    chords = draw_new_pairs(rng, np.arange(n), int(np.floor(RANDOM_ROAD_CHORD_FRACTION * n)),
+                            n, keys)
+    return offset + np.concatenate([ring, chords])
 
 
 def generate(cfg: GenConfig) -> CoupledGraph:
-    """Build a coupled graph; identical configs give identical graphs."""
+    """Build a coupled graph; identical configs give identical graphs.
+
+    Stations are numbered roots first, then the 110kV stations in root order,
+    then the 10kV leaves in 110kV order; junctions follow. The draws are the
+    110kV counts, then per 110kV station its leaf count and its leaves' loads,
+    then the road layer and the dependency edges.
+    """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
+    (lo_110, hi_110), (lo_10, hi_10), (lo, hi) = cfg.fanout_110, cfg.fanout_10, cfg.load_range
 
-    kinds, levels, loads = [], [], []
-    elec_edges = []
+    mids_per_root = rng.integers(lo_110, hi_110 + 1, size=cfg.n_220)
+    leaves_per_mid, loads = np.empty(int(mids_per_root.sum()), dtype=np.int64), []
+    for i in range(len(leaves_per_mid)):
+        leaves_per_mid[i] = rng.integers(lo_10, hi_10 + 1)
+        loads.append(rng.integers(lo, hi + 1, size=leaves_per_mid[i]))
+    # node counts per level: 220kV, 110kV, 10kV, junctions
+    sizes = [cfg.n_220, len(leaves_per_mid), int(leaves_per_mid.sum()), cfg.road_nodes]
+    first_leaf = cfg.n_220 + sizes[1]
+    offset = first_leaf + sizes[2]      # the first junction
+    parents = np.concatenate([np.repeat(np.arange(cfg.n_220), mids_per_root),
+                              np.repeat(np.arange(cfg.n_220, first_leaf), leaves_per_mid)])
 
-    def add_station(level, load=0.0):
-        kinds.append(STATION)
-        levels.append(level)
-        loads.append(load)
-        return len(kinds) - 1
-
-    roots = [add_station(220) for _ in range(cfg.n_220)]
-    mids = []
-    for r in roots:
-        k = int(rng.integers(cfg.fanout_110[0], cfg.fanout_110[1] + 1))
-        for _ in range(k):
-            m = add_station(110)
-            elec_edges.append((r, m))
-            mids.append(m)
-    leaves = []
-    for m in mids:
-        k = int(rng.integers(cfg.fanout_10[0], cfg.fanout_10[1] + 1))
-        for _ in range(k):
-            lo, hi = cfg.load_range
-            s = add_station(10, load=float(rng.integers(lo, hi + 1)))
-            elec_edges.append((m, s))
-            leaves.append(s)
-
-    offset = len(kinds)
-    kinds += [JUNCTION] * cfg.road_nodes
-    levels += [0] * cfg.road_nodes
-    loads += [0.0] * cfg.road_nodes
     if cfg.road_model == ROAD_GRID:
         road_edges = _grid_edges(cfg.road_nodes, offset)
     else:
         road_edges = _ring_chord_edges(cfg.road_nodes, offset, rng)
 
     n_coupled = int(round(cfg.coupling_fraction * cfg.road_nodes))
-    dep_edges = []
-    if n_coupled > 0:
-        if not leaves:
-            raise GraphError("coupling requested but the grid has no 10kV stations")
-        picked = rng.permutation(cfg.road_nodes)[:n_coupled] + offset
-        suppliers = rng.integers(0, len(leaves), size=n_coupled)
-        dep_edges = [(leaves[s], int(j)) for s, j in zip(suppliers, picked)]
+    if n_coupled > 0 and sizes[2] == 0:
+        raise GraphError("coupling requested but the grid has no 10kV stations")
+    picked = rng.permutation(cfg.road_nodes)[:n_coupled] + offset
+    suppliers = first_leaf + rng.integers(0, sizes[2], size=n_coupled)
 
     return CoupledGraph(
-        kind=np.array(kinds),
-        level=np.array(levels),
-        load=np.array(loads),
-        elec_edges=elec_edges,
+        kind=np.repeat([STATION, JUNCTION], [offset, cfg.road_nodes]),
+        level=np.repeat([220, 110, 10, 0], sizes),
+        load=np.concatenate([np.zeros(first_leaf), *loads, np.zeros(cfg.road_nodes)]),
+        elec_edges=np.stack([parents, np.arange(cfg.n_220, offset)], axis=1),
         road_edges=road_edges,
-        dep_edges=dep_edges,
+        dep_edges=np.stack([suppliers, picked], axis=1),
     )

@@ -61,10 +61,6 @@ def _sample_keep(edges, fraction, rng):
     return np.delete(edges, rng.permutation(len(edges))[:k], axis=0)
 
 
-def _with_added(pairs, new):
-    return np.concatenate([pairs, np.array(new, dtype=np.int64).reshape(-1, 2)])
-
-
 def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     """Edge-perturbed copy of g with an identical node set."""
     spec.validate()
@@ -83,13 +79,16 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
             f"cannot add {add_elec} electricity edges while keeping the forest: "
             f"only {len(orphans)} parentless stations available"
         )
-    parents = {110: g.station_ids(level=220), 10: g.station_ids(level=110)}
-    new_elec = []
-    for v in orphans[rng.permutation(len(orphans))[:add_elec]]:
-        cand = parents[int(g.level[v])]
-        if len(cand) == 0:
-            raise TransferError(f"no valid parent level for station {v}")
-        new_elec.append((cand[rng.integers(0, len(cand))], v))
+    picked = orphans[rng.permutation(len(orphans))[:add_elec]]
+    roots, mids = g.station_ids(level=220), g.station_ids(level=110)
+    under_root = g.level[picked] == 110
+    sizes = np.where(under_root, len(roots), len(mids))
+    if np.any(sizes == 0):
+        v = picked[np.argmax(sizes == 0)]
+        raise TransferError(f"no valid parent level for station {v}")
+    # one draw per orphan among its level's candidates: roots, then mids
+    start = np.where(under_root, 0, len(roots))
+    parents = np.concatenate([roots, mids])[start + rng.integers(0, sizes)]
 
     # road additions: uniform new junction pairs, keyed min*n+max; a pair is
     # kept if it is no kept edge and the first draw of its key
@@ -101,15 +100,8 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
             f"cannot add {add_road} road edges: only {free_pairs} junction "
             f"pair(s) are not edges"
         )
-    existing = road[:, 0] * g.n + road[:, 1]
-
-    def new_pair(u, v):
-        key = np.minimum(u, v) * g.n + np.maximum(u, v)
-        first = np.zeros(len(key), dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        return (u != v) & first & ~np.isin(key, existing)
-
-    new_road = embed_mod.draw_pairs(rng, junctions, add_road, new_pair)
+    new_road = embed_mod.draw_new_pairs(rng, junctions, add_road, g.n,
+                                        road[:, 0] * g.n + road[:, 1])
 
     # dependency additions: unsupplied junctions get a random 10kV station
     add_dep = int(round(spec.add_fraction * len(g.dep_edges)))
@@ -119,19 +111,17 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
             f"cannot add {add_dep} dependency edges: only {len(free)} "
             f"unsupplied junctions remain"
         )
+    supplied = free[rng.permutation(len(free))[:add_dep]]
     leaves = g.station_ids(level=10)
-    if add_dep > 0 and len(leaves) == 0:
-        raise TransferError("no 10kV stations to act as suppliers")
-    new_dep = [(leaves[rng.integers(0, len(leaves))], j)
-               for j in free[rng.permutation(len(free))[:add_dep]]]
+    suppliers = leaves[rng.integers(0, len(leaves), size=add_dep)]
 
     return CoupledGraph(
         kind=g.kind.copy(),
         level=g.level.copy(),
         load=g.load.copy(),
-        elec_edges=_with_added(elec, new_elec),
-        road_edges=_with_added(road, new_road),
-        dep_edges=_with_added(dep, new_dep),
+        elec_edges=np.concatenate([elec, np.stack([parents, picked], axis=1)]),
+        road_edges=np.concatenate([road, new_road]),
+        dep_edges=np.concatenate([dep, np.stack([suppliers, supplied], axis=1)]),
     )
 
 

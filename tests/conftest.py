@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from infranet import agent, cascade, embed, transfer
+from infranet import agent, cascade, embed, netgen, transfer
 from infranet.cascade import (
     AttackReport,
     RewardWeights,
@@ -13,7 +13,7 @@ from infranet.cascade import (
     power,
     sigma,
 )
-from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
+from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph, GraphError
 from infranet.netgen import GenConfig, generate
 
 
@@ -56,6 +56,75 @@ def random_coupled(seed, scale=1.0):
         coupling_fraction=float(rng.uniform(0.0, 1.0)),
     )
     return generate(cfg)
+
+
+def _oracle_ring_chord_edges(n, offset, rng):
+    if n < 3:
+        return [(offset + i, offset + i + 1) for i in range(n - 1)]
+    order = rng.permutation(n)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, np.roll(order, -1))}
+    want = len(edges) + int(np.floor(netgen.RANDOM_ROAD_CHORD_FRACTION * n))
+    while len(edges) < want:
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return [(offset + u, offset + v) for u, v in sorted(edges)]
+
+
+def oracle_generate(cfg):
+    """netgen.generate with one Python record per node, one scalar draw per
+    count and load, and road chords drawn one pair at a time into a set."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+
+    kinds, levels, loads = [], [], []
+    elec_edges = []
+
+    def add_station(level, load=0.0):
+        kinds.append(STATION)
+        levels.append(level)
+        loads.append(load)
+        return len(kinds) - 1
+
+    roots = [add_station(220) for _ in range(cfg.n_220)]
+    mids = []
+    for r in roots:
+        k = int(rng.integers(cfg.fanout_110[0], cfg.fanout_110[1] + 1))
+        for _ in range(k):
+            m = add_station(110)
+            elec_edges.append((r, m))
+            mids.append(m)
+    leaves = []
+    for m in mids:
+        k = int(rng.integers(cfg.fanout_10[0], cfg.fanout_10[1] + 1))
+        for _ in range(k):
+            lo, hi = cfg.load_range
+            s = add_station(10, load=float(rng.integers(lo, hi + 1)))
+            elec_edges.append((m, s))
+            leaves.append(s)
+
+    offset = len(kinds)
+    kinds += [JUNCTION] * cfg.road_nodes
+    levels += [0] * cfg.road_nodes
+    loads += [0.0] * cfg.road_nodes
+    if cfg.road_model == netgen.ROAD_GRID:
+        road_edges = netgen._grid_edges(cfg.road_nodes, offset)
+    else:
+        road_edges = _oracle_ring_chord_edges(cfg.road_nodes, offset, rng)
+
+    n_coupled = int(round(cfg.coupling_fraction * cfg.road_nodes))
+    dep_edges = []
+    if n_coupled > 0:
+        if not leaves:
+            raise GraphError("coupling requested but the grid has no 10kV stations")
+        picked = rng.permutation(cfg.road_nodes)[:n_coupled] + offset
+        suppliers = rng.integers(0, len(leaves), size=n_coupled)
+        dep_edges = [(leaves[s], int(j)) for s, j in zip(suppliers, picked)]
+
+    return CoupledGraph(
+        kind=np.array(kinds), level=np.array(levels), load=np.array(loads),
+        elec_edges=elec_edges, road_edges=road_edges, dep_edges=dep_edges,
+    )
 
 
 def central_diff_check(loss_fn, matrices, grads, rng, probes=6, eps=1e-6, rtol=1e-3):
@@ -484,9 +553,10 @@ def oracle_margin_loss(Z, pos, neg, cfg, pos_weights=None, params=None):
 
 
 def oracle_mask_graph(g, spec):
-    """transfer.mask_graph with its road additions drawn one pair at a time
-    against a growing set of keys. Drop-in for transfer.mask_graph on specs
-    it can satisfy."""
+    """transfer.mask_graph with one scalar draw per electricity parent and per
+    dependency supplier, and road additions drawn one pair at a time against
+    a growing set of keys. Drop-in for transfer.mask_graph on specs it can
+    satisfy."""
     rng = np.random.default_rng(spec.seed)
     elec = transfer._sample_keep(g.elec_edges, spec.delete_fraction, rng)
     road = transfer._sample_keep(g.road_edges, spec.delete_fraction, rng)
@@ -513,9 +583,12 @@ def oracle_mask_graph(g, spec):
     leaves = g.station_ids(level=10)
     new_dep = [(leaves[rng.integers(0, len(leaves))], j)
                for j in free[rng.permutation(len(free))[:add_dep]]]
+    def with_added(pairs, new):
+        return np.concatenate([pairs, np.array(new, dtype=np.int64).reshape(-1, 2)])
+
     return CoupledGraph(
         kind=g.kind.copy(), level=g.level.copy(), load=g.load.copy(),
-        elec_edges=transfer._with_added(elec, new_elec),
-        road_edges=transfer._with_added(road, new_road),
-        dep_edges=transfer._with_added(dep, new_dep),
+        elec_edges=with_added(elec, new_elec),
+        road_edges=with_added(road, new_road),
+        dep_edges=with_added(dep, new_dep),
     )

@@ -315,6 +315,11 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
     ]:
         err = cli_error(capsys, argv + ["--graph", graph, "--out", out])
         assert message in err, (argv, err)
+    for flag, bounds, name in [("--fanout-10", ["3", "99999999999999999999"], "fanout_10"),
+                               ("--fanout-110", ["1", str(2**63 - 1)], "fanout_110"),
+                               ("--load-range", ["0", str(2**63)], "load_range")]:
+        err = cli_error(capsys, ["generate", flag, *bounds, "--out", out])
+        assert f"{name} must satisfy 0 <= low <= high <= {2**63 - 2}" in err, err
     for path, message in [(truncated, "graph document is not valid JSON"),
                           (tmp_path / "nope.json", "No such file or directory")]:
         err = cli_error(capsys, ["attack", "--graph", str(path), "--nodes", "0", "--out", out])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -362,24 +364,18 @@ def test_draw_pairs_matches_loop_on_large_pools(bound, seed, buffered, count):
 
 @pytest.mark.parametrize("buffered", [False, True])
 def test_draw_pairs_first_key_matches_set_loop(buffered):
-    # the road-addition rule of transfer.mask_graph: a pair is kept if it is
-    # no old edge and the first draw of its key
+    # draw_new_pairs, the rule of road chords and mask road additions: a pair
+    # is kept if it is no old edge and the first draw of its key; the old
+    # keys need not be sorted
     pool = np.array([2, 3, 5, 8, 9, 11])
     n = 12
-    old = {2 * n + 3, 5 * n + 9, 8 * n + 11}
-    old_keys = np.array(sorted(old))
-
-    def first_new(u, v):
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        first = np.zeros(len(key), dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        return (u != v) & first & ~np.isin(key, old_keys)
-
-    for count in (0, 1, 5, 12):       # 12 = every pair left
-        for seed in range(5):
+    unsorted = [8 * n + 11, 2 * n + 3, 5 * n + 9]
+    # the pool has 15 pairs, 12 of them new against `unsorted`
+    for taken, counts in (([], (1, 15)), (unsorted, (0, 1, 5, 12))):
+        for count, seed in itertools.product(counts, range(5)):
             a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
-            got = embed.draw_pairs(a, pool, count, first_new)
-            seen, expect = set(old), []
+            got = embed.draw_new_pairs(a, pool, count, n, np.array(taken, dtype=np.int64))
+            seen, expect = set(taken), []
             while len(expect) < count:
                 u, v = pool[b.integers(0, len(pool), size=2)].tolist()
                 key = min(u, v) * n + max(u, v)

@@ -144,6 +144,14 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
     ({"embed": {"seed": -1}}, r"plan block 'embed': seed must be >= 0, got -1"),
     ({"agent": {"seed": -2}}, r"plan block 'agent': seed must be >= 0, got -2"),
     ({"gdm": {"seed": -3}}, r"plan block 'gdm': seed must be >= 0, got -3"),
+    ({"graph": {"preset": "paper", "file": "desk.json", "seed": 5}},
+     r"plan names both a graph preset and a graph file; give one"),
+    ({"graph": {"preset": "desk", "file": "g.json"}},
+     r"plan names both a graph preset and a graph file; give one"),
+    ({"graph": {"file": "g.json", "seed": 5}},
+     r"plan block 'graph': a seed applies to a preset, not to a file"),
+    ({"graph": {"file": "g.json", "seed": 0}},
+     r"plan block 'graph': a seed applies to a preset, not to a file"),
 ])
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):

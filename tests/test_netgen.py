@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from infranet.netgen import (
     generate,
     preset_config,
 )
+
+from conftest import oracle_generate
 
 
 def test_fanout_arithmetic():
@@ -63,6 +67,10 @@ def test_bad_config_rejected():
         GenConfig(road_model="hex").validate()
     with pytest.raises(GraphError, match="seed must be >= 0, got -1"):
         GenConfig(seed=-1).validate()
+    for name in ("fanout_110", "fanout_10", "load_range"):
+        with pytest.raises(GraphError, match=f"{name} must satisfy 0 <= low <= high"):
+            GenConfig(**{name: (0, 2**63 - 1)}).validate()
+        GenConfig(**{name: (0, 2**63 - 2)}).validate()
 
 
 def test_forest_invariant_many_seeds():
@@ -106,3 +114,51 @@ def test_loads_in_range():
     assert np.all(g.load[leaves] >= 50) and np.all(g.load[leaves] <= 150)
     others = np.setdiff1d(np.arange(g.n), leaves)
     assert np.all(g.load[others] == 0)
+
+
+def _outcome(gen, cfg):
+    try:
+        return gen(cfg).to_json()
+    except GraphError as e:
+        return f"GraphError: {e}"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("seed", range(4))
+def test_presets_match_record_loop_oracle(preset, seed):
+    cfg = preset_config(preset, seed=seed)
+    assert generate(cfg).to_json() == oracle_generate(cfg).to_json()
+
+
+def test_random_configs_match_record_loop_oracle():
+    # both road models, fanout lows of 0, 1-3 road nodes, coupling 0 and 1;
+    # configs without 10kV stations raise the same GraphError
+    rng = np.random.default_rng(2024)
+    errors = models = 0
+    for _ in range(300):
+        lo_110, lo_10, lo_load = (int(rng.integers(0, k)) for k in (3, 4, 100))
+        model = ("grid", "random")[int(rng.integers(0, 2))]
+        cfg = GenConfig(
+            seed=int(rng.integers(0, 2**31)),
+            n_220=int(rng.integers(1, 5)),
+            fanout_110=(lo_110, lo_110 + int(rng.integers(0, 4))),
+            fanout_10=(lo_10, lo_10 + int(rng.integers(0, 5))),
+            road_nodes=int(rng.integers(1, 4) if rng.random() < 0.2 else rng.integers(4, 300)),
+            road_model=model,
+            coupling_fraction=float((0.0, 1.0, rng.random())[int(rng.integers(0, 3))]),
+            load_range=(lo_load, lo_load + int(rng.integers(0, 200))),
+        )
+        got = _outcome(generate, cfg)
+        assert got == _outcome(oracle_generate, cfg), cfg
+        errors += got.startswith("GraphError")
+        models += model == "random"
+    assert errors > 0 and 0 < models < 300
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("desk", "06f904cbce2afb202736b7a2eeb3c02e78866b48ce621639d85d230ac243a958"),
+    ("paper", "0e0b869745dec3a0ae40d813e9465d05cdc682844a2f67c566642eda51461956"),
+])
+def test_preset_graph_bytes_are_pinned(preset, digest):
+    text = generate(preset_config(preset, seed=0)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

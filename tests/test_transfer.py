@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from infranet.agent import QNetParams
 from infranet.cascade import RewardWeights
 from infranet.embed import EmbedConfig, EmbeddingMatrix, random_embeddings, train_coupled
-from infranet.graph import JUNCTION, CoupledGraph
+from infranet.graph import JUNCTION, STATION, CoupledGraph
 from infranet.netgen import generate, preset_config
 from infranet.transfer import (
     MaskSpec,
@@ -85,6 +85,20 @@ def test_mask_matches_oracle_on_desk():
     for seed in range(10):
         for spec in (MaskSpec(seed=seed), MaskSpec(0.3, 0.2, seed=seed)):
             assert mask_graph(g, spec).to_json() == oracle_mask_graph(g, spec).to_json()
+
+
+def test_mask_matches_oracle_on_paper():
+    g = generate(preset_config("paper", seed=0))
+    for spec in (MaskSpec(seed=0), MaskSpec(0.3, 0.2, seed=1)):
+        assert mask_graph(g, spec).to_json() == oracle_mask_graph(g, spec).to_json()
+
+
+def test_mask_rejects_orphans_without_a_parent_level():
+    # 110kV stations 0 and 2 and no 220kV station to re-parent them under
+    g = CoupledGraph(kind=[STATION] * 3, level=[110, 10, 110], load=[0.0, 5.0, 0.0],
+                     elec_edges=[(0, 1)], road_edges=[], dep_edges=[])
+    with pytest.raises(TransferError, match=r"no valid parent level for station [02]$"):
+        mask_graph(g, MaskSpec(delete_fraction=0.0, add_fraction=1.0, seed=0))
 
 
 def test_mask_rejects_more_road_additions_than_non_edges():
