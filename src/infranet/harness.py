@@ -6,13 +6,17 @@ optional config overrides. `METHODS` is the one table from a method name to
 the attack it runs; `run_plan` and the `baseline` subcommand both dispatch
 through it. Every (method, seed) cell writes its own report CSV; a summary
 CSV aggregates final cumulative reward, power fraction, and ANC per method.
-Cells run on INFRA_THREADS threads (default 1), which pays off for agent and
-GDM cells, whose numpy work releases the GIL, and not for DE/CI/random;
-outputs are byte-identical for any thread count.
+A seed-free method (DE, CI) never reads the seed, so `run_plan` simulates it
+once, under the plan's first seed, and gives every other seed a copy of that
+report, wall_seconds included.
+Cells run on INFRA_THREADS threads (unset or empty: 1), which pays off for
+agent and GDM cells, whose numpy work releases the GIL, and not for
+DE/CI/random; outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -173,12 +177,14 @@ class Method(NamedTuple):
     `run(g, emb, plan, seed, weights)` returns the cell's AttackReport.
     `needs_embedding` methods get the plan's coupled embedding as `emb`
     (None otherwise). `baseline` methods train no agent; they are the kinds
-    of the `baseline` subcommand.
+    of the `baseline` subcommand. A method that is not `seeded` ignores
+    `seed`: `run_plan` runs it once and writes its report for every seed.
     """
 
     run: Callable[..., AttackReport]
     needs_embedding: bool = False
     baseline: bool = True
+    seeded: bool = True
 
 
 def _de(g, emb, plan, seed, weights):
@@ -211,8 +217,8 @@ def _agent_random_embedding(g, emb, plan, seed, weights):
 
 METHODS = {
     "agent": Method(_agent, needs_embedding=True, baseline=False),
-    "de": Method(_de),
-    "ci": Method(_ci),
+    "de": Method(_de, seeded=False),
+    "ci": Method(_ci, seeded=False),
     "gdm": Method(_gdm, needs_embedding=True),
     "random": Method(_random),
     "agent-random-embedding": Method(_agent_random_embedding, baseline=False),
@@ -220,8 +226,11 @@ METHODS = {
 
 
 def run_plan(plan: ExperimentPlan, outdir) -> dict:
-    """Execute every (method, seed) cell; returns {(method, seed): report}."""
+    """Execute the plan; returns {(method, seed): report} for every method
+    and seed, in plan order. A seed-free method runs once, under the first
+    seed, and each other seed gets its own copy of that report."""
     plan.validate()
+    workers = _threads()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     g = plan.load_graph()
@@ -231,25 +240,39 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
     if any(METHODS[m].needs_embedding for m in plan.methods):
         emb, _, _ = embed_mod.train_coupled(g, plan.embed_config)
 
-    cells = [(m, s) for m in plan.methods for s in plan.seeds]
-    workers = max(1, int(os.environ.get("INFRA_THREADS", "1")))
+    first = plan.seeds[0]
+    cells = list(dict.fromkeys((m, s) for m in plan.methods
+                               for s in (plan.seeds if METHODS[m].seeded else (first,))))
 
     def do(cell):
         m, s = cell
         return cell, METHODS[m].run(g, emb, plan, s, weights)
 
-    reports = {}
     if workers == 1:
-        results = map(do, cells)
+        done = dict(map(do, cells))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(do, cells))
-    for (m, s), rep in results:
-        reports[(m, s)] = rep
+            done = dict(pool.map(do, cells))
+
+    reports = {}
+    for m in plan.methods:
+        for s in plan.seeds:
+            reports[(m, s)] = done[(m, s)] if (m, s) in done else copy.deepcopy(done[(m, first)])
+    for (m, s), rep in reports.items():
         rep.save_csv(outdir / f"{m}_seed{s}.csv")
 
     write_summary(reports, outdir / "summary.csv")
     return reports
+
+
+def _threads() -> int:
+    """The INFRA_THREADS thread count: unset or empty is 1."""
+    text = os.environ.get("INFRA_THREADS", "")
+    if not text:
+        return 1
+    if not text.isdecimal() or int(text) < 1:
+        raise PlanError(f"INFRA_THREADS must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def write_summary(reports: dict, path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,20 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=10), inner, max_size=4),
     max_leaves=12,
 )
+
+
+def assert_same_document(got: str, want: str):
+    """got == want, for documents too long for pytest's string diff: compares
+    sha256 digests, and on a mismatch fails with the first differing offset
+    and about 80 characters of each side around it."""
+    __tracebackhide__ = True
+    if hashlib.sha256(got.encode()).digest() == hashlib.sha256(want.encode()).digest():
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(0, at - 40)
+    pytest.fail(f"documents differ at offset {at} (lengths {len(got)} and {len(want)}):\n"
+                f"  got:  {got[lo:at + 40]!r}\n  want: {want[lo:at + 40]!r}")
 
 
 def make_toy_chain():

@@ -285,7 +285,7 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
+def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys, monkeypatch):
     graph, out = str(workdir / "g.json"), str(tmp_path / "out.csv")
     truncated = tmp_path / "truncated.json"
     truncated.write_bytes((workdir / "g.json").read_bytes()[:100])
@@ -335,6 +335,11 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys):
         plan.write_text(json.dumps(doc))
         err = cli_error(capsys, ["report", "--plan", str(plan), "--out", str(tmp_path / "rep")])
         assert message in err, (doc, err)
+    plan.write_text(json.dumps({"graph": {"file": graph}, "methods": ["de"]}))
+    for threads in ("abc", "0", "-3", " ", "1.5"):
+        monkeypatch.setenv("INFRA_THREADS", threads)
+        err = cli_error(capsys, ["report", "--plan", str(plan), "--out", str(tmp_path / "rep")])
+        assert f"INFRA_THREADS must be an integer >= 1, got {threads!r}" in err, err
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "rep").exists()
 

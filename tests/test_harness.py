@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infranet import baselines
 from infranet.cascade import RewardWeights, replay_attack
 from infranet.harness import (
     METHODS,
@@ -11,6 +12,7 @@ from infranet.harness import (
     PlanError,
     emit_curves,
     run_plan,
+    write_summary,
 )
 from infranet.netgen import PRESETS, GenConfig, generate
 
@@ -230,20 +232,61 @@ TINY_LEARNING = dict(
 
 
 def test_run_plan_parallel_matches_serial(tmp_path, small_graph_file, monkeypatch):
+    # every thread count writes the same files, and each seed-free method
+    # (DE, CI) is simulated once however many seeds the plan has
+    calls = []
+    for name in ("de_attack", "ci_attack"):
+        def spy(*args, real=getattr(baselines, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(baselines, name, spy)
     plans = {
-        "baselines": small_plan(small_graph_file),
+        "baselines": small_plan(small_graph_file, seeds=[0, 1, 2]),
         "learned": small_plan(small_graph_file,
                               methods=["agent", "agent-random-embedding", "gdm"],
                               **TINY_LEARNING),
     }
     for name, plan in plans.items():
-        monkeypatch.setenv("INFRA_THREADS", "1")
-        run_plan(plan, tmp_path / name / "serial")
-        monkeypatch.setenv("INFRA_THREADS", "4")
-        run_plan(plan, tmp_path / name / "par")
-        for f in sorted((tmp_path / name / "serial").iterdir()):
-            assert f.read_bytes() == (tmp_path / name / "par" / f.name).read_bytes(), \
-                (name, f.name)
+        for threads in ("1", "", "4"):      # empty is one thread
+            calls.clear()
+            monkeypatch.setenv("INFRA_THREADS", threads)
+            run_plan(plan, tmp_path / name / f"t{threads}")
+            assert sorted(calls) == sorted(f"{m}_attack" for m in plan.methods
+                                           if m in ("de", "ci")), (name, threads)
+        serial = tmp_path / name / "t1"
+        for threads in ("", "4"):
+            for f in sorted(serial.iterdir()):
+                assert f.read_bytes() == (tmp_path / name / f"t{threads}" / f.name).read_bytes(), \
+                    (name, threads, f.name)
+
+
+def test_run_plan_matches_seeds_run_one_at_a_time(tmp_path, small_graph_file):
+    # a seed-free method's report is copied to every seed: the files equal
+    # those of one plan per seed, and each seed's report is its own object
+    seeds = [2, 0, 1]
+    plan = small_plan(small_graph_file, seeds=seeds)
+    reports = run_plan(plan, tmp_path / "all")
+    assert list(reports) == [(m, s) for m in plan.methods for s in seeds]
+    alone = {}
+    for s in seeds:
+        alone.update(run_plan(small_plan(small_graph_file, seeds=[s]), tmp_path / f"seed{s}"))
+        for m in plan.methods:
+            name = f"{m}_seed{s}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == \
+                (tmp_path / f"seed{s}" / name).read_bytes(), name
+    write_summary(alone, tmp_path / "summary.csv")
+    assert (tmp_path / "all" / "summary.csv").read_bytes() == \
+        (tmp_path / "summary.csv").read_bytes()
+    for m in ("de", "ci"):
+        assert reports[(m, 0)].wall_seconds == reports[(m, 2)].wall_seconds
+        rep = reports[(m, 0)]
+        rep.nodes.append(-1)
+        rep.power[0] = rep.cum_reward[-1] = -1.0
+        for s in (1, 2):
+            kept = reports[(m, s)]
+            assert kept.nodes == alone[(m, s)].nodes
+            assert kept.power == alone[(m, s)].power
+            assert kept.cum_reward == alone[(m, s)].cum_reward
 
 
 def test_run_plan_agent_and_gdm_cells(tmp_path, small_graph_file):
