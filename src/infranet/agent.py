@@ -61,22 +61,21 @@ class AgentConfig:
     seed: int = 0
     weights: RewardWeights = None  # None = normalized per graph
 
-    def validate(self):
-        for key, ok, rule in (
-            ("budget", self.budget >= 1, ">= 1"),
-            ("gamma", 0.0 <= self.gamma <= 1.0, "in [0,1]"),
-            ("episodes", self.episodes >= 0, ">= 0"),
-            ("lr", self.lr > 0, "> 0"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("target_sync", self.target_sync >= 1, ">= 1"),
-            ("eps_decay_steps", self.eps_decay_steps >= 0, ">= 0"),
-            ("eps_start", 0.0 <= self.eps_start <= 1.0, "in [0,1]"),
-            ("eps_end", 0.0 <= self.eps_end <= 1.0, "in [0,1]"),
-            ("buffer_size", self.buffer_size >= self.batch_size, ">= batch_size"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise AgentError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+    def __post_init__(self):
+        cascade.check_fields(self, AgentError, lambda: (
+            ("budget", self.budget >= 1, "be >= 1"),
+            ("gamma", 0.0 <= self.gamma <= 1.0, "be in [0,1]"),
+            ("episodes", self.episodes >= 0, "be >= 0"),
+            ("lr", self.lr > 0, "be > 0"),
+            ("lr", self.lr < np.inf, "be finite"),
+            ("batch_size", self.batch_size >= 1, "be >= 1"),
+            ("target_sync", self.target_sync >= 1, "be >= 1"),
+            ("eps_decay_steps", self.eps_decay_steps >= 0, "be >= 0"),
+            ("eps_start", 0.0 <= self.eps_start <= 1.0, "be in [0,1]"),
+            ("eps_end", 0.0 <= self.eps_end <= 1.0, "be in [0,1]"),
+            ("buffer_size", self.buffer_size >= self.batch_size, "be >= batch_size"),
+            ("seed", self.seed >= 0, "be >= 0"),
+        ))
 
 
 @dataclass
@@ -314,7 +313,6 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
 
     Returns (QNetParams, TrainLog). Deterministic per cfg.seed.
     """
-    cfg.validate()
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     if Z.shape[1] != g.n:
         raise AgentError("embedding column count does not match the graph")

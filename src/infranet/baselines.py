@@ -123,17 +123,16 @@ class GdmConfig:
     epochs: int = 300
     seed: int = 0
 
-    def validate(self):
-        for key, ok, rule in (
-            ("sample_count", self.sample_count >= 2, ">= 2"),
-            ("positive_quantile", 0.0 < self.positive_quantile < 1.0, "in (0,1)"),
-            ("hidden", self.hidden >= 0, ">= 0"),
-            ("lr", self.lr > 0, "> 0"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise BaselineError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+    def __post_init__(self):
+        cascade.check_fields(self, BaselineError, lambda: (
+            ("sample_count", self.sample_count >= 2, "be >= 2"),
+            ("positive_quantile", 0.0 < self.positive_quantile < 1.0, "be in (0,1)"),
+            ("hidden", self.hidden >= 0, "be >= 0"),
+            ("lr", self.lr > 0, "be > 0"),
+            ("lr", self.lr < np.inf, "be finite"),
+            ("epochs", self.epochs >= 0, "be >= 0"),
+            ("seed", self.seed >= 0, "be >= 0"),
+        ))
 
 
 def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):
@@ -164,10 +163,12 @@ def _train_mlp(X, y, hidden, lr, epochs, rng):
     b1 = np.zeros(hidden)
     w2 = rng.uniform(-bound, bound, size=hidden)
     b2 = 0.0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         pre = W1 @ X + b1[:, None]
         h = np.maximum(pre, 0.0)
         logits = w2 @ h + b2
+        if not np.isfinite(logits).all():
+            raise BaselineError(f"GDM training diverged at epoch {epoch}")
         p = 1.0 / (1.0 + np.exp(-logits))
         dlogit = (p - y) / m
         dw2 = h @ dlogit
@@ -183,7 +184,6 @@ def _train_mlp(X, y, hidden, lr, epochs, rng):
 
 
 def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
-    cfg.validate()
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     if Z.shape[1] != g.n:
         raise BaselineError("embedding column count does not match the graph")
@@ -192,7 +192,10 @@ def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
     hidden = cfg.hidden or Z.shape[0]
     W1, b1, w2, b2 = _train_mlp(Z[:, nodes], labels, hidden, cfg.lr, cfg.epochs, rng)
     h = np.maximum(W1 @ Z + b1[:, None], 0.0)
-    return w2 @ h + b2
+    scores = w2 @ h + b2
+    if not np.isfinite(scores).all():      # the net can still overflow on unsampled nodes
+        raise BaselineError("GDM scores are not finite")
+    return scores
 
 
 def gdm_attack(g: CoupledGraph, emb, budget: int, cfg: GdmConfig = GdmConfig(),

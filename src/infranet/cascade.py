@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,8 +48,10 @@ class RewardWeights:
     a_r: float = 1.0
 
     def __post_init__(self):
-        if not (self.a_e >= 0 and self.a_r >= 0 and 0 < self.a_e + self.a_r < np.inf):
-            raise CascadeError("weights must be nonnegative and finite with positive sum")
+        check_fields(self, CascadeError, lambda: (
+            ("weights", self.a_e >= 0 and self.a_r >= 0 and 0 < self.a_e + self.a_r < np.inf,
+             "be nonnegative and finite with positive sum"),
+        ))
 
     @classmethod
     def normalized(cls, g: CoupledGraph) -> "RewardWeights":
@@ -128,6 +130,25 @@ def anc(sigmas, sigma0: float) -> float:
     if sigma0 <= 0:
         raise CascadeError("sigma0 must be positive")
     return float(np.mean(np.asarray(sigmas, dtype=np.float64) / sigma0))
+
+
+def is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_fields(cfg, error, rules):
+    """Raise `error` at the first bad field of the config dataclass `cfg`:
+    int-default fields need integers (not bools), float-default ones numbers,
+    then each `(key, ok, rule)` row of `rules()`, built once the types hold,
+    must be `ok`, else: "<key> must <rule>, got <field or cfg>"."""
+    for f in fields(cfg):
+        v, kind = getattr(cfg, f.name), type(f.default)
+        if kind in (int, float) and not (is_int(v) or kind is float and isinstance(v, float)):
+            raise error(f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
+                        f"got {v!r}")
+    for key, ok, rule in rules():
+        if not ok:
+            raise error(f"{key} must {rule}, got {getattr(cfg, key, cfg)!r}")
 
 
 def check_budget(g: CoupledGraph, budget: int, error=CascadeError):

@@ -145,15 +145,15 @@ def cmd_transfer(args):
                                    f"but --emb has d={emb.d}")
     spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
                                  add_fraction=args.mask_add, seed=args.seed)
-    g_mask = transfer_mod.mask_graph(g, spec)
-    cascade.check_budget(g_mask, args.budget, agent_mod.AgentError)
-    if args.mask_out:
-        g_mask.save(args.mask_out)
-    weights = _parse_weights(args.weights, g_mask)
     rcfg = transfer_mod.RetrainConfig(
         epochs=args.retrain_epochs, distance_weight=args.distance_weight,
         lr=args.retrain_lr, seed=args.seed,
     )
+    g_mask = transfer_mod.mask_graph(g, spec)
+    cascade.check_budget(g_mask, args.budget, agent_mod.AgentError)
+    weights = _parse_weights(args.weights, g_mask)
+    if args.mask_out:
+        g_mask.save(args.mask_out)
     new_emb, _ = transfer_mod.retrain(g_mask, emb, rcfg)
     rep = transfer_mod.transfer_attack(g_mask, new_emb, params, args.budget, weights)
     rep.save_csv(args.out)

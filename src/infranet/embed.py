@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .cascade import check_fields, is_int
 from .graph import CoupledGraph
 from . import serial
 
@@ -50,27 +51,26 @@ class EmbedConfig:
     aggregator: str = "sum"  # 'sum' (literal reading) or 'mean'
     edge_type_weights: dict = field(default_factory=lambda: dict(DEFAULT_EDGE_TYPE_WEIGHTS))
 
-    def validate(self):
-        for key, ok, rule in (
-            ("d", self.d >= 1, ">= 1"),
-            ("depth", self.depth >= 1, ">= 1"),
-            ("margin", self.margin > 0, "> 0"),
-            ("l2", self.l2 >= 0, ">= 0"),
-            ("lr", self.lr > 0, "> 0"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("neg_ratio", self.neg_ratio >= 1, ">= 1"),
-            ("aggregator", self.aggregator in ("sum", "mean"), "'sum' or 'mean'"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise EmbedError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        tw = self.edge_type_weights
-        if not isinstance(tw, dict) or set(tw) != set(DEFAULT_EDGE_TYPE_WEIGHTS):
-            raise EmbedError("edge_type_weights must be a dict with exactly the keys "
-                             f"{list(DEFAULT_EDGE_TYPE_WEIGHTS)}, got {tw!r}")
+    def __post_init__(self):
+        tw, keys = self.edge_type_weights, list(DEFAULT_EDGE_TYPE_WEIGHTS)
+        check_fields(self, EmbedError, lambda: (
+            ("d", self.d >= 1, "be >= 1"),
+            ("depth", self.depth >= 1, "be >= 1"),
+            ("margin", self.margin > 0, "be > 0"),
+            ("margin", self.margin < np.inf, "be finite"),
+            ("l2", self.l2 >= 0, "be >= 0"),
+            ("l2", self.l2 < np.inf, "be finite"),
+            ("lr", self.lr > 0, "be > 0"),
+            ("lr", self.lr < np.inf, "be finite"),
+            ("epochs", self.epochs >= 0, "be >= 0"),
+            ("neg_ratio", self.neg_ratio >= 1, "be >= 1"),
+            ("aggregator", self.aggregator in ("sum", "mean"), "be 'sum' or 'mean'"),
+            ("seed", self.seed >= 0, "be >= 0"),
+            ("edge_type_weights", isinstance(tw, dict) and set(tw) == set(keys),
+             f"be a dict with exactly the keys {keys}"),
+        ))
         for layer, w in tw.items():
-            number = isinstance(w, (int, float, np.integer, np.floating))
-            if not number or isinstance(w, bool) or not 0 <= w < np.inf:
+            if not (is_int(w) or isinstance(w, (float, np.floating))) or not 0 <= w < np.inf:
                 raise EmbedError(f"edge_type_weights[{layer!r}] must be a finite "
                                  f"number >= 0, got {w!r}")
 
@@ -429,7 +429,6 @@ def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None,
     `pull` weighs the deviation of the output from F (see loss_and_grads).
     Returns (EmbeddingMatrix, weight matrices, per-epoch loss list).
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     if F is None:
         F = _uniform(rng, (cfg.d, problem.n), cfg.d)
@@ -454,7 +453,6 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
     Per-stage seeds are derived from cfg.seed so the whole pipeline is a
     pure function of (g, cfg).
     """
-    cfg.validate()
     emb_e, _, _ = train(problem_for(g, "elec", cfg), replace(cfg, seed=cfg.seed + 1))
     if len(g.road_edges) > 0:
         emb_r, _, _ = train(problem_for(g, "road", cfg), replace(cfg, seed=cfg.seed + 2))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cascade import check_fields
 from .embed import draw_new_pairs
 from .graph import JUNCTION, STATION, CoupledGraph, GraphError
 
@@ -38,20 +39,17 @@ class GenConfig:
     coupling_fraction: float = 0.5
     load_range: tuple = (50, 150)  # inclusive integer load of each 10kV station
 
-    def validate(self):
-        if self.seed < 0:
-            raise GraphError(f"seed must be >= 0, got {self.seed!r}")
-        if self.n_220 <= 0 or self.road_nodes <= 0:
-            raise GraphError("counts must be positive")
-        for name in ("fanout_110", "fanout_10", "load_range"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi <= _MAX_HIGH:
-                raise GraphError(f"{name} must satisfy 0 <= low <= high <= {_MAX_HIGH}, "
-                                 f"got {(lo, hi)!r}")
-        if not 0.0 <= self.coupling_fraction <= 1.0:
-            raise GraphError("coupling_fraction outside [0,1]")
-        if self.road_model not in (ROAD_GRID, ROAD_RANDOM):
-            raise GraphError(f"unknown road model {self.road_model!r}")
+    def __post_init__(self):
+        ranges = {name: getattr(self, name) for name in ("fanout_110", "fanout_10", "load_range")}
+        check_fields(self, GraphError, lambda: (
+            ("seed", self.seed >= 0, "be >= 0"),
+            ("n_220", self.n_220 >= 1, "be >= 1"),
+            ("road_nodes", self.road_nodes >= 1, "be >= 1"),
+            *((name, 0 <= lo <= hi <= _MAX_HIGH, f"satisfy 0 <= low <= high <= {_MAX_HIGH}")
+              for name, (lo, hi) in ranges.items()),
+            ("coupling_fraction", 0.0 <= self.coupling_fraction <= 1.0, "be in [0,1]"),
+            ("road_model", self.road_model in (ROAD_GRID, ROAD_RANDOM), "be 'grid' or 'random'"),
+        ))
 
 
 # named configurations; 'paper' approximates the published network sizes,
@@ -111,7 +109,6 @@ def generate(cfg: GenConfig) -> CoupledGraph:
     110kV counts, then per 110kV station its leaf count and its leaves' loads,
     then the road layer and the dependency edges.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     (lo_110, hi_110), (lo_10, hi_10), (lo, hi) = cfg.fanout_110, cfg.fanout_10, cfg.load_range
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import embed as embed_mod
-from .cascade import AttackReport, RewardWeights
+from .cascade import AttackReport, RewardWeights, check_fields
 from .graph import CoupledGraph
 
 
@@ -30,12 +30,12 @@ class MaskSpec:
     add_fraction: float = 0.1
     seed: int = 0
 
-    def validate(self):
-        for f in (self.delete_fraction, self.add_fraction):
-            if not 0.0 <= f <= 1.0:
-                raise TransferError("fractions must lie in [0,1]")
-        if self.seed < 0:
-            raise TransferError(f"seed must be >= 0, got {self.seed!r}")
+    def __post_init__(self):
+        check_fields(self, TransferError, lambda: (
+            ("delete_fraction", 0.0 <= self.delete_fraction <= 1.0, "be in [0,1]"),
+            ("add_fraction", 0.0 <= self.add_fraction <= 1.0, "be in [0,1]"),
+            ("seed", self.seed >= 0, "be >= 0"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,15 @@ class RetrainConfig:
     lr: float = 1e-3
     seed: int = 0
 
-    def validate(self):
-        for key, ok, rule in (
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("distance_weight", self.distance_weight >= 0, ">= 0"),
-            ("lr", self.lr > 0, "> 0"),
-            ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise TransferError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+    def __post_init__(self):
+        check_fields(self, TransferError, lambda: (
+            ("epochs", self.epochs >= 1, "be >= 1"),
+            ("distance_weight", self.distance_weight >= 0, "be >= 0"),
+            ("distance_weight", self.distance_weight < np.inf, "be finite"),
+            ("lr", self.lr > 0, "be > 0"),
+            ("lr", self.lr < np.inf, "be finite"),
+            ("seed", self.seed >= 0, "be >= 0"),
+        ))
 
 
 def _sample_keep(edges, fraction, rng):
@@ -63,7 +63,6 @@ def _sample_keep(edges, fraction, rng):
 
 def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     """Edge-perturbed copy of g with an identical node set."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     elec = _sample_keep(g.elec_edges, spec.delete_fraction, rng)
@@ -132,7 +131,6 @@ def retrain(g_mask: CoupledGraph, old_emb, cfg: RetrainConfig):
     epoch is the margin link-prediction loss on the mask graph plus
     distance_weight times the mean squared deviation from the originals.
     """
-    cfg.validate()
     F = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
     if F.shape[1] != g_mask.n:
         raise TransferError("embedding column count does not match the graph")

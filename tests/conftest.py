@@ -90,7 +90,6 @@ def _oracle_ring_chord_edges(n, offset, rng):
 def oracle_generate(cfg):
     """netgen.generate with one Python record per node, one scalar draw per
     count and load, and road chords drawn one pair at a time into a set."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     kinds, levels, loads = [], [], []
@@ -381,7 +380,6 @@ def oracle_train(g, emb, cfg):
     """The per-step DQN training loop: the node values and the pooled state
     from scratch at every step, and the target node values recomputed
     inside every `td_loss`. Drop-in for agent.train."""
-    cfg.validate()
     Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
     rng = np.random.default_rng(cfg.seed)
     params = agent.QNetParams.init(Z.shape[0], rng)
@@ -495,7 +493,6 @@ def oracle_retrain(g_mask, old_emb, cfg):
     """The transfer retraining loop as a separate epoch loop: forward, hinge
     loss, pull-back term, backward and update written out. Drop-in for
     transfer.retrain."""
-    cfg.validate()
     F_old = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
     ecfg = embed.EmbedConfig(d=F_old.shape[0], seed=cfg.seed)
     problem = embed.problem_for(g_mask, "coupled", ecfg)

@@ -205,9 +205,20 @@ def test_gdm_labels_do_not_mutate_graph():
 
 def test_gdm_config_validation():
     with pytest.raises(BaselineError):
-        GdmConfig(positive_quantile=0.0).validate()
+        GdmConfig(positive_quantile=0.0)
     with pytest.raises(BaselineError):
-        GdmConfig(sample_count=1).validate()
+        GdmConfig(sample_count=1)
+
+
+@pytest.mark.parametrize("epochs, message", [(20, "GDM training diverged at epoch 1"),
+                                             (1, "GDM scores are not finite")])
+def test_gdm_refuses_a_diverging_net(epochs, message):
+    # all-NaN scores once ranked the desk nodes in id order and attacked nodes 0-4;
+    # after one epoch the weights are finite but the scores overflow
+    g = generate(preset_config("desk", seed=0))
+    emb = random_embeddings(g, 16, 0)
+    with np.errstate(all="ignore"), pytest.raises(BaselineError, match=message):
+        gdm_attack(g, emb, 5, GdmConfig(lr=1e300, epochs=epochs))
 
 
 def test_gdm_scores_separate_planted_signal():

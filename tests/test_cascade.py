@@ -1,7 +1,14 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import infranet
+from infranet.agent import AgentConfig, AgentError
+from infranet.baselines import BaselineError, GdmConfig
 from infranet.cascade import (
     CascadeError,
     RewardWeights,
@@ -13,7 +20,10 @@ from infranet.cascade import (
     run_attack,
     sigma,
 )
-from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph
+from infranet.embed import EmbedConfig, EmbedError
+from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph, GraphError
+from infranet.netgen import GenConfig
+from infranet.transfer import MaskSpec, RetrainConfig, TransferError
 
 from conftest import (
     oracle_gcc,
@@ -230,3 +240,55 @@ def test_replay_rejects_node_ids_outside_the_graph(toy_chain):
 def test_reward_weights_must_be_finite_nonnegative(a_e, a_r):
     with pytest.raises(CascadeError, match="weights must be nonnegative and finite"):
         RewardWeights(a_e=a_e, a_r=a_r)
+
+
+# every config class and the error its module raises
+CONFIGS = {AgentConfig: AgentError, EmbedConfig: EmbedError, GdmConfig: BaselineError,
+           RetrainConfig: TransferError, MaskSpec: TransferError, GenConfig: GraphError,
+           RewardWeights: CascadeError}
+# the float fields with no upper bound in their range rule
+UNBOUNDED = {(EmbedConfig, "margin"), (EmbedConfig, "l2"), (EmbedConfig, "lr"),
+             (AgentConfig, "lr"), (GdmConfig, "lr"), (RetrainConfig, "lr"),
+             (RetrainConfig, "distance_weight")}
+
+
+def config_fields(kind):
+    """(class, field name) of every config field whose default is a `kind`."""
+    return [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+            for cls in CONFIGS for f in dataclasses.fields(cls) if type(f.default) is kind]
+
+
+def test_config_table_is_every_frozen_dataclass_of_the_package():
+    found = set()
+    for info in pkgutil.iter_modules(infranet.__path__):
+        module = importlib.import_module(f"infranet.{info.name}")
+        found |= {obj for obj in vars(module).values()
+                  if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+                  and obj.__dataclass_params__.frozen and obj.__module__ == module.__name__}
+    assert found == set(CONFIGS)
+    assert UNBOUNDED <= {tuple(p.values) for p in config_fields(float)}
+
+
+@pytest.mark.parametrize("value", [True, "x"])
+@pytest.mark.parametrize("cls, name", config_fields(int) + config_fields(float))
+def test_config_rejects_a_wrong_type_when_built(cls, name, value):
+    message = rf"^{name} must be (an integer|a number), got {value!r}$"
+    with pytest.raises(CONFIGS[cls], match=message):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name", config_fields(int))
+def test_config_int_field_rejects_a_fraction(cls, name):
+    with pytest.raises(CONFIGS[cls], match=rf"^{name} must be an integer, got 2.5$"):
+        cls(**{name: 2.5})
+    cls(**{name: np.int64(getattr(cls(), name))})
+
+
+@pytest.mark.parametrize("cls, name", config_fields(float))
+def test_config_float_field_rejects_infinity(cls, name):
+    # a bounded field's range rule rejects inf; RewardWeights' rule names both fields
+    message = (f"^{name} must be finite, got inf$" if (cls, name) in UNBOUNDED
+               else f"^({name}|weights) must ")
+    with pytest.raises(CONFIGS[cls], match=message):
+        cls(**{name: float("inf")})
+    cls(**{name: np.float64(getattr(cls(), name))})

@@ -202,7 +202,7 @@ def test_transfer_rejects_nonpositive_retrain_lr(tmp_path, workdir, capsys):
                              "--retrain-lr", "-1", "--out", str(tmp_path / "transfer.csv")])
     assert err == "infranet: error: lr must be > 0, got -1.0\n"
     with pytest.raises(transfer.TransferError, match="lr must be > 0, got -1.0"):
-        transfer.RetrainConfig(lr=-1.0).validate()
+        transfer.RetrainConfig(lr=-1.0)
 
 
 def test_transfer_checks_budget_before_retraining(tmp_path, workdir, capsys, monkeypatch):
@@ -222,6 +222,34 @@ def test_transfer_checks_budget_before_retraining(tmp_path, workdir, capsys, mon
                                  "--out", str(tmp_path / "transfer.csv")])
         assert message in err, err
     assert not mask.exists() and not (tmp_path / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--emb", "emb.bin", "--lr", "inf"], "lr must be finite, got inf"),
+    (["embed", "--margin", "inf"], "margin must be finite, got inf"),
+    (["embed", "--l2", "inf"], "l2 must be finite, got inf"),
+    (["transfer", "--emb", "emb.bin", "--qnet", "q.bin", "--retrain-lr", "inf"],
+     "lr must be finite, got inf"),
+    (["transfer", "--emb", "emb.bin", "--qnet", "q.bin", "--distance-weight", "inf"],
+     "distance_weight must be finite, got inf"),
+    (["transfer", "--emb", "emb.bin", "--qnet", "q.bin", "--weights", "junk"],
+     "--weights 'junk': expected"),
+], ids=["train-lr", "embed-margin", "embed-l2", "transfer-retrain-lr", "transfer-distance-weight",
+        "transfer-weights"])
+def test_bad_flag_fails_before_any_training_or_output(tmp_path, workdir, capsys, monkeypatch,
+                                                      argv, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the flags were checked")
+
+    for module, name in ((embed, "train_coupled"), (agent, "train"), (transfer, "retrain")):
+        monkeypatch.setattr(module, name, no_training)
+    out, mask = tmp_path / "out", tmp_path / "mask.json"
+    argv = [str(workdir / a) if a.endswith(".bin") else a for a in argv]
+    if argv[0] == "transfer":
+        argv += ["--mask-out", str(mask)]
+    err = cli_error(capsys, argv + ["--graph", str(workdir / "g.json"), "--out", str(out)])
+    assert err.startswith(f"infranet: error: {message}"), err
+    assert not out.exists() and not mask.exists()
 
 
 def test_report_runs_plan(tmp_path, workdir):

@@ -1,10 +1,11 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infranet import baselines
+from infranet import agent, baselines, embed
 from infranet.cascade import RewardWeights, replay_attack
 from infranet.harness import (
     METHODS,
@@ -73,6 +74,17 @@ def test_plan_validation_errors(small_graph_file):
 def test_plan_unknown_block_key(small_graph_file, block, key):
     with pytest.raises(PlanError, match=f"unknown key '{key}' in plan block '{block}'"):
         small_plan(small_graph_file, **{block: {key: 1}})
+
+
+# Infinity in every numeric field of the config blocks
+INFINITY_CASES = [
+    ({block: {f.name: float("inf")}},
+     "plan block 'weights': weights must be nonnegative and finite" if block == "weights"
+     else f"plan block '{block}': {f.name} must be ")
+    for block, cls in (("embed", embed.EmbedConfig), ("agent", agent.AgentConfig),
+                       ("gdm", baselines.GdmConfig), ("weights", RewardWeights))
+    for f in fields(cls) if type(f.default) in (int, float)
+]
 
 
 @pytest.mark.parametrize("change, message", [
@@ -154,7 +166,8 @@ def test_plan_unknown_block_key(small_graph_file, block, key):
      r"plan block 'graph': a seed applies to a preset, not to a file"),
     ({"graph": {"file": "g.json", "seed": 0}},
      r"plan block 'graph': a seed applies to a preset, not to a file"),
-])
+    ({"budget": 0, "agent": {}}, r"plan key 'budget' must be an integer >= 1, got 0"),
+] + INFINITY_CASES)
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
         small_plan(small_graph_file, **change)

@@ -58,19 +58,19 @@ def test_impossible_coupling_errors():
 
 def test_bad_config_rejected():
     with pytest.raises(GraphError):
-        GenConfig(road_nodes=0).validate()
+        GenConfig(road_nodes=0)
     with pytest.raises(GraphError):
-        GenConfig(fanout_110=(5, 2)).validate()
+        GenConfig(fanout_110=(5, 2))
     with pytest.raises(GraphError):
-        GenConfig(coupling_fraction=1.5).validate()
+        GenConfig(coupling_fraction=1.5)
     with pytest.raises(GraphError):
-        GenConfig(road_model="hex").validate()
+        GenConfig(road_model="hex")
     with pytest.raises(GraphError, match="seed must be >= 0, got -1"):
-        GenConfig(seed=-1).validate()
+        GenConfig(seed=-1)
     for name in ("fanout_110", "fanout_10", "load_range"):
         with pytest.raises(GraphError, match=f"{name} must satisfy 0 <= low <= high"):
-            GenConfig(**{name: (0, 2**63 - 1)}).validate()
-        GenConfig(**{name: (0, 2**63 - 2)}).validate()
+            GenConfig(**{name: (0, 2**63 - 1)})
+        GenConfig(**{name: (0, 2**63 - 2)})
 
 
 def test_forest_invariant_many_seeds():
