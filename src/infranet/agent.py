@@ -75,6 +75,8 @@ class AgentConfig:
             ("eps_end", 0.0 <= self.eps_end <= 1.0, "be in [0,1]"),
             ("buffer_size", self.buffer_size >= self.batch_size, "be >= batch_size"),
             ("seed", self.seed >= 0, "be >= 0"),
+            ("weights", self.weights is None or isinstance(self.weights, RewardWeights),
+             "be None or a RewardWeights"),
         ))
 
 

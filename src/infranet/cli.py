@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, embed, attack, train, baseline, transfer, report.
-Every invocation is deterministic given its flags and seeds. A bad input
+Every invocation is deterministic given its flags and seeds. A config flag
+left out takes its config's default, which only the config states. A bad input
 file or flag value exits with status 2 and one `infranet: error: ...` line;
 a flag that argparse rejects (`--seed -1`, `--budget x`) prints its usage too.
 """
@@ -10,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import agent as agent_mod
 from . import cascade, embed as embed_mod, harness, transfer as transfer_mod
 from .cascade import RewardWeights
 from .graph import CoupledGraph
-from .netgen import GenConfig, PRESETS, generate, preset_config
+from .netgen import GenConfig, PRESETS, ROAD_MODELS, generate, preset_config
 
 
 _WEIGHTS_FORM = "'normalized' or 'ae=<float>,ar=<float>'"
@@ -53,26 +54,20 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _given(args, cls) -> dict:
+    """The flags the user gave that name fields of config `cls`, as tuples
+    where argparse made lists; the config supplies every other value."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items() if v is not None}
+
+
 def _add_weights_flag(p):
     p.add_argument("--weights", default="normalized", help=_WEIGHTS_FORM)
 
 
 def cmd_generate(args):
-    if args.preset:
-        cfg = preset_config(args.preset, seed=args.seed)
-    else:
-        cfg = GenConfig(seed=args.seed)
-    overrides = {}
-    for name in ("n_220", "road_nodes", "road_model", "coupling_fraction"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    for name in ("fanout_110", "fanout_10", "load_range"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = tuple(val)
-    cfg = replace(cfg, **overrides)
-    g = generate(cfg)
+    given = _given(args, GenConfig)
+    g = generate(preset_config(args.preset, **given) if args.preset else GenConfig(**given))
     g.save(args.out)
     print(f"wrote {args.out}: {g.n} nodes, "
           f"{len(g.elec_edges)} elec / {len(g.road_edges)} road / "
@@ -81,11 +76,7 @@ def cmd_generate(args):
 
 def cmd_embed(args):
     g = CoupledGraph.from_file(args.graph)
-    cfg = embed_mod.EmbedConfig(
-        d=args.d, depth=args.depth, margin=args.margin, l2=args.l2, lr=args.lr,
-        epochs=args.epochs, neg_ratio=args.neg_ratio, seed=args.seed,
-        aggregator=args.aggregator,
-    )
+    cfg = embed_mod.EmbedConfig(**_given(args, embed_mod.EmbedConfig))
     emb, params, losses = embed_mod.train_coupled(g, cfg)
     embed_mod.save_embedding(args.out, emb, cfg)
     print(f"wrote {args.out}: d={emb.d}, n={emb.n}, "
@@ -105,12 +96,7 @@ def cmd_train(args):
     g = CoupledGraph.from_file(args.graph)
     emb = embed_mod.load_embedding(args.emb)
     weights = _parse_weights(args.weights, g)
-    cfg = agent_mod.AgentConfig(
-        budget=args.budget, gamma=args.gamma, lr=args.lr,
-        episodes=args.episodes, seed=args.seed, weights=weights,
-        batch_size=args.batch_size, target_sync=args.target_sync,
-        buffer_size=args.buffer_size, eps_end=args.eps_end,
-    )
+    cfg = agent_mod.AgentConfig(**_given(args, agent_mod.AgentConfig) | {"weights": weights})
     params, log = agent_mod.train(g, emb, cfg)
     agent_mod.save_qnet(args.out, params, cfg)
     if args.log:
@@ -120,9 +106,10 @@ def cmd_train(args):
 
 
 def cmd_baseline(args):
+    given = _given(args, harness.ExperimentPlan)
+    del given["weights"]        # parsed on the graph below
     plan = harness.ExperimentPlan(graph_file=args.graph, methods=(args.kind,),
-                                  budget=args.budget, seeds=(args.seed,),
-                                  ci_radius=args.radius)
+                                  seeds=(args.seed,), **given)
     g = plan.load_graph()
     weights = _parse_weights(args.weights, g)
     method = harness.METHODS[args.kind]
@@ -143,12 +130,8 @@ def cmd_transfer(args):
     if params.theta2.shape[0] != emb.d:
         raise agent_mod.AgentError(f"--qnet was trained at d={params.theta2.shape[0]}, "
                                    f"but --emb has d={emb.d}")
-    spec = transfer_mod.MaskSpec(delete_fraction=args.mask_delete,
-                                 add_fraction=args.mask_add, seed=args.seed)
-    rcfg = transfer_mod.RetrainConfig(
-        epochs=args.retrain_epochs, distance_weight=args.distance_weight,
-        lr=args.retrain_lr, seed=args.seed,
-    )
+    spec = transfer_mod.MaskSpec(**_given(args, transfer_mod.MaskSpec))
+    rcfg = transfer_mod.RetrainConfig(**_given(args, transfer_mod.RetrainConfig))
     g_mask = transfer_mod.mask_graph(g, spec)
     cascade.check_budget(g_mask, args.budget, agent_mod.AgentError)
     weights = _parse_weights(args.weights, g_mask)
@@ -183,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--fanout-10", dest="fanout_10", nargs=2, type=int,
                    metavar=("LO", "HI"))
     g.add_argument("--road-nodes", dest="road_nodes", type=int)
-    g.add_argument("--road-model", dest="road_model", choices=("grid", "random"))
+    g.add_argument("--road-model", dest="road_model", choices=ROAD_MODELS)
     g.add_argument("--coupling-fraction", dest="coupling_fraction", type=float)
     g.add_argument("--load-range", dest="load_range", nargs=2, type=int,
                    metavar=("LO", "HI"))
@@ -191,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("embed", help="train GNN node embeddings")
     e.add_argument("--graph", required=True)
-    e.add_argument("--d", type=int, default=64)
-    e.add_argument("--depth", type=int, default=2)
-    e.add_argument("--epochs", type=int, default=200)
-    e.add_argument("--margin", type=float, default=1.0)
-    e.add_argument("--l2", type=float, default=1e-4)
-    e.add_argument("--lr", type=float, default=1e-3)
-    e.add_argument("--neg-ratio", dest="neg_ratio", type=int, default=1)
-    e.add_argument("--aggregator", choices=("sum", "mean"), default="sum")
+    e.add_argument("--d", type=int)
+    e.add_argument("--depth", type=int)
+    e.add_argument("--epochs", type=int)
+    e.add_argument("--margin", type=float)
+    e.add_argument("--l2", type=float)
+    e.add_argument("--lr", type=float)
+    e.add_argument("--neg-ratio", dest="neg_ratio", type=int)
+    e.add_argument("--aggregator", choices=embed_mod.AGGREGATORS)
     e.add_argument("--seed", type=non_negative_int, default=0)
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_embed)
@@ -213,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the DQN detector")
     t.add_argument("--graph", required=True)
     t.add_argument("--emb", required=True)
-    t.add_argument("--budget", type=int, default=10)
-    t.add_argument("--episodes", type=int, default=500)
-    t.add_argument("--gamma", type=float, default=0.99)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--batch-size", dest="batch_size", type=int, default=64)
-    t.add_argument("--target-sync", dest="target_sync", type=int, default=100)
-    t.add_argument("--buffer-size", dest="buffer_size", type=int, default=100_000)
-    t.add_argument("--eps-end", dest="eps_end", type=float, default=0.05)
+    t.add_argument("--budget", type=int)
+    t.add_argument("--episodes", type=int)
+    t.add_argument("--gamma", type=float)
+    t.add_argument("--lr", type=float)
+    t.add_argument("--batch-size", dest="batch_size", type=int)
+    t.add_argument("--target-sync", dest="target_sync", type=int)
+    t.add_argument("--buffer-size", dest="buffer_size", type=int)
+    t.add_argument("--eps-end", dest="eps_end", type=float)
     t.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(t)
     t.add_argument("--out", required=True)
@@ -232,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[m for m, spec in harness.METHODS.items() if spec.baseline])
     b.add_argument("--graph", required=True)
     b.add_argument("--emb")
-    b.add_argument("--budget", type=int, default=10)
-    b.add_argument("--radius", type=int, default=1)
+    b.add_argument("--budget", type=int)
+    b.add_argument("--radius", dest="ci_radius", type=int, metavar="RADIUS")
     b.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(b)
     b.add_argument("--out", required=True)
@@ -241,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("transfer", help="mask graph, retrain embeddings, attack")
     tr.add_argument("--graph", required=True)
-    tr.add_argument("--mask-delete", dest="mask_delete", type=float, default=0.1)
-    tr.add_argument("--mask-add", dest="mask_add", type=float, default=0.1)
+    tr.add_argument("--mask-delete", dest="delete_fraction", type=float, metavar="MASK_DELETE")
+    tr.add_argument("--mask-add", dest="add_fraction", type=float, metavar="MASK_ADD")
     tr.add_argument("--emb", required=True)
     tr.add_argument("--qnet", required=True)
     tr.add_argument("--budget", type=int, default=10)
-    tr.add_argument("--retrain-epochs", dest="retrain_epochs", type=int, default=50)
-    tr.add_argument("--distance-weight", dest="distance_weight", type=float, default=1.0)
-    tr.add_argument("--retrain-lr", dest="retrain_lr", type=float, default=1e-3)
+    tr.add_argument("--retrain-epochs", dest="epochs", type=int, metavar="RETRAIN_EPOCHS")
+    tr.add_argument("--distance-weight", dest="distance_weight", type=float)
+    tr.add_argument("--retrain-lr", dest="lr", type=float, metavar="RETRAIN_LR")
     tr.add_argument("--seed", type=non_negative_int, default=0)
     _add_weights_flag(tr)
     tr.add_argument("--out", required=True)

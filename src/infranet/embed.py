@@ -25,6 +25,7 @@ PRETRAINED = "pretrained"
 RANDOM = "random"
 
 DEFAULT_EDGE_TYPE_WEIGHTS = {"elec": 1.0, "road": 1.0, "dep": 1.0}
+AGGREGATORS = ("sum", "mean")
 
 
 # embedding rows per np.bincount call in _neighbor_sum, and edges per einsum
@@ -64,7 +65,8 @@ class EmbedConfig:
             ("lr", self.lr < np.inf, "be finite"),
             ("epochs", self.epochs >= 0, "be >= 0"),
             ("neg_ratio", self.neg_ratio >= 1, "be >= 1"),
-            ("aggregator", self.aggregator in ("sum", "mean"), "be 'sum' or 'mean'"),
+            ("aggregator", self.aggregator in AGGREGATORS,
+             f"be {' or '.join(map(repr, AGGREGATORS))}"),
             ("seed", self.seed >= 0, "be >= 0"),
             ("edge_type_weights", isinstance(tw, dict) and set(tw) == set(keys),
              f"be a dict with exactly the keys {keys}"),

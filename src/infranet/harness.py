@@ -41,7 +41,9 @@ class PlanError(ValueError):
 # the keys a plan document and its graph block may hold
 _PLAN_KEYS = ("graph", "methods", "budget", "seeds", "ci_radius", "weights", "embed",
               "agent", "gdm")
-_GRAPH_KEYS = ("preset", "seed", "file")
+_GRAPH_KEYS = {"preset": "graph_preset", "seed": "graph_seed", "file": "graph_file"}
+# the block keys every cell sets itself, and the plan key it takes them from
+_CELL_KEYS = {"agent": {"seed": "seeds", "weights": "weights"}, "gdm": {"seed": "seeds"}}
 
 
 @dataclass
@@ -110,23 +112,18 @@ class ExperimentPlan:
             raise PlanError(f"plan key 'seeds' must be a list of integers, got {doc['seeds']!r}")
         if not isinstance(doc.get("methods", []), list):
             raise PlanError(f"plan key 'methods' must be a list of names, got {doc['methods']!r}")
-        graph = doc.get("graph", {})
-        weights = doc.get("weights")
+        graph, weights = doc.get("graph", {}), doc.get("weights")
         plan = cls(
-            graph_preset=graph.get("preset"),
-            graph_seed=graph.get("seed", 0),
-            graph_file=graph.get("file"),
-            methods=tuple(doc.get("methods", ("de", "ci", "random"))),
-            budget=doc.get("budget", 10),
-            seeds=tuple(doc.get("seeds", (0,))),
-            weights=_override("weights", RewardWeights(), weights) if weights else None,
-            embed_config=_override("embed", embed_mod.EmbedConfig(), doc.get("embed", {})),
-            gdm_config=_override("gdm", baselines.GdmConfig(), doc.get("gdm", {})),
-            ci_radius=doc.get("ci_radius", 1),
+            **{_GRAPH_KEYS[key]: value for key, value in graph.items()},
+            **{key: tuple(doc[key]) for key in ("methods", "seeds") if key in doc},
+            **{key: doc[key] for key in ("budget", "ci_radius") if key in doc},
+            weights=_override("weights", RewardWeights, weights) if weights else None,
+            embed_config=_override("embed", embed_mod.EmbedConfig, doc.get("embed", {})),
+            gdm_config=_override("gdm", baselines.GdmConfig, doc.get("gdm", {})),
         )
         plan.validate()
         if "agent" in doc:      # the agent's budget defaults to the plan's
-            plan.agent_config = _override("agent", plan.agent_config,
+            plan.agent_config = _override("agent", agent_mod.AgentConfig,
                                           {"budget": plan.budget, **doc["agent"]})
         if "file" in graph and "seed" in graph:
             raise PlanError("plan block 'graph': a seed applies to a preset, not to a file")
@@ -142,14 +139,18 @@ class ExperimentPlan:
         return generate(preset_config(self.graph_preset, seed=self.graph_seed))
 
 
-def _override(block: str, cfg, overrides: dict):
-    """`cfg` with a plan block's values; an unknown key or a rejected value is a PlanError."""
-    names = [f.name for f in fields(cfg)]
+def _override(block: str, cls, overrides: dict):
+    """The config `cls` built from a plan block's values; an unknown key, a key
+    every cell sets itself, or a rejected value is a PlanError."""
+    names = [f.name for f in fields(cls)]
     for key in overrides:
         if key not in names:
             raise PlanError(f"unknown key {key!r} in plan block {block!r}; choose from {names}")
+        if key in _CELL_KEYS.get(block, {}):
+            raise PlanError(f"plan block {block!r}: {key} must be left out; "
+                            f"each cell takes the plan's {_CELL_KEYS[block][key]}")
     try:
-        return replace(cfg, **overrides)
+        return cls(**overrides)
     except ValueError as e:     # every config checks its fields when built
         raise PlanError(f"plan block {block!r}: {e}") from None
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import check_fields
+from .cascade import check_fields, is_int
 from .embed import draw_new_pairs
 from .graph import JUNCTION, STATION, CoupledGraph, GraphError
 
 ROAD_GRID = "grid"
 ROAD_RANDOM = "random"
+ROAD_MODELS = (ROAD_GRID, ROAD_RANDOM)
 
 # extra-chord fraction of the ring model; nominal edge/node ratio = 1 + this
 RANDOM_ROAD_CHORD_FRACTION = 0.05
@@ -41,14 +42,18 @@ class GenConfig:
 
     def __post_init__(self):
         ranges = {name: getattr(self, name) for name in ("fanout_110", "fanout_10", "load_range")}
+        pairs = {name: isinstance(r, (tuple, list)) and len(r) == 2 and all(map(is_int, r))
+                 for name, r in ranges.items()}
         check_fields(self, GraphError, lambda: (
             ("seed", self.seed >= 0, "be >= 0"),
             ("n_220", self.n_220 >= 1, "be >= 1"),
             ("road_nodes", self.road_nodes >= 1, "be >= 1"),
-            *((name, 0 <= lo <= hi <= _MAX_HIGH, f"satisfy 0 <= low <= high <= {_MAX_HIGH}")
-              for name, (lo, hi) in ranges.items()),
+            *((name, pairs[name], "be a pair of integers") for name in ranges),
+            *((name, 0 <= r[0] <= r[1] <= _MAX_HIGH, f"satisfy 0 <= low <= high <= {_MAX_HIGH}")
+              for name, r in ranges.items() if pairs[name]),
             ("coupling_fraction", 0.0 <= self.coupling_fraction <= 1.0, "be in [0,1]"),
-            ("road_model", self.road_model in (ROAD_GRID, ROAD_RANDOM), "be 'grid' or 'random'"),
+            ("road_model", self.road_model in ROAD_MODELS,
+             f"be {' or '.join(map(repr, ROAD_MODELS))}"),
         ))
 
 

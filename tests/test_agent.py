@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -560,3 +561,24 @@ def test_budget_below_one_rejected(toy_chain, budget):
         greedy_attack(toy_chain, emb, params, budget)
     with pytest.raises(AgentError, match=f"budget must be >= 1, got {budget}"):
         train(toy_chain, emb, AgentConfig(budget=budget, episodes=1))
+
+
+def test_train_rejects_an_embedding_of_another_graph(toy_chain):
+    emb = random_embeddings(random_coupled(0), 4, 0)
+    with pytest.raises(AgentError, match="^embedding column count does not match the graph$"):
+        train(toy_chain, emb, AgentConfig(budget=2, episodes=1))
+
+
+def test_train_refuses_a_diverging_td_loss(toy_chain):
+    cfg = AgentConfig(budget=2, episodes=10, batch_size=2, buffer_size=8, lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(
+            AgentError, match="^TD loss diverged at episode 1, step 3$"):
+        train(toy_chain, random_embeddings(toy_chain, 4, 0), cfg)
+
+
+@pytest.mark.parametrize("weights", ["normalized", (1.0, 1.0), {"a_e": 1.0}])
+def test_config_rejects_weights_that_are_not_reward_weights(weights):
+    with pytest.raises(AgentError, match=rf"^weights must be None or a RewardWeights, "
+                                         rf"got {re.escape(repr(weights))}$"):
+        AgentConfig(weights=weights)
+    assert AgentConfig(weights=RewardWeights(a_e=2.0)).weights.a_e == 2.0

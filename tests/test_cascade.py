@@ -132,6 +132,9 @@ def test_anc_values():
     assert anc([4.0, 2.0], 4.0) == 0.75
     with pytest.raises(CascadeError):
         anc([], 4.0)
+    for sigma0 in (0.0, -4.0):
+        with pytest.raises(CascadeError, match="^sigma0 must be positive$"):
+            anc([4.0], sigma0)
 
 
 def test_reward_isolated_junction():

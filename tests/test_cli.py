@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import infranet
-from infranet import agent, baselines, embed, harness, transfer
+from infranet import agent, baselines, cli, embed, harness, netgen, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
 from infranet.graph import JUNCTION, NORMAL, STATION, CoupledGraph
@@ -250,6 +251,69 @@ def test_bad_flag_fails_before_any_training_or_output(tmp_path, workdir, capsys,
     err = cli_error(capsys, argv + ["--graph", str(workdir / "g.json"), "--out", str(out)])
     assert err.startswith(f"infranet: error: {message}"), err
     assert not out.exists() and not mask.exists()
+
+
+# the configs each subcommand builds from its flags
+COMMAND_CONFIGS = {
+    "generate": (netgen.GenConfig,),
+    "embed": (embed.EmbedConfig,),
+    "train": (agent.AgentConfig,),
+    "transfer": (transfer.MaskSpec, transfer.RetrainConfig),
+    "baseline": (harness.ExperimentPlan,),
+}
+
+
+def test_config_flags_state_no_default():
+    # a flag left out takes its config's default; --seed keeps the configs' own
+    # default 0 (the seed also reaches functions that take no config), and
+    # --weights is parsed into RewardWeights before it reaches a config
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    checked = 0
+    for command, classes in COMMAND_CONFIGS.items():
+        names = {f.name for cls in classes for f in dataclasses.fields(cls)}
+        for action in commands[command]._actions:
+            if action.dest == "seed":
+                assert action.default == 0, command
+            elif action.dest in names and action.dest != "weights":
+                assert action.default is None, (command, action.dest)
+                checked += 1
+    assert checked == 7 + 8 + 8 + 5 + 2
+
+
+class Captured(Exception):
+    """Stops a command once the stubbed stage has seen its config."""
+
+
+def test_required_flags_alone_build_default_configs(tmp_path, workdir, monkeypatch):
+    seen = []
+
+    def capture(*args):     # each stage takes its config last
+        seen.append(args[-1])
+        raise Captured
+
+    def capture_mask(g, spec):
+        seen.append(spec)
+        return g
+
+    monkeypatch.setattr(cli, "generate", capture)
+    monkeypatch.setattr(embed, "train_coupled", capture)
+    monkeypatch.setattr(agent, "train", capture)
+    monkeypatch.setattr(transfer, "mask_graph", capture_mask)
+    monkeypatch.setattr(transfer, "retrain", capture)
+    monkeypatch.setattr(harness.ExperimentPlan, "load_graph", capture)
+    graph, emb, out = str(workdir / "g.json"), str(workdir / "emb.bin"), str(tmp_path / "out")
+    for argv in (["generate"], ["embed", "--graph", graph],
+                 ["train", "--graph", graph, "--emb", emb],
+                 ["transfer", "--graph", graph, "--emb", emb, "--qnet", str(workdir / "q.bin")],
+                 ["baseline", "--kind", "de", "--graph", graph]):
+        with pytest.raises(Captured):
+            main(argv + ["--out", out])
+    weights = RewardWeights.normalized(CoupledGraph.from_file(graph))
+    assert seen == [netgen.GenConfig(), embed.EmbedConfig(), agent.AgentConfig(weights=weights),
+                    transfer.MaskSpec(), transfer.RetrainConfig(),
+                    harness.ExperimentPlan(graph_file=graph, methods=("de",), seeds=(0,))]
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_runs_plan(tmp_path, workdir):

@@ -22,7 +22,7 @@ from infranet.embed import (
     train_coupled,
 )
 from infranet.graph import JUNCTION, CoupledGraph
-from infranet.netgen import generate, preset_config
+from infranet.netgen import GenConfig, generate, preset_config
 
 from conftest import (
     central_diff_check,
@@ -158,6 +158,45 @@ def test_margin_loss_empty_errors():
         margin_loss(np.ones((2, 3)), [], [(0, 1)], cfg)
 
 
+def test_margin_loss_rejects_negatives_not_a_multiple_of_positives():
+    with pytest.raises(EmbedError, match="^negatives must be a multiple of positives$"):
+        margin_loss(np.ones((2, 4)), [(0, 1), (1, 2)], [(0, 2), (0, 3), (1, 3)],
+                    EmbedConfig(d=2))
+
+
+@pytest.mark.parametrize("Z, message", [
+    (np.zeros(3), "embedding matrix must be 2-D"),
+    (np.zeros((1, 1, 1)), "embedding matrix must be 2-D"),
+    ([[0.0, np.nan]], "non-finite embedding entries"),
+    ([[np.inf]], "non-finite embedding entries"),
+])
+def test_embedding_matrix_rejects_bad_arrays(Z, message):
+    with pytest.raises(EmbedError, match=f"^{message}$"):
+        EmbeddingMatrix(Z)
+
+
+def test_problem_for_rejects_unknown_scope_and_empty_layer():
+    g = road_graph([(0, 1)], 3)        # junctions only: no electricity edge
+    with pytest.raises(EmbedError, match="^unknown scope 'rail'$"):
+        problem_for(g, "rail", EmbedConfig())
+    with pytest.raises(EmbedError, match="^scope 'elec' has no edges to train on$"):
+        problem_for(g, "elec", EmbedConfig())
+
+
+def test_sample_negatives_rejects_a_pool_of_one():
+    problem = embed.EmbedProblem(n=3, edges=np.array([[0, 1]]), edge_weights=np.ones(1),
+                                 pool=np.array([2]))
+    with pytest.raises(EmbedError, match="^pool too small to sample negatives$"):
+        sample_negatives(np.random.default_rng(0), problem, 2)
+
+
+def test_train_refuses_a_diverging_run(toy_chain):
+    cfg = EmbedConfig(d=4, epochs=5, lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(EmbedError,
+                                                  match="^training diverged at epoch 1$"):
+        train(problem_for(toy_chain, "coupled", cfg), cfg)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_pipeline_gradient_matches_finite_differences(seed):
     g = random_coupled(seed % 8)
@@ -263,6 +302,23 @@ def test_train_coupled_runs(toy_chain):
     emb, params, _ = train_coupled(toy_chain, cfg)
     assert emb.Z.shape == (4, toy_chain.n)
     assert len(params) == cfg.depth
+
+
+def test_train_coupled_without_road_edges_uses_random_road_columns(monkeypatch):
+    # one junction has no road edge, so the road layer has nothing to pretrain
+    g = generate(GenConfig(seed=3, road_nodes=1))
+    assert len(g.road_edges) == 0
+    cfg = EmbedConfig(d=4, epochs=3, seed=5)
+    real, road_columns = embed.init_features, []
+
+    def spy(g, d, seed, sub_embeds):
+        road_columns.append(sub_embeds[1])
+        return real(g, d, seed, sub_embeds=sub_embeds)
+
+    monkeypatch.setattr(embed, "init_features", spy)
+    emb, params, losses = train_coupled(g, cfg)
+    np.testing.assert_array_equal(road_columns[0].Z, random_embeddings(g, 4, 7).Z)
+    assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
 
 
 def test_mean_aggregator_variant():

@@ -78,6 +78,17 @@ def test_dep_typing_rejected():
                      dep_edges=[(0, 2), (1, 2)])
 
 
+@pytest.mark.parametrize("kind, level, load, message", [
+    ([STATION, JUNCTION], [10], [5.0, 0.0], "node attribute arrays disagree on length"),
+    ([STATION, JUNCTION], [10, 0], [5.0], "node attribute arrays disagree on length"),
+    ([STATION, 7], [10, 0], [5.0, 0.0], "unknown node kind"),
+])
+def test_node_attributes_rejected(kind, level, load, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        CoupledGraph(kind=kind, level=level, load=load, elec_edges=[], road_edges=[],
+                     dep_edges=[])
+
+
 def test_load_only_on_10kv():
     with pytest.raises(GraphError, match="load"):
         CoupledGraph(kind=[STATION], level=[220], load=[5.0],

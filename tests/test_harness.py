@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +12,12 @@ from infranet.harness import (
     METHODS,
     ExperimentPlan,
     PlanError,
+    _render_svg,
     emit_curves,
     run_plan,
     write_summary,
 )
-from infranet.netgen import PRESETS, GenConfig, generate
+from infranet.netgen import PRESETS, GenConfig, generate, preset_config
 
 from conftest import JSON_VALUES
 
@@ -156,8 +158,10 @@ INFINITY_CASES = [
     ({"seeds": [0, -1]}, r"plan key 'seeds' must be a list of integers >= 0, got \[0, -1\]"),
     ({"graph": {"file": "g.json", "seed": -1}}, r"graph seed must be >= 0, got -1"),
     ({"embed": {"seed": -1}}, r"plan block 'embed': seed must be >= 0, got -1"),
-    ({"agent": {"seed": -2}}, r"plan block 'agent': seed must be >= 0, got -2"),
-    ({"gdm": {"seed": -3}}, r"plan block 'gdm': seed must be >= 0, got -3"),
+    ({"agent": {"seed": -2}},
+     r"plan block 'agent': seed must be left out; each cell takes the plan's seeds"),
+    ({"gdm": {"seed": -3}},
+     r"plan block 'gdm': seed must be left out; each cell takes the plan's seeds"),
     ({"graph": {"preset": "paper", "file": "desk.json", "seed": 5}},
      r"plan names both a graph preset and a graph file; give one"),
     ({"graph": {"preset": "desk", "file": "g.json"}},
@@ -171,6 +175,19 @@ INFINITY_CASES = [
 def test_plan_bad_values_fail_at_load(small_graph_file, change, message):
     with pytest.raises(PlanError, match=message):
         small_plan(small_graph_file, **change)
+
+
+@pytest.mark.parametrize("block, key, value, source", [
+    ("agent", "seed", 7, "seeds"),
+    ("agent", "weights", "junk", "weights"),
+    ("agent", "weights", {"a_e": 1.0, "a_r": 1.0}, "weights"),
+    ("gdm", "seed", 3, "seeds"),
+])
+def test_plan_refuses_keys_every_cell_sets(small_graph_file, block, key, value, source):
+    # each cell sets these itself, so a value here would be silently ignored
+    with pytest.raises(PlanError, match=f"^plan block '{block}': {key} must be left out; "
+                                        f"each cell takes the plan's {source}$"):
+        small_plan(small_graph_file, **{block: {key: value}})
 
 
 def test_plan_accepts_matching_agent_budget_and_layer_weights(small_graph_file):
@@ -207,13 +224,29 @@ def test_run_plan_outputs(tmp_path, small_graph_file):
     for (m, s) in reports:
         cell = tmp_path / f"{m}_seed{s}.csv"
         assert cell.exists()
-        rows = list(csv.reader(cell.open()))
+        with cell.open() as f:
+            rows = list(csv.reader(f))
         assert rows[0][0] == "step"
         assert len(rows) == plan.budget + 2  # header + intact row + steps
-    summary = list(csv.reader((tmp_path / "summary.csv").open()))
+    with (tmp_path / "summary.csv").open() as f:
+        summary = list(csv.reader(f))
     assert summary[0] == ["method", "cum_reward_mean", "cum_reward_std",
                           "final_power_frac_mean", "final_anc_mean"]
     assert [r[0] for r in summary[1:]] == ["ci", "de", "random"]
+
+
+def test_preset_plan_matches_the_same_graph_read_from_a_file(tmp_path):
+    # a preset plan generates its graph; the default graph seed is 0
+    path = tmp_path / "desk.json"
+    generate(preset_config("desk", seed=0)).save(path)
+    doc = {"methods": ["de", "random"], "budget": 3, "seeds": [0, 1]}
+    for name, graph in (("preset", {"preset": "desk"}), ("file", {"file": str(path)})):
+        run_plan(ExperimentPlan.from_json(json.dumps({**doc, "graph": graph})), tmp_path / name)
+    names = sorted(p.name for p in (tmp_path / "preset").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert "random_seed1.csv" in names
+    for name in names:
+        assert (tmp_path / "preset" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 def test_csv_cells_are_plain_numbers(tmp_path, small_graph_file):
@@ -319,7 +352,8 @@ def test_emit_curves_layout(tmp_path, small_graph_file):
     plan = small_plan(small_graph_file, seeds=[0])
     reports = run_plan(plan, tmp_path / "run")
     path = emit_curves(reports.values(), tmp_path / "plots")
-    rows = list(csv.reader(path.open()))
+    with path.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["method", "step", "metric", "value"]
     # 3 methods x 6 metrics x (budget+1) steps
     assert len(rows) - 1 == 3 * 6 * 5
@@ -347,6 +381,14 @@ def test_emit_curves_guards(tmp_path, small_graph_file):
     b = replay_attack(g, [0, 1], w)
     with pytest.raises(PlanError, match="disagree on budget"):
         emit_curves([a, b], tmp_path)
+
+
+def test_svg_draws_a_flat_series_on_the_x_axis(tmp_path):
+    # a series with one value has no y range to scale by
+    _render_svg([SimpleNamespace(method="flat", power=[2.0, 2.0, 2.0])], "power",
+                tmp_path / "power.svg")
+    assert ('<polyline points="40.0,280.0 240.0,280.0 440.0,280.0"'
+            in (tmp_path / "power.svg").read_text())
 
 
 # -- fuzzing: from_json raises nothing but PlanError ----------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_bad_config_rejected():
         with pytest.raises(GraphError, match=f"{name} must satisfy 0 <= low <= high"):
             GenConfig(**{name: (0, 2**63 - 1)})
         GenConfig(**{name: (0, 2**63 - 2)})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("load_range", (1.5, 3.5)),
+    ("fanout_110", (1, 2, 3)),
+    ("fanout_10", ("1", "2")),
+])
+def test_range_field_must_be_a_pair_of_integers(name, value):
+    with pytest.raises(GraphError, match=rf"^{name} must be a pair of integers, "
+                                         rf"got {re.escape(repr(value))}$"):
+        GenConfig(**{name: value})
 
 
 def test_forest_invariant_many_seeds():

@@ -113,6 +113,16 @@ def test_mask_rejects_more_road_additions_than_non_edges():
     assert len(m.road_edges) == 10
 
 
+def test_mask_rejects_more_dependency_additions_than_unsupplied_junctions():
+    # both junctions are supplied; 0.4 of 2 dependency edges rounds to one addition
+    g = CoupledGraph(kind=[STATION, JUNCTION, JUNCTION], level=[10, 0, 0],
+                     load=[5.0, 0.0, 0.0], elec_edges=[], road_edges=[(1, 2)],
+                     dep_edges=[(0, 1), (0, 2)])
+    with pytest.raises(TransferError, match="^cannot add 1 dependency edges: "
+                                            "only 0 unsupplied junctions remain$"):
+        mask_graph(g, MaskSpec(delete_fraction=0.0, add_fraction=0.4, seed=0))
+
+
 def test_mask_bad_fraction():
     g = random_coupled(0)
     with pytest.raises(TransferError):
