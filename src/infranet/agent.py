@@ -310,21 +310,21 @@ class _RunValues:
         return self.target
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a diverging run raises below
 def train(g: CoupledGraph, emb, cfg: AgentConfig):
     """Train the value network against the cascade environment.
 
     Returns (QNetParams, TrainLog). Deterministic per cfg.seed.
     """
-    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    Z = emb.Z
     if Z.shape[1] != g.n:
         raise AgentError("embedding column count does not match the graph")
     cascade.check_budget(g, cfg.budget, AgentError)
     rng = np.random.default_rng(cfg.seed)
     params = QNetParams.init(Z.shape[0], rng)
-    weights = cfg.weights or RewardWeights.normalized(g)
     buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = TrainLog()
-    env = cascade.AttackEnv(g, weights)
+    env = cascade.AttackEnv(g, cfg.weights)
     values = _RunValues(Z, params)
     pool = np.array(Z.T, order="C")
     removed = []
@@ -382,12 +382,11 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     a no-op step with reward 0, so the report still has budget steps.
     """
     cascade.check_budget(g, budget, AgentError)
-    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    Z = emb.Z
     d = params.theta2.shape[0]
     if Z.shape != (d, g.n):
         raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
                          f"d={d} and the graph's {g.n} nodes")
-    weights = weights or RewardWeights.normalized(g)
     Y = node_values(Z, params)
     pool = np.array(Z.T, order="C")
     removed = []

@@ -38,7 +38,6 @@ def de_ranking(g: CoupledGraph) -> np.ndarray:
 
 def de_attack(g: CoupledGraph, budget: int, weights: RewardWeights = None) -> AttackReport:
     cascade.check_budget(g, budget, BaselineError)
-    weights = weights or RewardWeights.normalized(g)
     order = de_ranking(g)[:budget]
     return cascade.replay_attack(g, order, weights, method="de")
 
@@ -105,7 +104,6 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 def ci_attack(g: CoupledGraph, budget: int, radius: int = 1,
               weights: RewardWeights = None) -> AttackReport:
     cascade.check_budget(g, budget, BaselineError)
-    weights = weights or RewardWeights.normalized(g)
 
     def policy(graph, k):
         scores = ci_scores(graph, radius)
@@ -183,8 +181,9 @@ def _train_mlp(X, y, hidden, lr, epochs, rng):
     return W1, b1, w2, b2
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a diverging net raises below
 def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
-    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    Z = emb.Z
     if Z.shape[1] != g.n:
         raise BaselineError("embedding column count does not match the graph")
     nodes, labels, _ = gdm_labels(g, cfg, weights)
@@ -201,7 +200,6 @@ def gdm_scores(g: CoupledGraph, emb, cfg: GdmConfig, weights: RewardWeights):
 def gdm_attack(g: CoupledGraph, emb, budget: int, cfg: GdmConfig = GdmConfig(),
                weights: RewardWeights = None) -> AttackReport:
     cascade.check_budget(g, budget, BaselineError)
-    weights = weights or RewardWeights.normalized(g)
     scores = gdm_scores(g, emb, cfg, weights)
     order = np.lexsort((np.arange(g.n), -scores))[:budget]
     return cascade.replay_attack(g, order, weights, method="gdm")
@@ -210,7 +208,6 @@ def gdm_attack(g: CoupledGraph, emb, budget: int, cfg: GdmConfig = GdmConfig(),
 def random_attack(g: CoupledGraph, budget: int, seed: int = 0,
                   weights: RewardWeights = None) -> AttackReport:
     cascade.check_budget(g, budget, BaselineError)
-    weights = weights or RewardWeights.normalized(g)
     rng = np.random.default_rng(seed)
     normal = np.flatnonzero(g.state == NORMAL)
     order = rng.permutation(normal)[:budget]

@@ -23,6 +23,10 @@ once, updates power by subtraction and labels the road view again only when
 a junction dies, so a step costs about 0.5 ms on the paper preset
 where a fork plus damage() costs about 2.5 ms. run_attack, agent training and
 GDM labelling all step an AttackEnv.
+
+A step's reward is a_e * power drop + a_r * sigma drop. `weights=None`, the
+default of every attack entry point, scales each term by its intact total;
+AttackEnv alone resolves it, from the intact metrics it caches.
 """
 
 from __future__ import annotations
@@ -55,10 +59,8 @@ class RewardWeights:
 
     @classmethod
     def normalized(cls, g: CoupledGraph) -> "RewardWeights":
-        """Each term scaled by its intact total, so both start with unit budget."""
-        p0 = power(g)
-        s0 = sigma(g)
-        return cls(a_e=1.0 / p0 if p0 > 0 else 0.0, a_r=1.0 / s0 if s0 > 0 else 1.0)
+        """The default weights of an attack on g: each term over its intact total."""
+        return AttackEnv(g).weights
 
 
 @dataclass
@@ -231,10 +233,12 @@ class AttackEnv:
     only through step() and reset().
     """
 
-    def __init__(self, g: CoupledGraph, weights: RewardWeights):
+    def __init__(self, g: CoupledGraph, weights: RewardWeights = None):
         self.graph = g.fork()
-        self.weights = weights
         self._intact = (float(g.feeds.sum()), *_road_metrics(self.graph))
+        p0, s0, _ = self._intact
+        self.weights = weights or RewardWeights(a_e=1.0 / p0 if p0 > 0 else 0.0,
+                                                a_r=1.0 / s0 if s0 > 0 else 1.0)
         self.reset()
 
     @property
@@ -275,6 +279,7 @@ class AttackReport:
     reward: list
     cum_reward: list
     wall_seconds: float = 0.0
+    seed: int = None                 # the plan seed of a report cell; run_plan sets it
 
     COLUMNS = ("step", "node", "power", "sigma", "gcc", "anc", "reward", "cum_reward")
 
@@ -307,7 +312,7 @@ class AttackReport:
             wr.writerows(self.rows())
 
 
-def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights,
+def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights = None,
                method: str = "attack") -> AttackReport:
     """Run one attack episode on a fork of g.
 
@@ -345,7 +350,7 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights,
     return rep
 
 
-def replay_attack(g: CoupledGraph, nodes, weights: RewardWeights,
+def replay_attack(g: CoupledGraph, nodes, weights: RewardWeights = None,
                   method: str = "attack") -> AttackReport:
     """Apply a fixed node sequence and record the metric series."""
     seq = list(nodes)

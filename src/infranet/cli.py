@@ -5,6 +5,7 @@ Every invocation is deterministic given its flags and seeds. A config flag
 left out takes its config's default, which only the config states. A bad input
 file or flag value exits with status 2 and one `infranet: error: ...` line;
 a flag that argparse rejects (`--seed -1`, `--budget x`) prints its usage too.
+`--weights` is checked before any file is read.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def _parse_nodes(text: str) -> list:
         raise UsageError(f"--nodes {text!r}: expected comma-separated integer node ids") from None
 
 
-def _parse_weights(text: str, g: CoupledGraph) -> RewardWeights:
+def _parse_weights(text: str) -> RewardWeights:
+    """None for 'normalized': the attack then scales by the graph's intact totals."""
     if text == "normalized":
-        return RewardWeights.normalized(g)
+        return None
     parts = dict(kv.partition("=")[::2] for kv in text.split(","))
     try:
         if sorted(parts) != ["ae", "ar"]:
@@ -84,8 +86,8 @@ def cmd_embed(args):
 
 
 def cmd_attack(args):
+    weights = _parse_weights(args.weights)
     g = CoupledGraph.from_file(args.graph)
-    weights = _parse_weights(args.weights, g)
     nodes = _parse_nodes(args.nodes)
     rep = cascade.replay_attack(g, nodes, weights, method="attack")
     rep.save_csv(args.out)
@@ -93,9 +95,9 @@ def cmd_attack(args):
 
 
 def cmd_train(args):
+    weights = _parse_weights(args.weights)
     g = CoupledGraph.from_file(args.graph)
     emb = embed_mod.load_embedding(args.emb)
-    weights = _parse_weights(args.weights, g)
     cfg = agent_mod.AgentConfig(**_given(args, agent_mod.AgentConfig) | {"weights": weights})
     params, log = agent_mod.train(g, emb, cfg)
     agent_mod.save_qnet(args.out, params, cfg)
@@ -106,24 +108,23 @@ def cmd_train(args):
 
 
 def cmd_baseline(args):
-    given = _given(args, harness.ExperimentPlan)
-    del given["weights"]        # parsed on the graph below
+    given = _given(args, harness.ExperimentPlan) | {"weights": _parse_weights(args.weights)}
     plan = harness.ExperimentPlan(graph_file=args.graph, methods=(args.kind,),
                                   seeds=(args.seed,), **given)
     g = plan.load_graph()
-    weights = _parse_weights(args.weights, g)
     method = harness.METHODS[args.kind]
     emb = None
     if method.needs_embedding:
         if not args.emb:
             raise UsageError(f"--kind {args.kind} needs --emb")
         emb = embed_mod.load_embedding(args.emb)
-    rep = method.run(g, emb, plan, args.seed, weights)
+    rep = method.run(g, emb, plan, args.seed)
     rep.save_csv(args.out)
     print(f"wrote {args.out}: cum_reward {rep.final_cum_reward!r}")
 
 
 def cmd_transfer(args):
+    weights = _parse_weights(args.weights)
     g = CoupledGraph.from_file(args.graph)
     emb = embed_mod.load_embedding(args.emb)
     params = agent_mod.load_qnet(args.qnet)
@@ -134,7 +135,6 @@ def cmd_transfer(args):
     rcfg = transfer_mod.RetrainConfig(**_given(args, transfer_mod.RetrainConfig))
     g_mask = transfer_mod.mask_graph(g, spec)
     cascade.check_budget(g_mask, args.budget, agent_mod.AgentError)
-    weights = _parse_weights(args.weights, g_mask)
     if args.mask_out:
         g_mask.save(args.mask_out)
     new_emb, _ = transfer_mod.retrain(g_mask, emb, rcfg)

@@ -166,23 +166,17 @@ def _uniform(rng, shape, d):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_features(g: CoupledGraph, d: int, seed: int,
-                  sub_embeds=None) -> EmbeddingMatrix:
-    """Initial feature columns; per-layer pretrained columns when provided.
-
-    sub_embeds: optional (elec: EmbeddingMatrix, road: EmbeddingMatrix) pair
-    sized like the full graph; station columns come from the first, junction
-    columns from the second.
-    """
-    rng = np.random.default_rng(seed)
-    F = _uniform(rng, (d, g.n), d)
-    if sub_embeds is not None:
-        emb_e, emb_r = sub_embeds
-        if emb_e.d != d or emb_r.d != d or emb_e.n != g.n or emb_r.n != g.n:
-            raise EmbedError("sub-embedding dimensions do not match")
-        st, ju = g.station_ids(), g.junction_ids()
-        F[:, st] = emb_e.Z[:, st]
-        F[:, ju] = emb_r.Z[:, ju]
+def init_features(g: CoupledGraph, d: int, emb_e: EmbeddingMatrix,
+                  emb_r: EmbeddingMatrix) -> EmbeddingMatrix:
+    """Initial feature columns from the per-layer pretrained embeddings, both
+    sized like the full graph: station columns come from `emb_e`, junction
+    columns from `emb_r`. Every node is one or the other."""
+    if emb_e.d != d or emb_r.d != d or emb_e.n != g.n or emb_r.n != g.n:
+        raise EmbedError("sub-embedding dimensions do not match")
+    F = np.empty((d, g.n))
+    st, ju = g.station_ids(), g.junction_ids()
+    F[:, st] = emb_e.Z[:, st]
+    F[:, ju] = emb_r.Z[:, ju]
     return EmbeddingMatrix(F, provenance=PRETRAINED)
 
 
@@ -424,6 +418,7 @@ def init_params(cfg: EmbedConfig, rng) -> list:
     return [_uniform(rng, (cfg.d, cfg.d), cfg.d) for _ in range(cfg.depth)]
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a diverging run raises below
 def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None,
           pull: float = 0.0):
     """Gradient-descent training; negatives are resampled every epoch.
@@ -460,7 +455,7 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
         emb_r, _, _ = train(problem_for(g, "road", cfg), replace(cfg, seed=cfg.seed + 2))
     else:
         emb_r = random_embeddings(g, cfg.d, cfg.seed + 2)
-    F = init_features(g, cfg.d, cfg.seed, sub_embeds=(emb_e, emb_r))
+    F = init_features(g, cfg.d, emb_e, emb_r)
     return train(problem_for(g, "coupled", cfg), cfg, F=F.Z)
 
 

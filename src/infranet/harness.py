@@ -8,7 +8,7 @@ through it. Every (method, seed) cell writes its own report CSV; a summary
 CSV aggregates final cumulative reward, power fraction, and ANC per method.
 A seed-free method (DE, CI) never reads the seed, so `run_plan` simulates it
 once, under the plan's first seed, and gives every other seed a copy of that
-report, wall_seconds included.
+report, wall_seconds included; each report carries the seed of its cell.
 Cells run on INFRA_THREADS threads (unset or empty: 1), which pays off for
 agent and GDM cells, whose numpy work releases the GIL, and not for
 DE/CI/random; outputs are byte-identical for any thread count.
@@ -158,7 +158,7 @@ def _override(block: str, cls, overrides: dict):
 class Method(NamedTuple):
     """One attack a plan can name.
 
-    `run(g, emb, plan, seed, weights)` returns the cell's AttackReport.
+    `run(g, emb, plan, seed)` returns the cell's AttackReport.
     `needs_embedding` methods get the plan's coupled embedding as `emb`
     (None otherwise). `baseline` methods train no agent; they are the kinds
     of the `baseline` subcommand. A method that is not `seeded` ignores
@@ -171,32 +171,32 @@ class Method(NamedTuple):
     seeded: bool = True
 
 
-def _de(g, emb, plan, seed, weights):
-    return baselines.de_attack(g, plan.budget, weights)
+def _de(g, emb, plan, seed):
+    return baselines.de_attack(g, plan.budget, plan.weights)
 
 
-def _ci(g, emb, plan, seed, weights):
-    return baselines.ci_attack(g, plan.budget, radius=plan.ci_radius, weights=weights)
+def _ci(g, emb, plan, seed):
+    return baselines.ci_attack(g, plan.budget, radius=plan.ci_radius, weights=plan.weights)
 
 
-def _gdm(g, emb, plan, seed, weights):
+def _gdm(g, emb, plan, seed):
     cfg = replace(plan.gdm_config, seed=seed)
-    return baselines.gdm_attack(g, emb, plan.budget, cfg, weights)
+    return baselines.gdm_attack(g, emb, plan.budget, cfg, plan.weights)
 
 
-def _random(g, emb, plan, seed, weights):
-    return baselines.random_attack(g, plan.budget, seed=seed, weights=weights)
+def _random(g, emb, plan, seed):
+    return baselines.random_attack(g, plan.budget, seed=seed, weights=plan.weights)
 
 
-def _agent(g, emb, plan, seed, weights, method="agent"):
-    acfg = replace(plan.agent_config, seed=seed, budget=plan.budget, weights=weights)
+def _agent(g, emb, plan, seed, method="agent"):
+    acfg = replace(plan.agent_config, seed=seed, budget=plan.budget, weights=plan.weights)
     params, _ = agent_mod.train(g, emb, acfg)
-    return agent_mod.greedy_attack(g, emb, params, plan.budget, weights, method=method)
+    return agent_mod.greedy_attack(g, emb, params, plan.budget, plan.weights, method=method)
 
 
-def _agent_random_embedding(g, emb, plan, seed, weights):
+def _agent_random_embedding(g, emb, plan, seed):
     emb = embed_mod.random_embeddings(g, plan.embed_config.d, seed)
-    return _agent(g, emb, plan, seed, weights, method="agent-random-embedding")
+    return _agent(g, emb, plan, seed, method="agent-random-embedding")
 
 
 METHODS = {
@@ -218,7 +218,6 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     g = plan.load_graph()
-    weights = plan.weights or RewardWeights.normalized(g)
 
     emb = None
     if any(METHODS[m].needs_embedding for m in plan.methods):
@@ -230,7 +229,7 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
 
     def do(cell):
         m, s = cell
-        return cell, METHODS[m].run(g, emb, plan, s, weights)
+        return cell, METHODS[m].run(g, emb, plan, s)
 
     if workers == 1:
         done = dict(map(do, cells))
@@ -243,6 +242,7 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
         for s in plan.seeds:
             reports[(m, s)] = done[(m, s)] if (m, s) in done else copy.deepcopy(done[(m, first)])
     for (m, s), rep in reports.items():
+        rep.seed = s
         rep.save_csv(outdir / f"{m}_seed{s}.csv")
 
     write_summary(reports, outdir / "summary.csv")
@@ -282,7 +282,8 @@ METRICS = ("power", "sigma", "gcc", "anc", "reward", "cum_reward")
 
 
 def emit_curves(reports, outdir, svg: bool = True):
-    """Long-format plot data (method, step, metric, value) plus optional SVGs."""
+    """Long-format plot data (method, seed, step, metric, value) plus optional
+    SVGs; a report from outside a plan has an empty seed."""
     reports = list(reports)
     if not reports:
         raise PlanError("no reports to plot")
@@ -294,11 +295,11 @@ def emit_curves(reports, outdir, svg: bool = True):
     path = outdir / "curves.csv"
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
-        wr.writerow(("method", "step", "metric", "value"))
+        wr.writerow(("method", "seed", "step", "metric", "value"))
         for rep in reports:
             for metric in METRICS:
                 for step, value in enumerate(getattr(rep, metric)):
-                    wr.writerow((rep.method, step, metric, repr(float(value))))
+                    wr.writerow((rep.method, rep.seed, step, metric, repr(float(value))))
     if svg:
         for metric in METRICS:
             _render_svg(reports, metric, outdir / f"{metric}.svg")
@@ -310,7 +311,8 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 def _render_svg(reports, metric, path, width=480, height=320, pad=40):
     """Deliberately minimal chart: axes plus one polyline per report."""
-    series = [(r.method, [float(v) for v in getattr(r, metric)]) for r in reports]
+    series = [(r.method if r.seed is None else f"{r.method} seed {r.seed}",
+               [float(v) for v in getattr(r, metric)]) for r in reports]
     ymin = min(min(ys) for _, ys in series)
     ymax = max(max(ys) for _, ys in series)
     if ymax == ymin:
@@ -330,13 +332,13 @@ def _render_svg(reports, metric, path, width=480, height=320, pad=40):
         f'<text x="{width // 2}" y="{height - 8}" text-anchor="middle" font-size="12">damaged nodes</text>',
         f'<text x="12" y="{pad - 8}" font-size="12">{metric}</text>',
     ]
-    for i, (method, ys) in enumerate(series):
+    for i, (label, ys) in enumerate(series):
         pts = " ".join(f"{px(k):.1f},{py(v):.1f}" for k, v in enumerate(ys))
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}"/>')
         lines.append(
             f'<text x="{width - pad + 4}" y="{pad + 14 * i}" font-size="10" '
-            f'fill="{color}">{method}</text>'
+            f'fill="{color}">{label}</text>'
         )
     lines.append("</svg>")
     with open(path, "w") as f:

@@ -131,7 +131,7 @@ def retrain(g_mask: CoupledGraph, old_emb, cfg: RetrainConfig):
     epoch is the margin link-prediction loss on the mask graph plus
     distance_weight times the mean squared deviation from the originals.
     """
-    F = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
+    F = old_emb.Z
     if F.shape[1] != g_mask.n:
         raise TransferError("embedding column count does not match the graph")
     ecfg = embed_mod.EmbedConfig(d=F.shape[0], lr=cfg.lr, epochs=cfg.epochs, seed=cfg.seed)

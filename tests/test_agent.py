@@ -19,7 +19,7 @@ from infranet.agent import (
     train,
 )
 from infranet.cascade import RewardWeights
-from infranet.embed import random_embeddings
+from infranet.embed import EmbeddingMatrix, random_embeddings
 from infranet.graph import DAMAGED, JUNCTION, NORMAL, CoupledGraph
 from infranet.netgen import generate, preset_config
 
@@ -547,7 +547,7 @@ def test_greedy_picks_supply_chain(toy_chain):
 @pytest.mark.parametrize("d, n", [(3, 6), (4, 5)])
 def test_greedy_attack_rejects_embedding_of_another_shape(toy_chain, d, n):
     params = QNetParams.init(4, np.random.default_rng(0))
-    Z = np.random.default_rng(1).normal(size=(d, n))
+    Z = EmbeddingMatrix(np.random.default_rng(1).normal(size=(d, n)))
     with pytest.raises(AgentError, match=rf"embedding of shape \({d}, {n}\) does not match "
                                          r"the value net's d=4 and the graph's 6 nodes"):
         greedy_attack(toy_chain, Z, params, 2)

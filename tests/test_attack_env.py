@@ -1,12 +1,14 @@
 """AttackEnv and the component labelling, checked against the from-scratch
 path: the BFS oracles, damage() on a parallel fork, and the old episode loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infranet import agent, baselines, cascade
-from infranet.agent import QNetParams
+from infranet import agent, baselines, cascade, transfer
+from infranet.agent import AgentConfig, QNetParams
 from infranet.cascade import (
     AttackEnv,
     CascadeError,
@@ -256,3 +258,44 @@ def test_reports_equal_reference_loop(method, desk, monkeypatch):
     for name in ("nodes", "power", "sigma", "gcc", "anc", "reward", "cum_reward"):
         assert getattr(new, name) == getattr(ref, name), name
     assert list(new.rows()) == list(ref.rows())
+
+
+# -- the default weights, resolved only in AttackEnv --------------------------
+
+@pytest.mark.parametrize("seed", range(10))
+def test_normalized_weights_are_the_env_default(seed):
+    g = random_coupled(seed)
+    p0, s0 = oracle_power(g), oracle_sigma(g)
+    w = RewardWeights(a_e=1.0 / p0 if p0 > 0 else 0.0, a_r=1.0 / s0 if s0 > 0 else 1.0)
+    assert RewardWeights.normalized(g) == AttackEnv(g).weights == w
+    # the attack runs on an all-Normal fork, so a damaged graph keeps its weights
+    damage(g, int(np.flatnonzero(g.kind == JUNCTION)[0]))
+    assert RewardWeights.normalized(g) == AttackEnv(g).weights == w
+
+
+@pytest.mark.parametrize("method", [
+    lambda g, w: baselines.de_attack(g, 10, w),
+    lambda g, w: baselines.ci_attack(g, 10, weights=w),
+    lambda g, w: baselines.random_attack(g, 20, seed=3, weights=w),
+    lambda g, w: baselines.gdm_attack(g, random_embeddings(g, 8, 0), 10,
+                                      baselines.GdmConfig(sample_count=60, epochs=40), w),
+    greedy,
+    lambda g, w: transfer.transfer_attack(g, random_embeddings(g, 8, 0),
+                                          QNetParams.init(8, np.random.default_rng(0)), 10, w),
+], ids=["de", "ci", "random", "gdm", "greedy", "transfer"])
+def test_default_weights_give_the_normalized_report(method, desk):
+    g, w = desk
+    assert list(method(g, None).rows()) == list(method(g, w).rows())
+
+
+def test_default_weights_train_the_normalized_agent(desk):
+    g, w = desk
+    emb = random_embeddings(g, 4, 0)
+    cfg = AgentConfig(budget=5, episodes=8, batch_size=8, buffer_size=64, target_sync=7,
+                      seed=1)
+    assert cfg.weights is None
+    p1, log1 = agent.train(g, emb, cfg)
+    p2, log2 = agent.train(g, emb, replace(cfg, weights=w))
+    np.testing.assert_array_equal(p1.theta1, p2.theta1)
+    np.testing.assert_array_equal(p1.theta2, p2.theta2)
+    assert log1 == log2

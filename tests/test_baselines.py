@@ -15,7 +15,7 @@ from infranet.baselines import (
     random_attack,
 )
 from infranet.cascade import AttackEnv, RewardWeights, damage
-from infranet.embed import random_embeddings
+from infranet.embed import EmbeddingMatrix, random_embeddings
 from infranet.graph import DAMAGED, JUNCTION, NORMAL, STATION, CoupledGraph
 from infranet.netgen import generate, preset_config
 
@@ -233,7 +233,7 @@ def test_gdm_scores_separate_planted_signal():
     rng = np.random.default_rng(0)
     Z[2] = rng.normal(size=g.n) * 0.01
     Z[0, nodes] = 2.0 * labels - 1.0
-    scores = gdm_scores(g, Z, cfg, w)
+    scores = gdm_scores(g, EmbeddingMatrix(Z), cfg, w)
     pos = nodes[labels == 1.0]
     neg = nodes[labels == 0.0]
     assert scores[pos].min() > scores[neg].max()

@@ -106,6 +106,19 @@ def test_malformed_weights_exit(tmp_path, workdir, capsys, text):
     assert f"--weights {text!r}: expected 'normalized' or 'ae=<float>,ar=<float>'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["attack", "--nodes", "0"],
+    ["train", "--emb", "missing.bin"],
+    ["baseline", "--kind", "gdm", "--emb", "missing.bin"],
+    ["transfer", "--emb", "missing.bin", "--qnet", "missing.bin"],
+], ids=lambda argv: argv[0])
+def test_weights_are_checked_before_any_file_is_read(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a.startswith("missing") else a for a in argv]
+    err = cli_error(capsys, argv + ["--graph", str(tmp_path / "missing.json"),
+                                    "--weights", "junk", "--out", str(tmp_path / "out")])
+    assert err.startswith("infranet: error: --weights 'junk': expected"), err
+
+
 def test_baseline_kinds_are_harness_baselines():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -253,6 +266,30 @@ def test_bad_flag_fails_before_any_training_or_output(tmp_path, workdir, capsys,
     assert not out.exists() and not mask.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--lr", "1e300", "--episodes", "20"], "TD loss diverged at episode"),
+    (["embed", "--lr", "1e300", "--epochs", "5"], "training diverged at epoch"),
+    (["transfer", "--qnet", "q.bin", "--retrain-lr", "1e300", "--retrain-epochs", "5"],
+     "training diverged at epoch"),
+    (["report", "gdm"], "GDM training diverged at epoch"),
+], ids=["train", "embed", "transfer", "report"])
+def test_diverging_training_prints_one_error_line(tmp_path, workdir, capsys, argv, message):
+    # no warning may escape on the way: the suite turns warnings into errors
+    out = str(tmp_path / "out")
+    if argv[0] == "report":
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"graph": {"file": str(workdir / "g.json")},
+                                    "methods": ["gdm"], "budget": 3,
+                                    "embed": {"d": 4, "epochs": 3}, "gdm": {"lr": 1e300}}))
+        argv = ["report", "--plan", str(plan), "--out", out]
+    else:
+        argv = [str(workdir / a) if a.endswith(".bin") else a for a in argv]
+        argv += ["--graph", str(workdir / "g.json"), "--out", out]
+        if argv[0] != "embed":
+            argv += ["--emb", str(workdir / "emb.bin")]
+    assert message in cli_error(capsys, argv)
+
+
 # the configs each subcommand builds from its flags
 COMMAND_CONFIGS = {
     "generate": (netgen.GenConfig,),
@@ -309,8 +346,7 @@ def test_required_flags_alone_build_default_configs(tmp_path, workdir, monkeypat
                  ["baseline", "--kind", "de", "--graph", graph]):
         with pytest.raises(Captured):
             main(argv + ["--out", out])
-    weights = RewardWeights.normalized(CoupledGraph.from_file(graph))
-    assert seen == [netgen.GenConfig(), embed.EmbedConfig(), agent.AgentConfig(weights=weights),
+    assert seen == [netgen.GenConfig(), embed.EmbedConfig(), agent.AgentConfig(),
                     transfer.MaskSpec(), transfer.RetrainConfig(),
                     harness.ExperimentPlan(graph_file=graph, methods=("de",), seeds=(0,))]
     assert not (tmp_path / "out").exists()
@@ -490,4 +526,39 @@ def test_flag_values_succeed_or_exit_2(tmp_path, capsys, kind, budget, radius, s
             main(argv + ["--weights", weights, "--graph", str(path), "--out", out])
         except SystemExit as e:
             assert e.code == 2
+    capsys.readouterr()
+
+
+# half the draws take a value every float flag accepts, so runs also succeed
+FLOAT_TEXT = st.one_of(st.just("0.1"), st.sampled_from(
+    ["inf", "-inf", "nan", "1e300", "-0.0", "0", "0.5", "2", "-1"]))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["train", "embed", "transfer"]),
+       values=st.lists(FLOAT_TEXT, min_size=4, max_size=4))
+def test_float_flags_succeed_or_exit_2(tmp_path, workdir, capsys, command, values):
+    # every float flag of the training commands either runs or fails with one
+    # error line; no warning may escape (the suite turns warnings into errors)
+    files = {name: str(workdir / f) for name, f in
+             (("graph", "g.json"), ("emb", "emb.bin"), ("qnet", "q.bin"))}
+    argv = {
+        "train": ["--emb", files["emb"], "--budget", "2", "--episodes", "2", "--batch-size", "2",
+                  "--buffer-size", "8"],
+        "embed": ["--d", "4", "--epochs", "2"],
+        "transfer": ["--emb", files["emb"], "--qnet", files["qnet"], "--budget", "2",
+                     "--retrain-epochs", "2"],
+    }[command]
+    flags = {"train": ["--lr", "--gamma", "--eps-end"],
+             "embed": ["--lr", "--margin", "--l2"],
+             "transfer": ["--mask-delete", "--mask-add", "--distance-weight",
+                          "--retrain-lr"]}[command]
+    argv += [f"{flag}={value}" for flag, value in zip(flags, values)]
+    try:
+        assert main([command, "--graph", files["graph"], "--out", str(tmp_path / "out"),
+                     *argv]) == 0
+    except SystemExit as e:
+        err = capsys.readouterr().err
+        assert e.code == 2 and err.startswith("infranet: error: ") and err.count("\n") == 1, err
     capsys.readouterr()

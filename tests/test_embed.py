@@ -41,21 +41,11 @@ def road_graph(edges, n):
                         elec_edges=[], road_edges=edges, dep_edges=[])
 
 
-def test_init_features_shape_and_determinism():
-    g = road_graph([(0, 1)], 10)
-    a = init_features(g, d=4, seed=7)
-    b = init_features(g, d=4, seed=7)
-    assert a.Z.shape == (4, 10)
-    np.testing.assert_array_equal(a.Z, b.Z)
-    c = init_features(g, d=4, seed=8)
-    assert not np.array_equal(a.Z, c.Z)
-
-
 def test_init_features_copies_sub_embeddings(toy_chain):
     d = 4
     emb_e = random_embeddings(toy_chain, d, 1)
     emb_r = random_embeddings(toy_chain, d, 2)
-    F = init_features(toy_chain, d, 0, sub_embeds=(emb_e, emb_r))
+    F = init_features(toy_chain, d, emb_e, emb_r)
     st, ju = toy_chain.station_ids(), toy_chain.junction_ids()
     np.testing.assert_array_equal(F.Z[:, st], emb_e.Z[:, st])
     np.testing.assert_array_equal(F.Z[:, ju], emb_r.Z[:, ju])
@@ -65,7 +55,7 @@ def test_init_features_dimension_mismatch(toy_chain):
     bad = EmbeddingMatrix(np.zeros((3, toy_chain.n)))
     good = EmbeddingMatrix(np.zeros((4, toy_chain.n)))
     with pytest.raises(EmbedError):
-        init_features(toy_chain, 4, 0, sub_embeds=(bad, good))
+        init_features(toy_chain, 4, bad, good)
 
 
 def test_forward_isolated_node_halves_feature():
@@ -311,9 +301,9 @@ def test_train_coupled_without_road_edges_uses_random_road_columns(monkeypatch):
     cfg = EmbedConfig(d=4, epochs=3, seed=5)
     real, road_columns = embed.init_features, []
 
-    def spy(g, d, seed, sub_embeds):
-        road_columns.append(sub_embeds[1])
-        return real(g, d, seed, sub_embeds=sub_embeds)
+    def spy(g, d, emb_e, emb_r):
+        road_columns.append(emb_r)
+        return real(g, d, emb_e, emb_r)
 
     monkeypatch.setattr(embed, "init_features", spy)
     emb, params, losses = train_coupled(g, cfg)

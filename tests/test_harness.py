@@ -354,13 +354,31 @@ def test_emit_curves_layout(tmp_path, small_graph_file):
     path = emit_curves(reports.values(), tmp_path / "plots")
     with path.open() as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["method", "step", "metric", "value"]
+    assert rows[0] == ["method", "seed", "step", "metric", "value"]
     # 3 methods x 6 metrics x (budget+1) steps
     assert len(rows) - 1 == 3 * 6 * 5
     for metric in ("power", "sigma", "gcc", "anc", "reward", "cum_reward"):
         svg = tmp_path / "plots" / f"{metric}.svg"
         text = svg.read_text()
         assert text.startswith("<svg") and text.count("<polyline") == 3
+
+
+def test_emit_curves_tells_seeds_apart(tmp_path, small_graph_file):
+    # DE ignores the seed, so its three reports hold the same series
+    plan = small_plan(small_graph_file, seeds=[0, 1, 2], methods=["de", "random"])
+    reports = run_plan(plan, tmp_path / "run")
+    assert [(r.method, r.seed) for r in reports.values()] == list(reports)
+    path = emit_curves(reports.values(), tmp_path / "plots")
+    with path.open() as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == len({tuple(row[:4]) for row in rows}) == 6 * 6 * 5
+    assert ["de", "2", "1", "power"] == rows[2 * 6 * 5 + 1][:4]
+    text = (tmp_path / "plots" / "power.svg").read_text()
+    for label in [f"{m} seed {s}" for m in ("de", "random") for s in (0, 1, 2)]:
+        assert text.count(f">{label}</text>") == 1, label
+    # a report from outside a plan has no seed
+    one = emit_curves([replay_attack(plan.load_graph(), [0])], tmp_path / "one", svg=False)
+    assert one.read_text().splitlines()[1].startswith("attack,,0,power,")
 
 
 def test_emit_curves_no_svg(tmp_path, small_graph_file):
@@ -385,7 +403,7 @@ def test_emit_curves_guards(tmp_path, small_graph_file):
 
 def test_svg_draws_a_flat_series_on_the_x_axis(tmp_path):
     # a series with one value has no y range to scale by
-    _render_svg([SimpleNamespace(method="flat", power=[2.0, 2.0, 2.0])], "power",
+    _render_svg([SimpleNamespace(method="flat", seed=None, power=[2.0, 2.0, 2.0])], "power",
                 tmp_path / "power.svg")
     assert ('<polyline points="40.0,280.0 240.0,280.0 440.0,280.0"'
             in (tmp_path / "power.svg").read_text())

@@ -154,7 +154,7 @@ def test_retrain_loss_decreases():
 
 def test_retrain_column_mismatch():
     g = random_coupled(5)
-    bad = np.zeros((4, g.n + 1))
+    bad = EmbeddingMatrix(np.zeros((4, g.n + 1)))
     with pytest.raises(TransferError):
         retrain(g, bad, RetrainConfig())
 
