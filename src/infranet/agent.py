@@ -17,6 +17,19 @@ scores s @ Y. The two forms of the scores agree up to the last bits, so in
 a near tie they may pick different nodes; exact ties break to the lowest id
 in both.
 
+The TD target of a transition is r + gamma * next_max * ~done, where
+next_max is the max of s_next @ Y_hat over the nodes alive after the step
+(Mnih et al., Nature 518, 2015). A stored transition never changes and the
+target values Y_hat change only at a target sync, so the replay buffer caches
+each slot's next_max until its slot is pushed again or the target syncs. An
+SGD step computes the max only for its batch's distinct stale slots, in one
+product, and unpacks only their alive masks. The bits of a product row can
+depend on the row count: a 1-row product takes BLAS's gemv path, and at
+n mod 8 != 0 the last columns can take other bits. So a lone stale slot of a
+batch of 2 or more is computed in a 2-row product, and a cached max is the
+result of the product that computed it. On the desk preset (n mod 8 = 0) the
+tests find the bits of recomputing the whole batch at every step.
+
 For the pooled state a run keeps one C-ordered node-major (n, d) copy of Z
 and sets each picked node's row to -0.0; `train` restores the picked rows
 from Z at every episode reset. The state is the copy's sum over axis 0 over
@@ -108,7 +121,12 @@ class QNetParams:
 
 
 class ReplayBuffer:
-    """FIFO ring of transitions; alive masks are stored bit-packed."""
+    """FIFO ring of transitions; alive masks are stored bit-packed.
+
+    Each slot also caches its masked next-state max, `next_max`, valid while
+    its `fresh` flag is set. `push` clears its slot's flag; the owner clears
+    every flag when the target network changes.
+    """
 
     def __init__(self, capacity: int, d: int, n_nodes: int):
         self.capacity = capacity
@@ -119,6 +137,8 @@ class ReplayBuffer:
         self.s_next = np.zeros((capacity, d))
         self.done = np.zeros(capacity, dtype=bool)
         self.masks = np.zeros((capacity, (n_nodes + 7) // 8), dtype=np.uint8)
+        self.next_max = np.zeros(capacity)
+        self.fresh = np.zeros(capacity, dtype=bool)
         self.head = 0
         self.size = 0
 
@@ -131,14 +151,29 @@ class ReplayBuffer:
         self.s_next[i] = s_next
         self.done[i] = done
         self.masks[i] = np.packbits(next_alive.astype(np.uint8))
+        self.fresh[i] = False
         self.head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch: int, rng):
-        idx = rng.integers(0, self.size, size=batch)
-        alive = np.unpackbits(self.masks[idx], axis=1)[:, : self.n_nodes].astype(bool)
-        return (self.s[idx], self.a[idx], self.r[idx], self.s_next[idx],
-                self.done[idx], alive)
+    def sample(self, batch: int, rng) -> np.ndarray:
+        """Slot indices of `batch` transitions drawn uniformly with replacement."""
+        return rng.integers(0, self.size, size=batch)
+
+    def cached_max(self, idx: np.ndarray, Y_hat: np.ndarray) -> np.ndarray:
+        """The masked next-state max of each slot in idx against Y_hat,
+        computing only the distinct stale slots (see the module docstring:
+        a lone stale slot of a larger batch fills a 2-row product)."""
+        stale = np.unique(idx[~self.fresh[idx]])
+        if len(stale):
+            rows = np.repeat(stale, 2) if len(stale) == 1 < len(idx) else stale
+            got = masked_max(self.s_next[rows], self.alive(rows), Y_hat)
+            self.next_max[stale] = got[: len(stale)]
+            self.fresh[stale] = True
+        return self.next_max[idx]
+
+    def alive(self, rows: np.ndarray) -> np.ndarray:
+        """The bool next-state alive masks of the slots `rows`, unpacked."""
+        return np.unpackbits(self.masks[rows], axis=1)[:, : self.n_nodes].astype(bool)
 
 
 # -- value network -----------------------------------------------------------
@@ -213,28 +248,31 @@ def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
 
 # -- TD loss ------------------------------------------------------------------
 
-def _td_targets(batch, Y_hat: np.ndarray, gamma: float):
-    s, a, r, s_next, done, alive = batch
+def masked_max(s_next: np.ndarray, alive: np.ndarray, Y_hat: np.ndarray) -> np.ndarray:
+    """Per row, the max of s_next @ Y_hat over the row's alive nodes; 0 for a
+    row with no alive node (or a non-finite max)."""
     next_scores = s_next @ Y_hat                      # (B, n)
     next_scores[~alive] = -np.inf
-    next_max = next_scores.max(axis=1)
-    next_max = np.where(np.isfinite(next_max), next_max, 0.0)
-    return r + gamma * next_max * (~done)
+    best = next_scores.max(axis=1)
+    return np.where(np.isfinite(best), best, 0.0)
 
 
 def td_loss(batch, Z: np.ndarray, params: QNetParams, gamma: float,
-            want_grad: bool = False, Y_hat: np.ndarray = None):
+            want_grad: bool = False, next_max: np.ndarray = None):
     """Mean squared TD error; optionally with gradients wrt theta1/theta2.
 
-    `Y_hat` is the target network's node values, computed here when not given.
+    `batch` is (s, a, r, s_next, done, alive). The target of a transition is
+    r + gamma * next_max * ~done, where `next_max` is the masked max of
+    s_next against the target network's node values; it is computed here
+    from s_next and alive when not given, and only then are they read.
     """
     s, a, r, s_next, done, alive = batch
     B = len(a)
     if B == 0:
         raise AgentError("empty batch")
-    if Y_hat is None:
-        Y_hat = node_values(Z, params, target=True)
-    target = _td_targets(batch, Y_hat, gamma)
+    if next_max is None:
+        next_max = masked_max(s_next, alive, node_values(Z, params, target=True))
+    target = r + gamma * next_max * (~done)
 
     Za = Z[:, a]                                      # (d, B)
     pre = params.theta1 @ Za                          # (2d, B)
@@ -352,9 +390,10 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             cum += r
             step += 1
             if buf.size >= cfg.batch_size:
-                batch = buf.sample(cfg.batch_size, rng)
+                idx = buf.sample(cfg.batch_size, rng)
+                batch = (buf.s[idx], buf.a[idx], buf.r[idx], None, buf.done[idx], None)
                 loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True,
-                                       Y_hat=values.target_values())
+                                       next_max=buf.cached_max(idx, values.target_values()))
                 if not np.isfinite(loss):
                     raise AgentError(f"TD loss diverged at episode {ep}, step {step}")
                 params.theta1 -= cfg.lr * d1
@@ -364,6 +403,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             if step % cfg.target_sync == 0:
                 params.sync_target()
                 values.target = None
+                buf.fresh[:] = False
             if done:
                 break
         log.episode.append(ep)

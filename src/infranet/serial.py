@@ -23,6 +23,14 @@ class FormatError(ValueError):
 
 
 def write_tensors(path, arrays, d: int, n_nodes: int, depth: int, sidecar: dict = None):
+    """Raises FormatError, before writing anything, for a finite value beyond
+    the float32 range, which the payload would hold as inf."""
+    limit = np.finfo(np.float32).max
+    for a in arrays:
+        a = np.asarray(a)
+        if np.any(np.isfinite(a) & (np.abs(a) > limit)):
+            raise FormatError(f"{path}: a value beyond the float32 range "
+                              f"(|x| > {limit:.4g}) cannot be stored")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<5I", FORMAT_VERSION, d, n_nodes, depth, len(arrays)))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from infranet import agent, cascade, embed, netgen, transfer
 from infranet.cascade import (
     AttackReport,
-    RewardWeights,
     anc,
     damage,
     gcc,
@@ -378,15 +377,15 @@ def oracle_q_values(Z, s, params, alive_mask=None):
 
 def oracle_train(g, emb, cfg):
     """The per-step DQN training loop: the node values and the pooled state
-    from scratch at every step, and the target node values recomputed
-    inside every `td_loss`. Drop-in for agent.train."""
-    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
+    from scratch at every step, and every sampled transition's alive mask
+    unpacked and its masked next-state max recomputed, against target node
+    values recomputed inside every `td_loss`. Drop-in for agent.train."""
+    Z = emb.Z
     rng = np.random.default_rng(cfg.seed)
     params = agent.QNetParams.init(Z.shape[0], rng)
-    weights = cfg.weights or RewardWeights.normalized(g)
     buf = agent.ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
     log = agent.TrainLog()
-    env = cascade.AttackEnv(g, weights)
+    env = cascade.AttackEnv(g, cfg.weights)
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
@@ -409,9 +408,11 @@ def oracle_train(g, emb, cfg):
             cum += r
             step += 1
             if buf.size >= cfg.batch_size:
-                batch = buf.sample(cfg.batch_size, rng)
-                loss, d1, d2 = agent.td_loss(batch, Z, params, cfg.gamma, want_grad=True,
-                                             Y_hat=oracle_node_values(Z, params, target=True))
+                idx = rng.integers(0, buf.size, size=cfg.batch_size)
+                alive_next = np.unpackbits(buf.masks[idx], axis=1)[:, :g.n].astype(bool)
+                batch = (buf.s[idx], buf.a[idx], buf.r[idx], buf.s_next[idx], buf.done[idx],
+                         alive_next)
+                loss, d1, d2 = agent.td_loss(batch, Z, params, cfg.gamma, want_grad=True)
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
                 losses.append(loss)
@@ -429,8 +430,7 @@ def oracle_train(g, emb, cfg):
 def oracle_greedy_attack(g, emb, params, budget, weights=None, method="agent"):
     """The per-step greedy attack: the node values and the pooled state from
     scratch at every step. Drop-in for agent.greedy_attack."""
-    Z = emb.Z if hasattr(emb, "Z") else np.asarray(emb)
-    weights = weights or RewardWeights.normalized(g)
+    Z = emb.Z
     removed = []
 
     def policy(graph, k):
@@ -493,7 +493,7 @@ def oracle_retrain(g_mask, old_emb, cfg):
     """The transfer retraining loop as a separate epoch loop: forward, hinge
     loss, pull-back term, backward and update written out. Drop-in for
     transfer.retrain."""
-    F_old = old_emb.Z if hasattr(old_emb, "Z") else np.asarray(old_emb)
+    F_old = old_emb.Z
     ecfg = embed.EmbedConfig(d=F_old.shape[0], seed=cfg.seed)
     problem = embed.problem_for(g_mask, "coupled", ecfg)
     rng = np.random.default_rng(cfg.seed)

@@ -323,10 +323,15 @@ def test_td_targets_match_masked_max_formula(seed):
     alive[:, 0] = rng.random(16) < 0.5
     alive[3] = False                       # no alive next node: target is r
     Y_hat = rng.normal(size=(5, 40))
-    batch = (s, a, r, s_next, done, alive)
     next_max = np.where(alive, s_next @ Y_hat, -np.inf).max(axis=1)
-    want = r + 0.9 * np.where(np.isfinite(next_max), next_max, 0.0) * (~done)
-    assert agent._td_targets(batch, Y_hat, 0.9).tobytes() == want.tobytes()
+    want = np.where(np.isfinite(next_max), next_max, 0.0)
+    assert agent.masked_max(s_next, alive, Y_hat).tobytes() == want.tobytes()
+    # td_loss's own targets are that max against the target net's node values
+    Z = rng.normal(size=(5, 40))
+    params = QNetParams.init(5, rng)
+    given = agent.masked_max(s_next, alive, oracle_node_values(Z, params, target=True))
+    assert (td_loss((s, a, r, s_next, done, alive), Z, params, gamma=0.9)
+            == td_loss((s, a, r, None, done, None), Z, params, gamma=0.9, next_max=given))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -355,13 +360,17 @@ def test_replay_buffer_fifo_ring():
 
 
 def test_replay_buffer_mask_roundtrip():
-    buf = ReplayBuffer(capacity=2, d=2, n_nodes=5)
-    mask = np.array([True, False, True, False, True])
-    buf.push(np.zeros(2), 1, 0.0, np.zeros(2), False, mask)
-    rng = np.random.default_rng(0)
-    _, _, _, _, _, alive = buf.sample(4, rng)
-    assert alive.shape == (4, 5)
-    np.testing.assert_array_equal(alive[0], mask)
+    # each dead node scores 9, above every alive one, so a misread bit of the
+    # packed mask (n = 11 leaves 5 pad bits) moves the cached max
+    buf = ReplayBuffer(capacity=2, d=2, n_nodes=11)
+    mask = np.array([True, False, True, False, True, True, False, False, True, False, True])
+    Y_hat = np.array([np.where(mask, np.arange(11.0) / 2, 9.0), np.zeros(11)])
+    buf.push(np.zeros(2), 1, 0.0, np.array([1.0, 0.0]), False, mask)
+    buf.push(np.zeros(2), 1, 0.0, np.array([1.0, 0.0]), False, ~mask)
+    idx = buf.sample(4, np.random.default_rng(0))
+    assert idx.shape == (4,) and set(idx.tolist()) <= {0, 1}
+    got = buf.cached_max(np.array([0, 1]), Y_hat)
+    assert got.tolist() == [5.0, 9.0]
 
 
 def test_target_sync_semantics():
@@ -397,6 +406,19 @@ def test_train_deterministic():
     assert l1.cum_reward == l2.cum_reward
 
 
+@pytest.fixture(scope="module")
+def desk_graph():
+    return generate(preset_config("desk", seed=0))
+
+
+def assert_same_run(got, want):
+    (params, log), (o_params, o_log) = got, want
+    for key in ("theta1", "theta2", "theta1_hat", "theta2_hat"):
+        assert np.array_equal(getattr(params, key), getattr(o_params, key)), key
+    for key in ("episode", "cum_reward", "loss_mean", "epsilon"):
+        assert getattr(log, key) == getattr(o_log, key), key
+
+
 # Configs for the cached-vs-per-step differential: the target syncs many
 # times per run, epsilon ends strictly inside (0, 1) so exploit and explore
 # steps interleave after SGD updates start, and the batch size is reached
@@ -422,19 +444,110 @@ def test_cached_node_values_match_per_step_oracle(graph, overrides):
     cfg = AgentConfig(seed=5, **overrides)
     assert cfg.episodes * cfg.budget > cfg.target_sync
     params, log = train(g, emb, cfg)
-    o_params, o_log = oracle_train(g, emb, cfg)
-    assert np.array_equal(params.theta1, o_params.theta1)
-    assert np.array_equal(params.theta2, o_params.theta2)
-    assert np.array_equal(params.theta1_hat, o_params.theta1_hat)
-    assert np.array_equal(params.theta2_hat, o_params.theta2_hat)
-    for key in ("episode", "cum_reward", "loss_mean", "epsilon"):
-        assert getattr(log, key) == getattr(o_log, key), key
+    assert_same_run((params, log), oracle_train(g, emb, cfg))
     assert 0.0 < log.epsilon[-1] < 1.0 or cfg.eps_end == 0.0
     w = RewardWeights.normalized(g)
     rep = greedy_attack(g, emb, params, 8, w)
     o_rep = oracle_greedy_attack(g, emb, params, 8, w)
     for key in ("nodes", "power", "sigma", "gcc", "anc", "reward", "cum_reward"):
         assert getattr(rep, key) == getattr(o_rep, key), key
+
+
+# The cached TD maxima against the per-step oracle on the desk graph, whose
+# n = 1,488 is a multiple of 8: batch sizes from the 1-row product (1) and a
+# padded lone stale slot (2) to the default 64; a target period that divides
+# the episode length (5) and one that does not (7); embedding widths 3 to 64.
+# The buffer wraps in every run.
+@pytest.mark.parametrize("d", [3, 16, 64])
+@pytest.mark.parametrize("target_sync", [5, 7])
+@pytest.mark.parametrize("batch_size", [1, 2, 8, 64])
+def test_td_max_cache_matches_per_step_oracle(desk_graph, batch_size, target_sync, d):
+    emb = random_embeddings(desk_graph, d, 2)
+    cfg = AgentConfig(budget=5, episodes=24, batch_size=batch_size,
+                      buffer_size=batch_size + 30, target_sync=target_sync, eps_end=0.3,
+                      eps_decay_steps=60, lr=0.1, gamma=0.9, seed=11)
+    assert_same_run(train(desk_graph, emb, cfg), oracle_train(desk_graph, emb, cfg))
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_td_max_cache_recomputes_an_overwritten_slot(desk_graph, batch_size):
+    # the target never syncs, so only a push can make a cached max stale
+    emb = random_embeddings(desk_graph, 8, 4)
+    cfg = AgentConfig(budget=5, episodes=8, batch_size=batch_size,
+                      buffer_size=batch_size + 1, target_sync=1000, eps_end=0.5,
+                      lr=0.1, gamma=0.9, seed=12)
+    assert_same_run(train(desk_graph, emb, cfg), oracle_train(desk_graph, emb, cfg))
+
+
+def test_replay_buffer_computes_each_stale_slot_once(monkeypatch):
+    products = []
+    compute = agent.masked_max
+
+    def record(s_next, alive, Y_hat):
+        products.append(s_next[:, 0].tolist())
+        return compute(s_next, alive, Y_hat)
+
+    monkeypatch.setattr(agent, "masked_max", record)
+    buf = ReplayBuffer(capacity=3, d=2, n_nodes=4)
+    Y_hat = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+    alive = np.array([True, True, True, False])
+    for k in (1.0, 2.0, 3.0):
+        buf.push(np.zeros(2), 0, 0.0, np.array([k, 0.0]), False, alive)
+    assert buf.cached_max(np.array([2, 0, 2, 1]), Y_hat).tolist() == [9.0, 3.0, 9.0, 6.0]
+    assert buf.cached_max(np.array([1, 2]), Y_hat).tolist() == [6.0, 9.0]
+    buf.push(np.zeros(2), 0, 0.0, np.array([-1.0, 0.0]), False, alive)     # into slot 0
+    assert buf.cached_max(np.array([0, 1]), Y_hat).tolist() == [-1.0, 6.0]
+    buf.fresh[:] = False                                                   # a target sync
+    assert buf.cached_max(np.array([2]), Y_hat * 2).tolist() == [18.0]
+    assert buf.cached_max(np.array([1, 1]), Y_hat * 2).tolist() == [12.0, 12.0]
+    # one product per call with a stale slot; a lone stale slot of a larger
+    # batch fills two rows, and a batch of one takes a 1-row product
+    assert products == [[1.0, 2.0, 3.0], [-1.0, -1.0], [3.0], [2.0, 2.0]]
+
+
+def test_td_max_cache_unpacks_only_stale_slots(desk_graph, monkeypatch):
+    # A model of the cache kept here: a slot's max goes stale at its push
+    # and at every target sync, and is fresh once an SGD step has computed it.
+    generation, known = {}, set()
+    periods = [[0, 0]]              # per target period: rows unpacked, stale slots sampled
+    unpacked = []
+    push, sync = ReplayBuffer.push, QNetParams.sync_target
+    cached_max, alive = ReplayBuffer.cached_max, ReplayBuffer.alive
+
+    def on_push(self, *args):
+        generation[self.head] = generation.get(self.head, 0) + 1
+        push(self, *args)
+
+    def on_sync(self):
+        known.clear()
+        periods.append([0, 0])
+        sync(self)
+
+    def on_alive(self, rows):
+        unpacked.extend(rows.tolist())
+        return alive(self, rows)
+
+    def on_cached_max(self, idx, Y_hat):
+        stale = {i for i in idx.tolist() if (i, generation[i]) not in known}
+        unpacked.clear()
+        out = cached_max(self, idx, Y_hat)
+        assert set(unpacked) == stale
+        assert len(unpacked) == (2 if len(stale) == 1 < len(idx) else len(stale))
+        known.update((i, generation[i]) for i in stale)
+        periods[-1][0] += len(set(unpacked))
+        periods[-1][1] += len(stale)
+        return out
+
+    for name, fn in (("push", on_push), ("alive", on_alive), ("cached_max", on_cached_max)):
+        monkeypatch.setattr(ReplayBuffer, name, fn)
+    monkeypatch.setattr(QNetParams, "sync_target", on_sync)
+    cfg = AgentConfig(budget=10, episodes=20, batch_size=64, buffer_size=150,
+                      target_sync=20, lr=0.05, seed=3)
+    train(desk_graph, random_embeddings(desk_graph, 16, 1), cfg)
+    assert len(periods) == 1 + 1 + 200 // 20          # the sync at init, then one per period
+    assert all(rows <= stale for rows, stale in periods)
+    sgd_steps = 200 - cfg.batch_size + 1
+    assert 0 < sum(rows for rows, _ in periods) < sgd_steps * cfg.batch_size / 4
 
 
 def test_greedy_attack_deterministic_and_masked():

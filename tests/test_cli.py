@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import infranet
 from infranet import agent, baselines, cli, embed, harness, netgen, transfer
@@ -538,6 +538,7 @@ FLOAT_TEXT = st.one_of(st.just("0.1"), st.sampled_from(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["train", "embed", "transfer"]),
        values=st.lists(FLOAT_TEXT, min_size=4, max_size=4))
+@example(command="embed", values=["2", "1e300", "2", "0.1"])   # finite, beyond float32
 def test_float_flags_succeed_or_exit_2(tmp_path, workdir, capsys, command, values):
     # every float flag of the training commands either runs or fails with one
     # error line; no warning may escape (the suite turns warnings into errors)

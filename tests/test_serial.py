@@ -213,6 +213,18 @@ def test_non_finite_payload_raises_format_error(tmp_path):
         load_qnet(p)
 
 
+@pytest.mark.parametrize("big", [1e39, -3.5e38, 1e300])
+def test_write_refuses_finite_values_beyond_float32(tmp_path, big):
+    # float32 would store them as inf; nothing is written
+    p = tmp_path / "t.bin"
+    with pytest.raises(FormatError, match="a value beyond the float32 range"):
+        write_tensors(p, [np.zeros((2, 3)), np.array([[0.0, big]])], d=2, n_nodes=3, depth=0)
+    assert not p.exists()
+    largest = float(np.finfo(np.float32).max)
+    write_tensors(p, [np.array([[largest, -largest, np.inf]])], d=1, n_nodes=3, depth=0)
+    assert read_tensors(p)[0][0].tolist() == [[largest, -largest, np.inf]]
+
+
 # -- fuzzing: the readers raise nothing but FormatError ----------------------
 
 READERS = (read_tensors, load_embedding, load_qnet)
