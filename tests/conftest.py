@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from infranet import agent, cascade, embed, netgen, transfer
 from infranet.cascade import (
@@ -17,6 +17,12 @@ from infranet.cascade import (
 from infranet.graph import DAMAGED, INVALID, JUNCTION, NORMAL, STATION, CoupledGraph, GraphError
 from infranet.netgen import GenConfig, generate
 
+
+# Every run draws the same examples: each test's draws are seeded from a
+# hash of the test function, so a rare draw that fails does so in every run,
+# not by chance. Tests that set max_examples keep their own.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # arbitrary JSON values, for fuzzing the readers
 JSON_VALUES = st.recursive(
