@@ -3,7 +3,8 @@
 Forward pass per layer: neighbor features are aggregated (sum by default,
 mean behind a flag), averaged with the node's own feature, linearly mixed
 and passed through ReLU. Training pits observed edges against sampled
-non-edges under a hinge margin; gradients are hand-derived, no autograd.
+non-edges under a hinge margin; gradients are hand-derived, and the neighbor
+sums of both passes and the hinge gradient are one scatter-add, `_scatter`.
 
 Pretraining runs the same machinery on each layer's subgraph alone; the
 coupled-graph training then starts from those columns. Transfer retraining
@@ -28,7 +29,7 @@ DEFAULT_EDGE_TYPE_WEIGHTS = {"elec": 1.0, "road": 1.0, "dep": 1.0}
 AGGREGATORS = ("sum", "mean")
 
 
-# embedding rows per np.bincount call in _neighbor_sum, and edges per einsum
+# embedding rows per np.bincount call in _scatter, and edges per einsum
 # call in score. Small blocks keep each call's temporaries small, and a fresh
 # process then faults in far fewer pages than for whole-array temporaries.
 _CHUNK = 4
@@ -86,6 +87,8 @@ class EmbeddingMatrix:
         self.Z = np.asarray(self.Z, dtype=np.float64)
         if self.Z.ndim != 2:
             raise EmbedError("embedding matrix must be 2-D")
+        if self.Z.shape[0] == 0:
+            raise EmbedError("embedding matrix has no rows")
         if not np.all(np.isfinite(self.Z)):
             raise EmbedError("non-finite embedding entries")
 
@@ -100,7 +103,12 @@ class EmbeddingMatrix:
 
 @dataclass
 class EmbedProblem:
-    """One training instance: edges with type weights plus the sampling pool."""
+    """One training instance: edges with type weights plus the sampling pool.
+
+    Edges must be distinct undirected pairs inside the pool, no self-loops, as
+    in every `problem_for` scope: a CoupledGraph refuses duplicate edges,
+    self-loops, second parents or suppliers, and node kinds keep layers apart.
+    The p pool nodes then have a non-edge pair iff edges < p*(p-1)/2."""
 
     n: int
     edges: np.ndarray        # (m, 2) undirected pairs
@@ -114,30 +122,16 @@ class EmbedProblem:
         if self.edges.size and not 0 <= self.edges.min() <= self.edges.max() < self.n:
             raise EmbedError(f"edge endpoints must lie in [0, {self.n})")
         # sorted undirected edge keys min*n+max, for the rejection in sample_negatives
-        keys = self.edges.min(axis=1) * self.n + self.edges.max(axis=1)
-        self.edge_keys = np.unique(keys)
-        # a non-edge pair exists unless the distinct in-pool edges number
-        # p*(p-1)/2, which takes at least that many edge keys
-        nodes = np.unique(self.pool)
-        pairs = len(nodes) * (len(nodes) - 1) // 2
-        if len(self.edge_keys) >= pairs > 0:
-            inner = (np.isin(self.edges, nodes).all(axis=1)
-                     & (self.edges[:, 0] != self.edges[:, 1]))
-            pairs -= len(np.unique(keys[inner]))
-        self.has_non_edge = pairs > 0
+        self.edge_keys = np.unique(self.edges.min(axis=1) * self.n + self.edges.max(axis=1))
+        p = len(np.unique(self.pool))
+        self.has_non_edge = len(self.edge_keys) < p * (p - 1) // 2
         # the symmetric adjacency as neighbor pairs in CSR order (rows
-        # ascending, columns ascending within a row), each distinct pair once
-        # with its multiplicity, as a CSR matrix sums duplicate entries
+        # ascending, columns ascending within a row)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        pair_keys, mult = np.unique(rows * self.n + cols, return_counts=True)
-        self.nbr_rows, self.nbr_cols = np.divmod(pair_keys, self.n)
-        self.nbr_mult = mult.astype(np.float64)
-        # the pairs that occur more than once; a product by 1.0 changes no bit
-        self.nbr_repeated = np.flatnonzero(mult > 1)
-        # bincount keys of _CHUNK embedding rows: row_in_chunk * n + node
-        self.nbr_keys = (np.arange(_CHUNK)[:, None] * self.n + self.nbr_rows).ravel()
-        self.deg = np.bincount(rows, minlength=self.n).astype(np.float64)
+        self.nbr_rows, self.nbr_cols = np.divmod(np.sort(rows * self.n + cols), self.n)
+        # the degree clamped to >= 1, the divisor of the mean aggregator
+        self.deg = np.maximum(np.bincount(rows, minlength=self.n), 1).astype(np.float64)
 
 
 def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
@@ -188,24 +182,31 @@ def random_embeddings(g: CoupledGraph, d: int, seed: int) -> EmbeddingMatrix:
 
 # -- forward / backward -----------------------------------------------------
 
-def _neighbor_sum(problem: EmbedProblem, X: np.ndarray) -> np.ndarray:
-    """(adj @ X.T).T as a C-ordered (d, n) array, for the symmetric adjacency
-    of problem's edges.
+def _scatter(X: np.ndarray, rows: np.ndarray, other: np.ndarray, c: np.ndarray = None):
+    """The package's one scatter-add: the C-ordered (d, n) array out with
+    out[:, rows[i]] += c[i] * X[:, other[i]] for each i in order, from +0.0
+    (c defaults to all ones).
 
-    Each entry adds its neighbor terms one after another from +0.0, in CSR
-    order, as a CSR product does; np.bincount adds its weights in input order.
-    One bincount serves _CHUNK rows of X.
+    np.bincount adds each bin's weights in input order, so every cell sums
+    its terms as a scatter-add loop does. One bincount, over the keys
+    row_in_chunk * n + rows, serves _CHUNK rows of X.
     """
-    d, n = X.shape[0], problem.n
-    cols, rep = problem.nbr_cols, problem.nbr_repeated
+    d, n = X.shape
+    keys = (np.arange(_CHUNK)[:, None] * n + rows).ravel()
     out = np.empty((d, n))
     for j in range(0, d, _CHUNK):
         k = min(_CHUNK, d - j)
-        terms = np.take(X[j:j + k], cols, axis=1)
-        terms[:, rep] *= problem.nbr_mult[rep]
-        out[j:j + k] = np.bincount(problem.nbr_keys[:k * len(cols)], weights=terms.ravel(),
+        terms = np.take(X[j:j + k], other, axis=1)
+        if c is not None:
+            terms *= c
+        out[j:j + k] = np.bincount(keys[:k * len(other)], weights=terms.ravel(),
                                    minlength=k * n).reshape(k, n)
     return out
+
+
+def _neighbor_sum(problem: EmbedProblem, X: np.ndarray) -> np.ndarray:
+    """(adj @ X.T).T, each entry's neighbor terms added in CSR order."""
+    return _scatter(X, problem.nbr_rows, problem.nbr_cols)
 
 
 def _aggregate(H: np.ndarray, problem: EmbedProblem, aggregator: str) -> np.ndarray:
@@ -215,7 +216,7 @@ def _aggregate(H: np.ndarray, problem: EmbedProblem, aggregator: str) -> np.ndar
     aggregate is C-ordered, so for a C-ordered H, M is made in its buffer."""
     HN = _neighbor_sum(problem, H)
     if aggregator == "mean":
-        HN /= np.maximum(problem.deg, 1.0)
+        HN /= problem.deg
     M = np.add(H, HN, out=HN if H.flags.c_contiguous else np.empty_like(H))
     M *= 0.5
     return M
@@ -252,7 +253,7 @@ def _backward(dZ, params: list, caches, problem: EmbedProblem, aggregator: str):
         if i == 0:
             break
         half = 0.5 * (params[i].T @ G)
-        dHN = half / np.maximum(problem.deg, 1.0) if aggregator == "mean" else half
+        dHN = half / problem.deg if aggregator == "mean" else half
         dH = half + _neighbor_sum(problem, dHN)
     return dWs
 
@@ -378,16 +379,12 @@ def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
     if not want_grad:
         return loss
 
-    # dZ[:, rows[i]] += c[i] * Z[:, other[i]], one bincount per row of Z;
-    # bincount adds in input order, so each cell sums as a scatter-add would
+    # dZ[:, rows[i]] += c[i] * Z[:, other[i]], in the order of the pairs
     coef = (w_rep * active) / P
     rows = np.concatenate([pos_rep[:, 0], pos_rep[:, 1], neg[:, 0], neg[:, 1]])
     other = np.concatenate([pos_rep[:, 1], pos_rep[:, 0], neg[:, 1], neg[:, 0]])
     c = np.concatenate([-coef, -coef, coef, coef])
-    dZ = np.empty(Z.shape)
-    for j in range(Z.shape[0]):
-        dZ[j] = np.bincount(rows, weights=c * Z[j, other], minlength=Z.shape[1])
-    return loss, dZ
+    return loss, _scatter(Z, rows, other, c)
 
 
 def loss_and_grads(F, params: list, problem: EmbedProblem, neg, cfg: EmbedConfig,

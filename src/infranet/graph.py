@@ -186,7 +186,7 @@ class CoupledGraph:
     elec_edges: np.ndarray    # (m, 2) int64 (parent, child)
     road_edges: np.ndarray    # (m, 2) int64 (u, v) with u < v
     dep_edges: np.ndarray     # (m, 2) int64 (station, junction)
-    state: np.ndarray = field(default=None)
+    state: np.ndarray = field(init=False)     # uint8, all Normal at construction
 
     def __post_init__(self):
         self.kind = np.asarray(self.kind, dtype=np.int8)
@@ -197,10 +197,7 @@ class CoupledGraph:
         dep = self.dep_edges = _edge_array("dep_edges", self.dep_edges)
         for pairs in (elec, road, dep):
             pairs.flags.writeable = False
-        if self.state is None:
-            self.state = np.zeros(self.n, dtype=np.uint8)
-        else:
-            self.state = np.asarray(self.state, dtype=np.uint8)
+        self.state = np.zeros(self.n, dtype=np.uint8)
         self._validate(elec, road, dep)
         self._build_adjacency(elec, road, dep)
 
@@ -214,7 +211,7 @@ class CoupledGraph:
         """Every rule runs over whole edge arrays; a failure names the first
         offending edge or node in sorted edge order."""
         n = self.n
-        if not (len(self.level) == len(self.load) == len(self.state) == n):
+        if not (len(self.level) == len(self.load) == n):
             raise GraphError("node attribute arrays disagree on length")
         if np.any((self.kind != STATION) & (self.kind != JUNCTION)):
             raise GraphError("unknown node kind")

@@ -1,11 +1,12 @@
 """Experiment orchestration: agent vs. baselines across seeds, plus curve
 and summary emission.
 
-A plan names a graph source, the methods to run, the budget, the seeds, and
-optional config overrides. `METHODS` is the one table from a method name to
-the attack it runs; `run_plan` and the `baseline` subcommand both dispatch
-through it. Every (method, seed) cell writes its own report CSV; a summary
-CSV aggregates final cumulative reward, power fraction, and ANC per method.
+A plan names a graph source, the methods and the seeds (each at most once),
+the budget, and optional config overrides. `METHODS` is the one table from a
+method name to the attack it runs; `run_plan` and the `baseline` subcommand
+both dispatch through it. Every (method, seed) cell writes its own report
+CSV; a summary CSV aggregates final cumulative reward, power fraction, and
+ANC per method.
 A seed-free method (DE, CI) never reads the seed, so `run_plan` simulates it
 once, under the plan's first seed, and gives every other seed a copy of that
 report, wall_seconds included; each report carries the seed of its cell.
@@ -73,6 +74,11 @@ class ExperimentPlan:
         for m in self.methods:
             if not isinstance(m, str) or m not in METHODS:
                 raise PlanError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        for key in ("methods", "seeds"):
+            values = list(getattr(self, key))
+            twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if twice is not None:
+                raise PlanError(f"plan key {key!r} repeats {twice!r}; list each once")
         if self.graph_preset is None and self.graph_file is None:
             raise PlanError("plan needs a graph preset or file")
         if self.graph_preset is not None and self.graph_file is not None:
@@ -224,8 +230,8 @@ def run_plan(plan: ExperimentPlan, outdir) -> dict:
         emb, _, _ = embed_mod.train_coupled(g, plan.embed_config)
 
     first = plan.seeds[0]
-    cells = list(dict.fromkeys((m, s) for m in plan.methods
-                               for s in (plan.seeds if METHODS[m].seeded else (first,))))
+    cells = [(m, s) for m in plan.methods
+             for s in (plan.seeds if METHODS[m].seeded else (first,))]
 
     def do(cell):
         m, s = cell

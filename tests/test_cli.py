@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import infranet
-from infranet import agent, baselines, cli, embed, harness, netgen, transfer
+from infranet import agent, baselines, cli, embed, harness, netgen, serial, transfer
 from infranet.cascade import RewardWeights
 from infranet.cli import build_parser, main
 from infranet.graph import JUNCTION, NORMAL, STATION, CoupledGraph
@@ -144,6 +144,19 @@ def test_baseline_matches_report_cell(tmp_path, workdir, monkeypatch):
               "--budget", "3", "--seed", "1", "--radius", "2", "--out", str(out)])
         cell = tmp_path / "report" / f"{kind}_seed1.csv"
         assert out.read_bytes() == cell.read_bytes(), kind
+
+
+def test_embedding_without_rows_exits_with_one_error_line(tmp_path, workdir, capsys):
+    # a well-formed tensor file may hold a (0, n) array; init bounds are 1/sqrt(d)
+    graph = str(workdir / "g.json")
+    emb = tmp_path / "emb_d0.bin"
+    n = CoupledGraph.from_file(graph).n
+    serial.write_tensors(emb, [np.zeros((0, n))], d=0, n_nodes=n, depth=0)
+    for argv in (["train", "--episodes", "1"], ["baseline", "--kind", "gdm"]):
+        err = cli_error(capsys, argv + ["--graph", graph, "--emb", str(emb), "--budget", "2",
+                                        "--out", str(tmp_path / "out")])
+        assert "embedding matrix has no rows" in err, (argv, err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_baseline_gdm_requires_emb(tmp_path, workdir):
@@ -459,6 +472,10 @@ def test_bad_input_exits_with_one_error_line(tmp_path, workdir, capsys, monkeypa
         ({"graph": {"preset": "desk", "seed": -1}}, "graph seed must be >= 0, got -1"),
         ({"graph": {"file": graph}, "embed": {"seed": -1}},
          "plan block 'embed': seed must be >= 0, got -1"),
+        ({"graph": {"preset": "desk"}, "methods": ["de", "de"], "seeds": [0, 0], "budget": 3},
+         "plan key 'methods' repeats 'de'; list each once"),
+        ({"graph": {"file": graph}, "methods": ["random"], "seeds": [2, 2]},
+         "plan key 'seeds' repeats 2; list each once"),
     ]:
         plan.write_text(json.dumps(doc))
         err = cli_error(capsys, ["report", "--plan", str(plan), "--out", str(tmp_path / "rep")])

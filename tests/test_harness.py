@@ -67,6 +67,23 @@ def test_plan_validation_errors(small_graph_file):
         small_plan(small_graph_file, seeds=[])
 
 
+@pytest.mark.parametrize("methods, seeds, message", [
+    (["de", "de"], [0, 0], "plan key 'methods' repeats 'de'; list each once"),
+    (["de", "ci", "random"], [3, 1, 3], "plan key 'seeds' repeats 3; list each once"),
+    (["random", "ci", "random"], [0], "plan key 'methods' repeats 'random'; list each once"),
+])
+def test_plan_refuses_a_repeated_method_or_seed(tmp_path, methods, seeds, message):
+    # run_plan keys its cells by (method, seed), so a repeat would run fewer cells
+    doc = {"graph": {"preset": "desk"}, "methods": methods, "seeds": seeds, "budget": 3}
+    with pytest.raises(PlanError, match=f"^{message}$"):
+        ExperimentPlan.from_json(json.dumps(doc))
+    plan = ExperimentPlan(graph_preset="desk", methods=tuple(methods), seeds=tuple(seeds),
+                          budget=3)
+    with pytest.raises(PlanError, match=f"^{message}$"):
+        run_plan(plan, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("block, key", [
     ("embed", "dim"),
     ("agent", "episdoes"),
