@@ -6,16 +6,15 @@ transform of the node's embedding. Training uses a FIFO replay buffer, a
 periodically synced target network, an epsilon-greedy policy, and plain SGD
 on the squared TD error; gradients are hand-derived.
 
-Node values are recomputed only when their parameters change. In training,
-an exploit step scores the alive nodes as (s @ theta2) @ relu(theta1 @ Z),
-with the (2d, n) hidden array recomputed at the first exploit step after an
-SGD update; the TD targets read the target network's (d, n) node values,
-recomputed at the first TD loss after a target sync. Both passes write one
+Every greedy pick, a training run's exploit steps and each step of a
+greedy attack, scores the nodes with `q_values`: (s @ theta2) @ H against
+the (2d, n) hidden array H = relu(theta1 @ Z). A greedy attack computes H
+once; training recomputes it at the first exploit step after an SGD update.
+The TD targets read the target network's (d, n) node values Y_hat,
+recomputed at the first TD loss after a target sync, since many replay rows
+are scored against one frozen target net. Both training passes write one
 (2d, n) hidden buffer, so a target pass also drops the online hidden array.
-A greedy attack computes its one (d, n) node-value matrix up front and
-scores s @ Y. The two forms of the scores agree up to the last bits, so in
-a near tie they may pick different nodes; exact ties break to the lowest id
-in both.
+Exact ties break to the lowest id.
 
 The TD target of a transition is r + gamma * next_max * ~done, where
 next_max is the max of s_next @ Y_hat over the nodes alive after the step
@@ -220,10 +219,10 @@ def node_values(Z: np.ndarray, params: QNetParams, target: bool = False,
     return np.matmul(params.theta2_hat if target else params.theta2, h, out=out)
 
 
-def q_values(Z: np.ndarray, s: np.ndarray, params: QNetParams,
+def q_values(s: np.ndarray, params: QNetParams, hidden: np.ndarray,
              alive_mask=None) -> np.ndarray:
-    """Per-node action values; non-alive nodes are forced to -inf."""
-    q = s @ node_values(Z, params)
+    """Per-node action values (s @ theta2) @ hidden_layer(Z); -inf where not alive."""
+    q = (s @ params.theta2) @ hidden
     if alive_mask is not None:
         q = np.where(alive_mask, q, -np.inf)
     return q
@@ -335,10 +334,10 @@ class _RunValues:
         self.target = None        # target node values, in `target_out`
 
     def scores(self, s: np.ndarray) -> np.ndarray:
-        """Exploit scores (s @ theta2) @ relu(theta1 @ Z) of every node."""
+        """Exploit scores `q_values` of every node against the online hidden array."""
         if self.online is None:
             self.online = hidden_layer(self.Z, self.params, out=self.hidden)
-        return (s @ self.params.theta2) @ self.online
+        return q_values(s, self.params, self.online)
 
     def target_values(self) -> np.ndarray:
         if self.target is None:
@@ -377,7 +376,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         for k in range(cfg.budget):
             eps = _epsilon_at(step, cfg)
             a = select_action(lambda: values.scores(s), eps, rng, env.state == NORMAL)
-            r, _ = env.step(a)
+            r = env.step(a)
             removed.append(a)
             alive = env.state == NORMAL
             # an episode ends early once no Normal node is left; the TD target
@@ -427,13 +426,12 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     if Z.shape != (d, g.n):
         raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
                          f"d={d} and the graph's {g.n} nodes")
-    Y = node_values(Z, params)
+    H = hidden_layer(Z, params)
     pool = np.array(Z.T, order="C")
     removed = []
 
     def policy(graph, k):
-        alive = graph.state == NORMAL
-        q = np.where(alive, pooled_state(Z, removed, pool) @ Y, -np.inf)
+        q = q_values(pooled_state(Z, removed, pool), params, H, graph.state == NORMAL)
         a = int(np.argmax(q))
         removed.append(a)
         return a

@@ -142,7 +142,7 @@ def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):
     env = cascade.AttackEnv(g, weights)
     for i, v in enumerate(nodes):
         env.reset()
-        rewards[i] = env.step(v)[0]
+        rewards[i] = env.step(v)
     cut = np.quantile(rewards, 1.0 - cfg.positive_quantile)
     labels = rewards >= cut
     if labels.all():

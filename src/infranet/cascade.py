@@ -31,7 +31,7 @@ labelling all step an AttackEnv.
 
 A step's reward is a_e * power drop + a_r * sigma drop. `weights=None`, the
 default of every attack entry point, scales each term by its intact total;
-AttackEnv alone resolves it, from the intact metrics it caches.
+AttackEnv alone resolves it, with RewardWeights.normalized(g).
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class RewardWeights:
     @classmethod
     def normalized(cls, g: CoupledGraph) -> "RewardWeights":
         """The default weights of an attack on g: each term over its intact total."""
-        return AttackEnv(g).weights
+        p0, s0 = float(g.feeds.sum()), _size_metrics(g.road_sizes)[0]
+        return cls(a_e=1.0 / p0 if p0 > 0 else 0.0, a_r=1.0 / s0 if s0 > 0 else 1.0)
 
 
 @dataclass
@@ -153,15 +154,15 @@ def _check_normal(g: CoupledGraph, v: int):
         raise CascadeError(f"node {v} is not Normal; mask such actions")
 
 
-def _propagate(g: CoupledGraph, v: int) -> set:
+def _propagate(g: CoupledGraph, v: int) -> np.ndarray:
     """Damage Normal node v and propagate the cascade to a fixed point.
 
-    Returns the nodes the cascade made Invalid (v itself excluded).
+    Returns the int64 ids of the nodes the cascade made Invalid (v excluded).
     """
     state = g.state
     state[v] = DAMAGED
     if g.kind[v] != STATION:
-        return set()
+        return np.empty(0, dtype=np.int64)
     supplier, light = g.dep_edges[:, 0], g.dep_edges[:, 1]
     if g.level[v] == 10:        # no children; its lights are one run of dep_edges
         below = np.empty(0, dtype=np.int64)
@@ -173,7 +174,7 @@ def _propagate(g: CoupledGraph, v: int) -> set:
         lights = light[lost[supplier]]
     dark = lights[state[lights] == NORMAL]
     state[dark] = INVALID
-    return set(below.tolist()) | set(dark.tolist())
+    return np.concatenate((below, dark))
 
 
 def damage(g: CoupledGraph, v: int) -> CascadeOutcome:
@@ -189,7 +190,7 @@ def damage(g: CoupledGraph, v: int) -> CascadeOutcome:
     newly_invalid = _propagate(g, v)
     return CascadeOutcome(
         node=v,
-        newly_invalid=newly_invalid,
+        newly_invalid=set(newly_invalid.tolist()),
         power_before=p_before,
         power_after=power(g),
         sigma_before=s_before,
@@ -222,9 +223,7 @@ class AttackEnv:
     def __init__(self, g: CoupledGraph, weights: RewardWeights = None):
         self.graph = g.fork()
         self._intact = (float(g.feeds.sum()), *_size_metrics(g.road_sizes))
-        p0, s0, _ = self._intact
-        self.weights = weights or RewardWeights(a_e=1.0 / p0 if p0 > 0 else 0.0,
-                                                a_r=1.0 / s0 if s0 > 0 else 1.0)
+        self.weights = weights or RewardWeights.normalized(g)
         self.reset()
 
     @property
@@ -236,12 +235,11 @@ class AttackEnv:
         self.power, self.sigma, self.gcc = self._intact
 
     def step(self, v: int):
-        """Damage Normal node v; returns (reward, newly_invalid)."""
+        """Damage Normal node v; returns the step's reward."""
         g = self.graph
         v = int(v)
         _check_normal(g, v)
-        newly_invalid = _propagate(g, v)
-        lost = np.array([v, *newly_invalid])
+        lost = np.append(_propagate(g, v), v)
         p_before, s_before = self.power, self.sigma
         self.power = p_before - float(g.feeds[lost].sum())
         if np.any(g.kind[lost] != STATION):
@@ -249,7 +247,7 @@ class AttackEnv:
         r = self.weights.a_r * (s_before - self.sigma)
         if g.kind[v] == STATION:
             r += self.weights.a_e * (p_before - self.power)
-        return float(r), newly_invalid
+        return float(r)
 
 
 @dataclass
@@ -324,7 +322,7 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights = No
         v = int(policy(env.graph, k))
         if not 0 <= v < g.n:
             raise CascadeError(f"step {k}: node id {v} out of range [0,{g.n})")
-        r = env.step(v)[0] if env.state[v] == NORMAL else 0.0
+        r = env.step(v) if env.state[v] == NORMAL else 0.0
         rep.nodes.append(v)
         rep.power.append(env.power)
         rep.sigma.append(env.sigma)

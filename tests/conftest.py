@@ -403,7 +403,7 @@ def oracle_train(g, emb, cfg):
             eps = agent._epsilon_at(step, cfg)
             a = agent.select_action(oracle_q_values(Z, s, params), eps, rng,
                                     env.state == NORMAL)
-            r, _ = env.step(a)
+            r = env.step(a)
             removed.append(a)
             alive = env.state == NORMAL
             done = k == cfg.budget - 1 or not alive.any()

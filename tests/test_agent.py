@@ -212,9 +212,11 @@ def test_q_values_zero_cases():
     rng = np.random.default_rng(0)
     Z = rng.normal(size=(3, 5))
     params = QNetParams(theta1=np.zeros((6, 3)), theta2=np.zeros((3, 6)))
-    np.testing.assert_array_equal(q_values(Z, np.ones(3), params), np.zeros(5))
+    H = agent.hidden_layer(Z, params)
+    np.testing.assert_array_equal(q_values(np.ones(3), params, H), np.zeros(5))
     params2 = QNetParams.init(3, rng)
-    np.testing.assert_array_equal(q_values(Z, np.zeros(3), params2), np.zeros(5))
+    H2 = agent.hidden_layer(Z, params2)
+    np.testing.assert_array_equal(q_values(np.zeros(3), params2, H2), np.zeros(5))
 
 
 def test_q_values_match_dense_oracle():
@@ -223,7 +225,7 @@ def test_q_values_match_dense_oracle():
     Z = rng.normal(size=(d, n))
     s = rng.normal(size=d)
     params = QNetParams.init(d, rng)
-    q = q_values(Z, s, params)
+    q = q_values(s, params, agent.hidden_layer(Z, params))
     for v in range(n):
         h = np.maximum(params.theta1 @ Z[:, v], 0.0)
         assert q[v] == pytest.approx(float((params.theta2 @ h) @ s))
@@ -234,8 +236,34 @@ def test_q_values_masking():
     Z = rng.normal(size=(3, 4))
     params = QNetParams.init(3, rng)
     mask = np.array([True, False, True, False])
-    q = q_values(Z, rng.normal(size=3), params, alive_mask=mask)
+    q = q_values(rng.normal(size=3), params, agent.hidden_layer(Z, params), alive_mask=mask)
     assert np.isinf(q[1]) and q[1] < 0 and np.isfinite(q[0])
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_greedy_attack_scores_equal_training_exploit_scores(d, monkeypatch):
+    # both score through q_values, so every greedy pick sees the exploit
+    # step's bytes: no near tie can split the two
+    g = generate(preset_config("desk", seed=0))
+    emb = random_embeddings(g, d, 1)
+    params = QNetParams.init(d, np.random.default_rng(d))
+    seen = []
+    score = agent.q_values
+
+    def record(s, params, hidden, alive_mask=None):
+        q = score(s, params, hidden, alive_mask)
+        seen.append((s.copy(), alive_mask.copy(), q))
+        return q
+
+    monkeypatch.setattr(agent, "q_values", record)
+    rep = greedy_attack(g, emb, params, 6)
+    monkeypatch.setattr(agent, "q_values", score)
+    assert len(seen) == 6
+    values = agent._RunValues(emb.Z, params)
+    for (s, alive, q), node in zip(seen, rep.nodes):
+        exploit = values.scores(s)
+        assert np.where(alive, exploit, -np.inf).tobytes() == q.tobytes()
+        assert select_action(exploit, 0.0, None, alive) == node
 
 
 def test_select_action_greedy_and_ties():

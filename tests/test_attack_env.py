@@ -84,9 +84,8 @@ def test_env_matches_oracles_and_damage(index, seed, a_e, a_r):
         for v in rng.permutation(g.n)[:12]:
             if env.state[v] != NORMAL:
                 continue
-            r, newly_invalid = env.step(v)
+            r = env.step(v)
             out = damage(ref, int(v))
-            assert newly_invalid == out.newly_invalid
             np.testing.assert_array_equal(env.state, ref.state)
             assert env.power == oracle_power(env.graph)
             assert env.sigma == oracle_sigma(env.graph)
@@ -151,10 +150,10 @@ def test_env_power_drop_is_fed_load():
     g = toy_forest()
     env = AttackEnv(g, RewardWeights(a_e=1.0, a_r=0.0))
     assert env.power == 30.0 + 70.0 + 50.0     # station 8 hangs off a 110kV root
-    r, _ = env.step(8)
+    r = env.step(8)
     assert r == 0.0 and env.power == 150.0
-    r, newly_invalid = env.step(1)
-    assert r == 100.0 and newly_invalid == {2, 3, 9, 11}
+    r = env.step(1)
+    assert r == 100.0 and set(np.flatnonzero(env.state == INVALID)) == {2, 3, 9, 11}
 
 
 # -- labelling cases --------------------------------------------------------
@@ -216,7 +215,8 @@ def test_labels_empty_view():
                      elec_edges=[(0, 1)], road_edges=[], dep_edges=[])
     assert (sigma(g), gcc(g)) == (0.0, 0)
     env = AttackEnv(g, RewardWeights())
-    assert env.step(0) == (0.0, {1})
+    assert env.step(0) == 0.0
+    assert env.state.tolist() == [DAMAGED, INVALID]
     assert (env.sigma, env.gcc) == (0.0, 0)
 
 
@@ -271,6 +271,29 @@ def test_normalized_weights_are_the_env_default(seed):
     # the attack runs on an all-Normal fork, so a damaged graph keeps its weights
     damage(g, int(np.flatnonzero(g.kind == JUNCTION)[0]))
     assert RewardWeights.normalized(g) == AttackEnv(g).weights == w
+
+
+def test_default_weights_cost_one_normalized_call_and_one_fork(desk, monkeypatch):
+    g, w = desk
+    calls = {"normalized": 0, "fork": 0}
+    normalized, fork = RewardWeights.normalized.__func__, CoupledGraph.fork
+
+    def count_normalized(cls, graph):
+        calls["normalized"] += 1
+        return normalized(cls, graph)
+
+    def count_fork(graph):
+        calls["fork"] += 1
+        return fork(graph)
+
+    monkeypatch.setattr(RewardWeights, "normalized", classmethod(count_normalized))
+    monkeypatch.setattr(CoupledGraph, "fork", count_fork)
+    assert AttackEnv(g).weights == w
+    assert calls == {"normalized": 1, "fork": 1}
+    assert RewardWeights.normalized(g) == w
+    assert calls == {"normalized": 2, "fork": 1}
+    AttackEnv(g, w)
+    assert calls == {"normalized": 2, "fork": 2}
 
 
 @pytest.mark.parametrize("method", [
