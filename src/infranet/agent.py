@@ -359,7 +359,8 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     cascade.check_budget(g, cfg.budget, AgentError)
     rng = np.random.default_rng(cfg.seed)
     params = QNetParams.init(Z.shape[0], rng)
-    buf = ReplayBuffer(cfg.buffer_size, Z.shape[0], g.n)
+    # no run pushes more than episodes * budget transitions
+    buf = ReplayBuffer(min(cfg.buffer_size, cfg.episodes * cfg.budget), Z.shape[0], g.n)
     log = TrainLog()
     env = cascade.AttackEnv(g, cfg.weights)
     values = _RunValues(Z, params)

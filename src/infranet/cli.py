@@ -39,11 +39,11 @@ def _parse_weights(text: str) -> RewardWeights:
     """None for 'normalized': the attack then scales by the graph's intact totals."""
     if text == "normalized":
         return None
-    parts = dict(kv.partition("=")[::2] for kv in text.split(","))
+    pairs = sorted(kv.partition("=")[::2] for kv in text.split(","))
     try:
-        if sorted(parts) != ["ae", "ar"]:
+        if [k for k, _ in pairs] != ["ae", "ar"]:
             raise ValueError(text)
-        a_e, a_r = float(parts["ae"]), float(parts["ar"])
+        a_e, a_r = (float(v) for _, v in pairs)
     except ValueError:
         raise UsageError(f"--weights {text!r}: expected {_WEIGHTS_FORM}") from None
     return RewardWeights(a_e=a_e, a_r=a_r)

@@ -1,8 +1,9 @@
 """Versioned binary tensor container for embeddings and value-net checkpoints.
 
-Layout (all integers little-endian uint32):
+Layout of version 2 (all integers little-endian uint32):
   magic 'NVDT' | version | d | n_nodes | depth | n_arrays
-  then per array: ndim | dims... | float32 payload, column-major.
+  then per array: ndim | dims... | little-endian float64 payload, column-major.
+Version 1, the same layout with a float32 payload, still reads.
 A JSON sidecar (<path>.json) records the producing config.
 """
 
@@ -15,7 +16,8 @@ import struct
 import numpy as np
 
 MAGIC = b"NVDT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PAYLOAD_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}    # by version
 
 
 class FormatError(ValueError):
@@ -23,19 +25,11 @@ class FormatError(ValueError):
 
 
 def write_tensors(path, arrays, d: int, n_nodes: int, depth: int, sidecar: dict = None):
-    """Raises FormatError, before writing anything, for a finite value beyond
-    the float32 range, which the payload would hold as inf."""
-    limit = np.finfo(np.float32).max
-    for a in arrays:
-        a = np.asarray(a)
-        if np.any(np.isfinite(a) & (np.abs(a) > limit)):
-            raise FormatError(f"{path}: a value beyond the float32 range "
-                              f"(|x| > {limit:.4g}) cannot be stored")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<5I", FORMAT_VERSION, d, n_nodes, depth, len(arrays)))
         for a in arrays:
-            a = np.asarray(a, dtype=np.float32)
+            a = np.asarray(a, dtype=PAYLOAD_DTYPES[FORMAT_VERSION])
             f.write(struct.pack("<I", a.ndim))
             f.write(struct.pack(f"<{a.ndim}I", *a.shape))
             f.write(np.asfortranarray(a).tobytes(order="F"))
@@ -66,13 +60,15 @@ def read_tensors(path):
     if take(4, "header") != MAGIC:
         raise FormatError(f"{path}: bad magic")
     version, d, n_nodes, depth, n_arrays = struct.unpack("<5I", take(20, "header"))
-    if version != FORMAT_VERSION:
+    if version not in PAYLOAD_DTYPES:
         raise FormatError(f"{path}: unsupported version {version}")
+    dtype = PAYLOAD_DTYPES[version]
     arrays = []
     for i in range(n_arrays):
         (ndim,) = struct.unpack("<I", take(4, f"shape of array {i}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of array {i}"))
-        data = np.frombuffer(take(4 * math.prod(shape), f"payload of array {i}"), dtype="<f4")
+        data = np.frombuffer(take(dtype.itemsize * math.prod(shape), f"payload of array {i}"),
+                             dtype=dtype)
         arrays.append(np.reshape(data, shape, order="F").astype(np.float64))
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last array")

@@ -447,6 +447,16 @@ def assert_same_run(got, want):
         assert getattr(log, key) == getattr(o_log, key), key
 
 
+def test_replay_buffer_is_sized_to_what_a_run_can_push():
+    # 10**12 slots would need terabytes; a run of 5 episodes of 3 steps pushes
+    # 15 transitions, and trains bit for bit like a ring of exactly 15
+    g = random_coupled(2)
+    emb = random_embeddings(g, 4, 0)
+    run = dict(budget=3, episodes=5, seed=1, batch_size=4, lr=0.01)
+    assert_same_run(train(g, emb, AgentConfig(buffer_size=10**12, **run)),
+                    train(g, emb, AgentConfig(buffer_size=15, **run)))
+
+
 # Configs for the cached-vs-per-step differential: the target syncs many
 # times per run, epsilon ends strictly inside (0, 1) so exploit and explore
 # steps interleave after SGD updates start, and the batch size is reached

@@ -99,7 +99,8 @@ def cli_error(capsys, argv):
     return err
 
 
-@pytest.mark.parametrize("text", ["ae=1", "ae=x,ar=1", "junk"])
+@pytest.mark.parametrize("text", ["ae=1", "ae=x,ar=1", "junk", "ae=1,ar=2,ae=3",
+                                  "ar=1,ae=2,ar=3"])
 def test_malformed_weights_exit(tmp_path, workdir, capsys, text):
     err = cli_error(capsys, ["attack", "--graph", str(workdir / "g.json"), "--nodes", "0",
                              "--weights", text, "--out", str(tmp_path / "rep.csv")])
@@ -176,6 +177,47 @@ def test_train_writes_qnet_and_log(tmp_path, workdir):
     lines = log.read_text().splitlines()
     assert lines[0].startswith("episode")
     assert len(lines) == 3
+
+
+def test_train_sizes_its_buffer_to_the_run(tmp_path, workdir):
+    # 10**12 slots would need terabytes; the run pushes 2 transitions
+    assert main(["train", "--graph", str(workdir / "g.json"), "--emb", str(workdir / "emb.bin"),
+                 "--episodes", "1", "--budget", "2", "--buffer-size", "1000000000000",
+                 "--out", str(tmp_path / "q.bin")]) == 0
+
+
+def test_cli_pipeline_computes_what_the_library_computes(tmp_path):
+    # every tensor file a command reads holds the float64 arrays the previous
+    # command computed, so the CLI pipeline and the in-process one agree bit for bit
+    files = {name: str(tmp_path / name) for name in
+             ("g.json", "emb.bin", "q.bin", "log.csv", "transfer.csv", "gdm.csv")}
+    assert main(["generate", "--seed", "3", "--road-nodes", "30", "--out", files["g.json"]]) == 0
+    assert main(["embed", "--graph", files["g.json"], "--d", "6", "--epochs", "5",
+                 "--out", files["emb.bin"]]) == 0
+    assert main(["train", "--graph", files["g.json"], "--emb", files["emb.bin"],
+                 "--budget", "3", "--episodes", "6", "--batch-size", "4",
+                 "--buffer-size", "32", "--out", files["q.bin"], "--log", files["log.csv"]]) == 0
+    assert main(["transfer", "--graph", files["g.json"], "--emb", files["emb.bin"],
+                 "--qnet", files["q.bin"], "--budget", "3", "--retrain-epochs", "3",
+                 "--out", files["transfer.csv"]]) == 0
+    assert main(["baseline", "--kind", "gdm", "--graph", files["g.json"],
+                 "--emb", files["emb.bin"], "--budget", "3", "--out", files["gdm.csv"]]) == 0
+
+    g = CoupledGraph.from_file(files["g.json"])
+    emb, _, _ = embed.train_coupled(g, embed.EmbedConfig(d=6, epochs=5))
+    params, log = agent.train(g, emb, agent.AgentConfig(budget=3, episodes=6, batch_size=4,
+                                                        buffer_size=32))
+    assert embed.load_embedding(files["emb.bin"]).Z.tobytes() == emb.Z.tobytes()
+    loaded = agent.load_qnet(files["q.bin"])
+    assert loaded.theta1.tobytes() == params.theta1.tobytes()
+    assert loaded.theta2.tobytes() == params.theta2.tobytes()
+    g_mask = transfer.mask_graph(g, transfer.MaskSpec())
+    new_emb, _ = transfer.retrain(g_mask, emb, transfer.RetrainConfig(epochs=3))
+    log.save_csv(tmp_path / "lib_log.csv")
+    transfer.transfer_attack(g_mask, new_emb, params, 3).save_csv(tmp_path / "lib_transfer.csv")
+    baselines.gdm_attack(g, emb, 3).save_csv(tmp_path / "lib_gdm.csv")
+    for name in ("log.csv", "transfer.csv", "gdm.csv"):
+        assert Path(files[name]).read_bytes() == (tmp_path / f"lib_{name}").read_bytes(), name
 
 
 def test_transfer_runs(tmp_path, workdir):
@@ -555,7 +597,7 @@ FLOAT_TEXT = st.one_of(st.just("0.1"), st.sampled_from(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["train", "embed", "transfer"]),
        values=st.lists(FLOAT_TEXT, min_size=4, max_size=4))
-@example(command="embed", values=["2", "1e300", "2", "0.1"])   # finite, beyond float32
+@example(command="embed", values=["2", "1e300", "2", "0.1"])   # finite, huge embeddings
 def test_float_flags_succeed_or_exit_2(tmp_path, workdir, capsys, command, values):
     # every float flag of the training commands either runs or fails with one
     # error line; no warning may escape (the suite turns warnings into errors)

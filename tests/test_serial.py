@@ -15,14 +15,14 @@ from conftest import JSON_VALUES
 def test_roundtrip_arrays(tmp_path):
     p = tmp_path / "t.bin"
     rng = np.random.default_rng(0)
-    arrays = [rng.normal(size=(3, 4)).astype(np.float32),
-              rng.normal(size=7).astype(np.float32)]
+    arrays = [rng.normal(size=(3, 4)), rng.normal(size=7)]
     write_tensors(p, arrays, d=3, n_nodes=4, depth=2)
     back, header = read_tensors(p)
-    assert header["version"] == 1
+    assert header["version"] == 2
     assert (header["d"], header["n_nodes"], header["depth"]) == (3, 4, 2)
     for a, b in zip(arrays, back):
-        np.testing.assert_array_equal(a.astype(np.float64), b)
+        assert b.dtype == np.float64 and b.shape == a.shape
+        assert b.tobytes() == a.tobytes()
 
 
 def test_write_byte_stable(tmp_path):
@@ -38,7 +38,7 @@ def test_header_layout(tmp_path):
     write_tensors(p, [], d=5, n_nodes=9, depth=2)
     raw = p.read_bytes()
     assert raw[:4] == b"NVDT"
-    assert np.frombuffer(raw[4:24], dtype="<u4").tolist() == [1, 5, 9, 2, 0]
+    assert np.frombuffer(raw[4:24], dtype="<u4").tolist() == [2, 5, 9, 2, 0]
 
 
 def test_bad_magic(tmp_path):
@@ -50,9 +50,9 @@ def test_bad_magic(tmp_path):
 
 def test_every_truncation_raises_format_error(tmp_path):
     p = tmp_path / "t.bin"
-    write_tensors(p, [np.arange(6, dtype=np.float32).reshape(2, 3)], d=2, n_nodes=3, depth=1)
+    write_tensors(p, [np.arange(6.0).reshape(2, 3)], d=2, n_nodes=3, depth=1)
     raw = p.read_bytes()
-    assert len(raw) == 60    # header 24, shape 4 + 8, payload 24
+    assert len(raw) == 84    # header 24, shape 4 + 8, payload 48
     short = tmp_path / "short.bin"
     for size in range(len(raw)):
         short.write_bytes(raw[:size])
@@ -93,26 +93,57 @@ def test_missing_sidecar_is_none(tmp_path):
 
 def test_embedding_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
-    emb = EmbeddingMatrix(rng.normal(size=(4, 10)).astype(np.float32).astype(np.float64))
+    emb = EmbeddingMatrix(rng.normal(size=(4, 10)))
     p = tmp_path / "emb.bin"
     save_embedding(p, emb)
     back = load_embedding(p)
-    np.testing.assert_array_equal(back.Z, emb.Z)
+    assert back.Z.tobytes() == emb.Z.tobytes()
     assert back.provenance == emb.provenance
 
 
 def test_qnet_roundtrip(tmp_path):
     params = QNetParams.init(4, np.random.default_rng(2))
-    # float32 storage: quantize before comparing
-    params.theta1[:] = params.theta1.astype(np.float32)
-    params.theta2[:] = params.theta2.astype(np.float32)
-    params.sync_target()
     p = tmp_path / "q.bin"
     save_qnet(p, params)
     back = load_qnet(p)
-    np.testing.assert_array_equal(back.theta1, params.theta1)
-    np.testing.assert_array_equal(back.theta2, params.theta2)
+    assert back.theta1.tobytes() == params.theta1.tobytes()
+    assert back.theta2.tobytes() == params.theta2.tobytes()
     assert back.checksum() == params.checksum()
+
+
+# an embedding (d=1, n_nodes=3) and a value net (d=1) as the version-1 writer
+# wrote them, without sidecars: uint32 header and shapes, float32 payloads
+EMBEDDING_V1 = bytes.fromhex(
+    "4e564454" "01000000" "01000000" "03000000" "00000000" "01000000"
+    "02000000" "01000000" "03000000"
+    "cdcccc3d" "000020c0" "e6b1617f")                  # 0.1, -2.5, 3e38
+QNET_V1 = bytes.fromhex(
+    "4e564454" "01000000" "01000000" "00000000" "02000000" "02000000"
+    "02000000" "02000000" "01000000" "cdcccc3d" "cdcc4c3e"     # theta1 0.1, 0.2
+    "02000000" "01000000" "02000000" "9a99993e" "333333bf")    # theta2 0.3, -0.7
+
+
+def test_version_1_files_read_as_float32_widened(tmp_path):
+    emb_p, qnet_p = tmp_path / "emb.bin", tmp_path / "q.bin"
+    emb_p.write_bytes(EMBEDDING_V1)
+    qnet_p.write_bytes(QNET_V1)
+    z = np.array([[0.1, -2.5, 3e38]], dtype=np.float32).astype(np.float64)
+    thetas = [np.array([[0.1], [0.2]], dtype=np.float32).astype(np.float64),
+              np.array([[0.3, -0.7]], dtype=np.float32).astype(np.float64)]
+    arrays, header = read_tensors(emb_p)
+    assert (header["version"], header["d"], header["n_nodes"]) == (1, 1, 3)
+    assert [a.tobytes() for a in arrays] == [z.tobytes()]
+    assert load_embedding(emb_p).Z.tobytes() == z.tobytes()
+    arrays, header = read_tensors(qnet_p)
+    assert (header["version"], header["d"], header["depth"]) == (1, 1, 2)
+    assert [a.tobytes() for a in arrays] == [t.tobytes() for t in thetas]
+    params = load_qnet(qnet_p)
+    assert [params.theta1.tobytes(), params.theta2.tobytes()] == [t.tobytes() for t in thetas]
+    # what it read is float64 and writable; a save writes it as version 2
+    assert params.theta1.dtype == np.float64 and params.theta1.flags.writeable
+    save_qnet(qnet_p, params)
+    assert read_tensors(qnet_p)[1]["version"] == 2
+    assert load_qnet(qnet_p).theta2.tobytes() == thetas[1].tobytes()
 
 
 # -- malformed files fail with FormatError -----------------------------------
@@ -213,16 +244,15 @@ def test_non_finite_payload_raises_format_error(tmp_path):
         load_qnet(p)
 
 
-@pytest.mark.parametrize("big", [1e39, -3.5e38, 1e300])
-def test_write_refuses_finite_values_beyond_float32(tmp_path, big):
-    # float32 would store them as inf; nothing is written
+@pytest.mark.parametrize("big", [1e39, -3.5e38, 1e300, np.finfo(np.float64).max,
+                                 -np.finfo(np.float64).max])
+def test_finite_values_beyond_float32_roundtrip(tmp_path, big):
+    # the float64 payload stores every finite value as it is, never as inf
     p = tmp_path / "t.bin"
-    with pytest.raises(FormatError, match="a value beyond the float32 range"):
-        write_tensors(p, [np.zeros((2, 3)), np.array([[0.0, big]])], d=2, n_nodes=3, depth=0)
-    assert not p.exists()
-    largest = float(np.finfo(np.float32).max)
-    write_tensors(p, [np.array([[largest, -largest, np.inf]])], d=1, n_nodes=3, depth=0)
-    assert read_tensors(p)[0][0].tolist() == [[largest, -largest, np.inf]]
+    arrays = [np.zeros((2, 3)), np.array([[0.0, big, np.inf]])]
+    write_tensors(p, arrays, d=2, n_nodes=3, depth=0)
+    back = read_tensors(p)[0]
+    assert [b.tobytes() for b in back] == [a.tobytes() for a in arrays]
 
 
 # -- fuzzing: the readers raise nothing but FormatError ----------------------
@@ -245,9 +275,11 @@ def test_fuzz_arbitrary_bytes(tmp_path, data):
     p = tmp_path / "fuzz.bin"
     p.write_bytes(data)
     _only_format_errors(p)
-    # the same bytes behind a valid magic and version reach the array parser
-    p.write_bytes(b"NVDT" + struct.pack("<I", 1) + data)
-    _only_format_errors(p)
+    # the same bytes behind a valid magic and version reach the array parser,
+    # at each payload width
+    for version in (1, 2):
+        p.write_bytes(b"NVDT" + struct.pack("<I", version) + data)
+        _only_format_errors(p)
 
 
 @pytest.mark.parametrize("make", [_qnet_file, _embedding_file])
