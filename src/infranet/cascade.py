@@ -235,7 +235,7 @@ class AttackEnv:
         self.power, self.sigma, self.gcc = self._intact
 
     def step(self, v: int):
-        """Damage Normal node v; returns the step's reward."""
+        """Damage Normal node v; returns the reward a_r * sigma drop + a_e * power drop."""
         g = self.graph
         v = int(v)
         _check_normal(g, v)
@@ -244,10 +244,8 @@ class AttackEnv:
         self.power = p_before - float(g.feeds[lost].sum())
         if np.any(g.kind[lost] != STATION):
             self.sigma, self.gcc = _road_metrics(g)
-        r = self.weights.a_r * (s_before - self.sigma)
-        if g.kind[v] == STATION:
-            r += self.weights.a_e * (p_before - self.power)
-        return float(r)
+        w = self.weights
+        return float(w.a_r * (s_before - self.sigma) + w.a_e * (p_before - self.power))
 
 
 @dataclass

@@ -210,14 +210,12 @@ def _neighbor_sum(problem: EmbedProblem, X: np.ndarray) -> np.ndarray:
 
 
 def _aggregate(H: np.ndarray, problem: EmbedProblem, aggregator: str) -> np.ndarray:
-    """A layer's input M = 0.5 * (H + neighbor aggregate of H).
-
-    M takes H's memory order, which picks the BLAS path of W @ M. The
-    aggregate is C-ordered, so for a C-ordered H, M is made in its buffer."""
+    """A layer's input M = 0.5 * (H + neighbor aggregate of H), made in the
+    C-ordered aggregate buffer whatever H's memory order."""
     HN = _neighbor_sum(problem, H)
     if aggregator == "mean":
         HN /= problem.deg
-    M = np.add(H, HN, out=HN if H.flags.c_contiguous else np.empty_like(H))
+    M = np.add(H, HN, out=HN)
     M *= 0.5
     return M
 
@@ -445,14 +443,13 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
     """Eq-1 pipeline: pretrain each layer's subgraph, then the coupled graph.
 
     Per-stage seeds are derived from cfg.seed so the whole pipeline is a
-    pure function of (g, cfg).
+    pure function of (g, cfg). A layer without edges gets random columns.
     """
-    emb_e, _, _ = train(problem_for(g, "elec", cfg), replace(cfg, seed=cfg.seed + 1))
-    if len(g.road_edges) > 0:
-        emb_r, _, _ = train(problem_for(g, "road", cfg), replace(cfg, seed=cfg.seed + 2))
-    else:
-        emb_r = random_embeddings(g, cfg.d, cfg.seed + 2)
-    F = init_features(g, cfg.d, emb_e, emb_r)
+    F = init_features(g, cfg.d, *(
+        train(problem_for(g, scope, cfg), replace(cfg, seed=seed))[0] if len(edges)
+        else random_embeddings(g, cfg.d, seed)
+        for seed, scope, edges in ((cfg.seed + 1, "elec", g.elec_edges),
+                                   (cfg.seed + 2, "road", g.road_edges))))
     return train(problem_for(g, "coupled", cfg), cfg, F=F.Z)
 
 

@@ -67,13 +67,22 @@ class GraphError(ValueError):
     pass
 
 
+def _int_array(values, dtype, error: str) -> np.ndarray:
+    """`values` as a `dtype` array, nothing rounded or wrapped: GraphError
+    `error` unless every value is an integer that fits `dtype`."""
+    try:
+        a, info = np.asarray(values), np.iinfo(dtype)
+    except ValueError:                  # a ragged list
+        raise GraphError(error) from None
+    if a.size and (a.dtype.kind not in "iu" or a.min() < info.min or a.max() > info.max):
+        raise GraphError(f"{error} that fit {info.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 def _edge_array(name: str, edges, undirected: bool = False) -> np.ndarray:
     """An edge list as an (m, 2) int64 array sorted by (first, second);
     undirected pairs are put in (min, max) order first."""
-    try:
-        pairs = np.array(edges, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise GraphError(f"{name} must be a list of (u, v) integer pairs: {e}") from None
+    pairs = _int_array(edges, np.int64, f"{name} must be a list of (u, v) integer pairs")
     if pairs.ndim == 1 and pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -165,8 +174,7 @@ def _first(values: np.ndarray, bad: np.ndarray) -> int:
 
 
 def _first_edge(pairs: np.ndarray, bad: np.ndarray) -> str:
-    u, v = pairs[np.argmax(bad)]
-    return f"({u},{v})"
+    return "({},{})".format(*pairs[np.argmax(bad)])
 
 
 @dataclass
@@ -189,9 +197,12 @@ class CoupledGraph:
     state: np.ndarray = field(init=False)     # uint8, all Normal at construction
 
     def __post_init__(self):
-        self.kind = np.asarray(self.kind, dtype=np.int8)
-        self.level = np.asarray(self.level, dtype=np.int16)
-        self.load = np.asarray(self.load, dtype=np.float64)
+        self.kind = _int_array(self.kind, np.int8, "node column 'kind' must hold integers")
+        self.level = _int_array(self.level, np.int16, "node column 'level' must hold integers")
+        try:
+            self.load = np.asarray(self.load, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise GraphError("node column 'load' must hold numbers") from None
         elec = self.elec_edges = _edge_array("elec_edges", self.elec_edges)
         road = self.road_edges = _edge_array("road_edges", self.road_edges, undirected=True)
         dep = self.dep_edges = _edge_array("dep_edges", self.dep_edges)

@@ -284,7 +284,7 @@ def write_summary(reports: dict, path):
                               (cum.mean(), cum.std(), pfrac.mean(), anc.mean()))))
 
 
-METRICS = ("power", "sigma", "gcc", "anc", "reward", "cum_reward")
+METRICS = AttackReport.COLUMNS[2:]
 
 
 def emit_curves(reports, outdir, svg: bool = True):

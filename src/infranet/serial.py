@@ -5,6 +5,7 @@ Layout of version 2 (all integers little-endian uint32):
   then per array: ndim | dims... | little-endian float64 payload, column-major.
 Version 1, the same layout with a float32 payload, still reads.
 A JSON sidecar (<path>.json) records the producing config.
+Arrays read back C-ordered float64, like every array the package computes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def write_tensors(path, arrays, d: int, n_nodes: int, depth: int, sidecar: dict 
             a = np.asarray(a, dtype=PAYLOAD_DTYPES[FORMAT_VERSION])
             f.write(struct.pack("<I", a.ndim))
             f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(np.asfortranarray(a).tobytes(order="F"))
+            f.write(a.tobytes(order="F"))
     if sidecar is not None:
         with open(str(path) + ".json", "w") as f:
             json.dump(sidecar, f, sort_keys=True, indent=2)
@@ -69,7 +70,7 @@ def read_tensors(path):
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of array {i}"))
         data = np.frombuffer(take(dtype.itemsize * math.prod(shape), f"payload of array {i}"),
                              dtype=dtype)
-        arrays.append(np.reshape(data, shape, order="F").astype(np.float64))
+        arrays.append(np.reshape(data, shape, order="F").astype(np.float64, order="C"))
     if pos != len(raw):
         raise FormatError(f"{path}: {len(raw) - pos} trailing bytes after the last array")
     header = {"version": version, "d": d, "n_nodes": n_nodes, "depth": depth}

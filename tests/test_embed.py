@@ -313,6 +313,25 @@ def test_train_coupled_without_road_edges_uses_random_road_columns(monkeypatch):
     assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
 
 
+def test_train_coupled_without_elec_edges_uses_random_station_columns(monkeypatch):
+    # two 220kV stations and no 110kV ones: the grid has no electricity edge
+    g = generate(GenConfig(n_220=2, fanout_110=(0, 0), coupling_fraction=0.0, road_nodes=16))
+    assert len(g.elec_edges) == 0 and len(g.road_edges) > 0
+    cfg = EmbedConfig(d=4, epochs=3, seed=5)
+    real, features = embed.init_features, []
+
+    def spy(g, d, emb_e, emb_r):
+        features.append(real(g, d, emb_e, emb_r))
+        return features[-1]
+
+    monkeypatch.setattr(embed, "init_features", spy)
+    emb, params, losses = train_coupled(g, cfg)
+    stations = g.station_ids()
+    np.testing.assert_array_equal(features[0].Z[:, stations],
+                                  random_embeddings(g, 4, 6).Z[:, stations])
+    assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
+
+
 def test_mean_aggregator_variant():
     g = road_graph([(0, 1), (1, 2)], 3)
     cfg = EmbedConfig(d=2, depth=1, aggregator="mean")
@@ -517,8 +536,8 @@ def test_neighbor_sum_matches_csr_product_bit_for_bit(graph, scope, d, aggregato
     assert got.tobytes() == (adj @ X.T).T.tobytes()
     M = embed._aggregate(X, problem, aggregator)
     (oM, _), = oracle_forward(X, [np.eye(d)], problem, aggregator, want_cache=True)[1]
-    assert M.tobytes(order="A") == oM.tobytes(order="A")
-    assert M.flags.c_contiguous == oM.flags.c_contiguous
+    assert M.flags.c_contiguous
+    assert M.tobytes() == oM.tobytes(order="C")
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -593,8 +612,8 @@ def test_train_coupled_matches_loop_and_scatter_add_kernels(graph, monkeypatch):
 
 
 # Sizes where numpy's BLAS takes a different path when the operand layout
-# of `W @ M` or `G @ M.T` changes (d = 16 on desk, small n at d = 16-64), so
-# the cached M must keep the memory order the transposed aggregation gave it.
+# of `W @ M` or `G @ M.T` changes (d = 16 on desk, small n at d = 16-64). Every
+# cached M is C-ordered, so a Fortran-ordered F gives the bits of its C copy.
 @pytest.mark.parametrize("graph", ["random0", "random3", "random5", "desk"])
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 16, 32, 64])
 def test_forward_backward_match_transpose_oracle_bit_for_bit(graph, d):
@@ -606,17 +625,19 @@ def test_forward_backward_match_transpose_oracle_bit_for_bit(graph, d):
         for order, depth in (("C", 2), ("F", 2), ("C", 1), ("F", 3)):
             F = np.asarray(rng.uniform(-1, 1, size=(d, g.n)), order=order)
             params = [rng.uniform(-0.6, 0.6, size=(d, d)) for _ in range(depth)]
-            Z, caches = forward(F, params, problem, aggregator, want_cache=True)
-            oZ, o_caches = oracle_forward(F, params, problem, aggregator, want_cache=True)
-            assert Z.tobytes() == oZ.tobytes()
-            for (M, pre), (oM, o_pre) in zip(caches, o_caches):
-                assert M.tobytes(order="A") == oM.tobytes(order="A")
-                assert M.flags.c_contiguous == oM.flags.c_contiguous
-                assert pre.tobytes() == o_pre.tobytes()
-            dZ = rng.normal(size=Z.shape)
-            dWs = embed._backward(dZ, params, caches, problem, aggregator)
+            dZ = rng.normal(size=(d, g.n))
+            C = np.ascontiguousarray(F)
+            oZ, o_caches = oracle_forward(C, params, problem, aggregator, want_cache=True)
             o_dWs, _ = oracle_backward(dZ, params, o_caches, problem, aggregator)
-            assert [dW.tobytes() for dW in dWs] == [dW.tobytes() for dW in o_dWs]
+            for X in (F, C):
+                Z, caches = forward(X, params, problem, aggregator, want_cache=True)
+                assert Z.tobytes() == oZ.tobytes()
+                for (M, pre), (oM, o_pre) in zip(caches, o_caches):
+                    assert M.flags.c_contiguous
+                    assert M.tobytes() == oM.tobytes()
+                    assert pre.tobytes() == o_pre.tobytes()
+                dWs = embed._backward(dZ, params, caches, problem, aggregator)
+                assert [dW.tobytes() for dW in dWs] == [dW.tobytes() for dW in o_dWs]
 
 
 # desk at d = 16 is a size where `W @ M` takes another BLAS path if the

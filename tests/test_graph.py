@@ -297,6 +297,22 @@ def test_validation_rule_names_offender(change, message):
         CoupledGraph(**{**BASE, **change})
 
 
+@pytest.mark.parametrize("change, column", [
+    ({"level": [220, 110.7, 10, 0, 0]}, "level"),             # rounds to 110
+    ({"kind": [0.6, STATION, STATION, JUNCTION, JUNCTION]}, "kind"),    # rounds to a station
+    ({"elec_edges": [(0, 1.9), (1, 2)]}, "elec_edges"),       # rounds to (0, 1)
+    ({"level": np.array([220, 65_646, 10, 0, 0])}, "level"),  # wraps to 110
+    ({"kind": np.array([256, 0, 0, 1, 1])}, "kind"),          # wraps to a station
+    ({"level": [220, 70_000, 10, 0, 0]}, "level"),
+    ({"kind": [300, 0, 0, 1, 1]}, "kind"),
+    ({"load": [0.0, 0.0, "x", 0.0, 0.0]}, "load"),
+])
+def test_constructor_refuses_values_it_would_round_or_wrap(change, column):
+    CoupledGraph(**BASE)
+    with pytest.raises(GraphError, match=rf"{column}'? must (hold|be a list of)"):
+        CoupledGraph(**{**BASE, **change})
+
+
 def graph_doc(**change):
     """The version-1 document of the base graph, with `change` applied."""
     doc = json.loads(dict_writer_to_json(CoupledGraph(**BASE)))

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from infranet.agent import QNetParams, load_qnet, save_qnet
-from infranet.embed import EmbeddingMatrix, load_embedding, save_embedding
+from infranet.agent import (
+    QNetParams,
+    hidden_layer,
+    load_qnet,
+    pooled_state,
+    q_values,
+    save_qnet,
+)
+from infranet.embed import EmbeddingMatrix, load_embedding, random_embeddings, save_embedding
+from infranet.netgen import generate, preset_config
 from infranet.serial import FormatError, read_tensors, write_tensors
 
 from conftest import JSON_VALUES
@@ -22,6 +30,7 @@ def test_roundtrip_arrays(tmp_path):
     assert (header["d"], header["n_nodes"], header["depth"]) == (3, 4, 2)
     for a, b in zip(arrays, back):
         assert b.dtype == np.float64 and b.shape == a.shape
+        assert b.flags.c_contiguous and b.flags.writeable
         assert b.tobytes() == a.tobytes()
 
 
@@ -111,6 +120,20 @@ def test_qnet_roundtrip(tmp_path):
     assert back.checksum() == params.checksum()
 
 
+@pytest.mark.parametrize("d", [8, 16, 64])
+def test_loaded_value_net_scores_like_the_saved_one(tmp_path, d):
+    # `s @ theta2` takes another BLAS path for a Fortran-ordered theta2
+    g = generate(preset_config("desk", seed=0))
+    Z = random_embeddings(g, d, 0).Z
+    params = QNetParams.init(d, np.random.default_rng(d))
+    save_qnet(tmp_path / "q.bin", params)
+    back = load_qnet(tmp_path / "q.bin")
+    s = pooled_state(Z, [])
+    q = q_values(s, params, hidden_layer(Z, params))
+    assert len(q) == g.n
+    assert q_values(s, back, hidden_layer(Z, back)).tobytes() == q.tobytes()
+
+
 # an embedding (d=1, n_nodes=3) and a value net (d=1) as the version-1 writer
 # wrote them, without sidecars: uint32 header and shapes, float32 payloads
 EMBEDDING_V1 = bytes.fromhex(
@@ -144,6 +167,14 @@ def test_version_1_files_read_as_float32_widened(tmp_path):
     save_qnet(qnet_p, params)
     assert read_tensors(qnet_p)[1]["version"] == 2
     assert load_qnet(qnet_p).theta2.tobytes() == thetas[1].tobytes()
+    # a (2, 3) array, column-major in the file, reads back C-ordered
+    a = np.arange(6, dtype="<f4").reshape(2, 3) / 8
+    p = tmp_path / "a.bin"
+    p.write_bytes(b"NVDT" + struct.pack("<5I", 1, 2, 3, 0, 1) + struct.pack("<3I", 2, 2, 3)
+                  + a.tobytes(order="F"))
+    (b,), _ = read_tensors(p)
+    assert b.dtype == np.float64 and b.flags.c_contiguous and b.flags.writeable
+    assert b.tobytes() == a.astype(np.float64).tobytes()
 
 
 # -- malformed files fail with FormatError -----------------------------------

@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from infranet.agent import QNetParams
 from infranet.cascade import RewardWeights
-from infranet.embed import EmbedConfig, EmbeddingMatrix, random_embeddings, train_coupled
+from infranet.embed import (
+    EmbedConfig,
+    EmbeddingMatrix,
+    load_embedding,
+    random_embeddings,
+    save_embedding,
+    train_coupled,
+)
 from infranet.graph import JUNCTION, STATION, CoupledGraph
 from infranet.netgen import generate, preset_config
 from infranet.transfer import (
@@ -191,17 +198,34 @@ def test_retrain_matches_epoch_loop_oracle(seed, distance_weight, lr):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("d", [16, 32, 64])
-def test_retrain_keeps_layer0_input_in_embedding_order(d, order):
-    # retrain caches layer 0's input once; on these sizes `W @ M` gives
-    # other bits when M's memory order differs from the old embedding's
+def test_retrain_does_not_depend_on_embedding_layout(d, order):
+    # on these sizes `W @ M` gives other bits for another memory order of M;
+    # every layer input is C-ordered, so an F-ordered embedding retrains to
+    # the bits of its C copy
     g = random_coupled(3)
-    emb = EmbeddingMatrix(np.asarray(random_embeddings(g, d, 0).Z, order=order))
+    c_emb = random_embeddings(g, d, 0)
+    emb = EmbeddingMatrix(np.asarray(c_emb.Z, order=order))
     m = mask_graph(g, MaskSpec(seed=0))
     cfg = RetrainConfig(epochs=4, lr=0.05, seed=1)
     new, losses = retrain(m, emb, cfg)
-    ref, ref_losses = oracle_retrain(m, emb, cfg)
-    assert new.Z.tobytes() == ref.Z.tobytes()
-    assert losses == ref_losses
+    c_new, c_losses = retrain(m, c_emb, cfg)
+    ref, ref_losses = oracle_retrain(m, c_emb, cfg)
+    assert new.Z.tobytes() == c_new.Z.tobytes() == ref.Z.tobytes()
+    assert losses == c_losses == ref_losses
+
+
+def test_retrain_from_a_saved_embedding_matches_the_in_memory_run(tmp_path):
+    # desk at d = 16 is a size where `W @ M` takes another BLAS path for an
+    # F-ordered M
+    g = generate(preset_config("desk", seed=0))
+    emb = random_embeddings(g, 16, 0)
+    save_embedding(tmp_path / "emb.bin", emb)
+    m = mask_graph(g, MaskSpec(seed=0))
+    cfg = RetrainConfig(epochs=2, seed=0)
+    new, losses = retrain(m, emb, cfg)
+    loaded, loaded_losses = retrain(m, load_embedding(tmp_path / "emb.bin"), cfg)
+    assert loaded.Z.tobytes() == new.Z.tobytes()
+    assert loaded_losses == losses
 
 
 def test_retrain_deterministic():
