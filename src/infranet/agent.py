@@ -9,12 +9,14 @@ on the squared TD error; gradients are hand-derived.
 Every greedy pick, a training run's exploit steps and each step of a
 greedy attack, scores the nodes with `q_values`: (s @ theta2) @ H against
 the (2d, n) hidden array H = relu(theta1 @ Z). A greedy attack computes H
-once; training recomputes it at the first exploit step after an SGD update.
-The TD targets read the target network's (d, n) node values Y_hat,
-recomputed at the first TD loss after a target sync, since many replay rows
-are scored against one frozen target net. Both training passes write one
-(2d, n) hidden buffer, so a target pass also drops the online hidden array.
-Exact ties break to the lowest id.
+once. Training keeps the last H it computed as a reference across SGD
+updates: an exploit step scores the nodes against it, takes the pick when an
+error bound proves it is the argmax of the fresh scores, and recomputes H
+otherwise (see `_RunValues`). The TD targets read the target network's
+(d, n) node values Y_hat, recomputed at the first TD loss after a target
+sync, since many replay rows are scored against one frozen target net.
+Both training passes write one (2d, n) hidden buffer, so a target pass also
+drops the online hidden array. Exact ties break to the lowest id.
 
 The TD target of a transition is r + gamma * next_max * ~done, where
 next_max is the max of s_next @ Y_hat over the nodes alive after the step
@@ -231,8 +233,8 @@ def q_values(s: np.ndarray, params: QNetParams, hidden: np.ndarray,
 def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
     """Epsilon-greedy over alive nodes; ties break to the lowest id.
 
-    `scores` is a per-node array, or a zero-argument callable returning one
-    that is called only when the draw exploits.
+    `scores` is a per-node array, or a callable that takes the alive mask and
+    returns the greedy pick, called only when the draw exploits.
     """
     alive_ids = np.flatnonzero(alive_mask)
     if len(alive_ids) == 0:
@@ -240,9 +242,8 @@ def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
     if epsilon > 0 and rng.random() < epsilon:
         return int(alive_ids[rng.integers(0, len(alive_ids))])
     if callable(scores):
-        scores = scores()
-    masked = np.where(alive_mask, scores, -np.inf)
-    return int(np.argmax(masked))
+        return scores(alive_mask)
+    return int(np.argmax(np.where(alive_mask, scores, -np.inf)))
 
 
 # -- TD loss ------------------------------------------------------------------
@@ -300,6 +301,8 @@ class TrainLog:
     cum_reward: list = field(default_factory=list)
     loss_mean: list = field(default_factory=list)
     epsilon: list = field(default_factory=list)
+    full_hidden: int = 0      # exploit picks that computed relu(theta1 @ Z)
+    certified: int = 0        # exploit picks proved against the kept reference
 
     def save_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -315,14 +318,50 @@ def _epsilon_at(step: int, cfg: AgentConfig) -> float:
     return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
 
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _norm(x: np.ndarray):
+    """Upper bounds on the 2-norms of the columns of x (of x itself when 1-D)
+    that hold under underflow: each square lost to it is below `_TINY`, and
+    the size term adds them all back."""
+    return np.sqrt(np.einsum("i...,i...->...", x, x) + x.size * _TINY)
+
+
 class _RunValues:
-    """The node values a training run reads, each cached per parameter set.
+    """The node values a training run reads, and its exploit picks.
 
     One (2d, n) buffer holds either the online hidden array that exploit
     steps score against, or the target pass's hidden array on its way to the
     target node values; so computing the target values drops the online
-    array. The caller sets `online` to None after an SGD update and `target`
-    to None after a target sync.
+    array. The caller sets `target` to None after a target sync.
+
+    The online array is a reference H_ref = relu(theta1_ref @ Z), kept
+    across SGD updates. An exploit pick scores the nodes against it with
+    `q_values`, q~ = u @ H_ref for u = s @ theta2, and bounds each node's
+    error against today's scores u @ relu(theta1 @ Z) by
+
+        b_v = ||u|| (||theta1 - theta1_ref||_F + slack T) ||z_v||
+              + 8 d^2 tiny (1 + ||u||),   T = ||theta1||_F + ||theta1_ref||_F.
+
+    relu is 1-Lipschitz, so the exact scores under theta1 and theta1_ref
+    differ by at most ||u|| ||theta1 - theta1_ref||_F ||z_v||. The slack term
+    covers the rounding of both computed paths, each within
+    gamma_3d ||u|| ||theta||_F ||z_v|| of its exact score (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.1), and of the
+    bound itself, whose norms hold within gamma_2d^2: slack = 4 (d + 2)^2 eps
+    covers both, 3.9e-12 at d = 64. The last term bounds what underflow can
+    take from the products of both paths and from the bound's own
+    arithmetic (tiny is the smallest subnormal). The check runs only while
+    4 (1 + ||u||) T max ||z_v|| is finite, so no partial sum of either path
+    can overflow and every score and bound is finite.
+
+    The pick v is the alive argmax of q~ - b. It is certified when
+    max over alive w != v of (q~_w + b_w) < q~_v - b_v: today's score of v
+    then exceeds every other alive node's, so v is their unique argmax and
+    the pick that recomputing H would take. Otherwise (exact ties, wide
+    bounds, non-finite values, or no reference) the pick recomputes H into
+    the buffer, makes it the reference and takes today's masked argmax.
     """
 
     def __init__(self, Z: np.ndarray, params: QNetParams):
@@ -330,14 +369,43 @@ class _RunValues:
         self.Z, self.params = Z, params
         self.hidden = np.empty((2 * d, n))
         self.target_out = np.empty((d, n))
-        self.online = None        # relu(theta1 @ Z), in `hidden`
+        self.online = None        # H_ref, in `hidden`
         self.target = None        # target node values, in `target_out`
+        self.theta1_ref = np.empty_like(params.theta1)
+        self.ref_norm = 0.0
+        self.z_norm = _norm(Z)
+        self.z_max = self.z_norm.max()
+        self.slack = 4 * (d + 2) ** 2 * np.finfo(float).eps
+        self.tiny = 8 * d * d * _TINY
+        self.full_hidden = self.certified = 0    # picks of each kind, for the TrainLog
 
     def scores(self, s: np.ndarray) -> np.ndarray:
-        """Exploit scores `q_values` of every node against the online hidden array."""
-        if self.online is None:
-            self.online = hidden_layer(self.Z, self.params, out=self.hidden)
+        """Today's exploit scores `q_values` of every node; the hidden array
+        computed for them becomes the reference."""
+        self.online = hidden_layer(self.Z, self.params, out=self.hidden)
+        np.copyto(self.theta1_ref, self.params.theta1)
+        self.ref_norm = _norm(self.params.theta1.ravel())
+        self.full_hidden += 1
         return q_values(s, self.params, self.online)
+
+    def pick(self, s: np.ndarray, alive: np.ndarray) -> int:
+        """The alive argmax of today's exploit scores, certified or recomputed."""
+        p = self.params
+        if self.online is not None:
+            u_norm = _norm(s @ p.theta2)
+            T = _norm(p.theta1.ravel()) + self.ref_norm
+            if np.isfinite(4 * (1 + u_norm) * T * self.z_max):
+                drift = _norm((p.theta1 - self.theta1_ref).ravel())
+                b = u_norm * (drift + self.slack * T) * self.z_norm + self.tiny * (1 + u_norm)
+                q = q_values(s, p, self.online, alive)
+                lo = q - b
+                v = int(np.argmax(lo))
+                hi = np.add(q, b, out=q)
+                hi[v] = -np.inf
+                if hi.max() < lo[v]:
+                    self.certified += 1
+                    return v
+        return int(np.argmax(np.where(alive, self.scores(s), -np.inf)))
 
     def target_values(self) -> np.ndarray:
         if self.target is None:
@@ -376,7 +444,8 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         losses = []
         for k in range(cfg.budget):
             eps = _epsilon_at(step, cfg)
-            a = select_action(lambda: values.scores(s), eps, rng, env.state == NORMAL)
+            a = select_action(lambda mask: values.pick(s, mask), eps, rng,
+                              env.state == NORMAL)
             r = env.step(a)
             removed.append(a)
             alive = env.state == NORMAL
@@ -398,7 +467,6 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
                     raise AgentError(f"TD loss diverged at episode {ep}, step {step}")
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
-                values.online = None
                 losses.append(loss)
             if step % cfg.target_sync == 0:
                 params.sync_target()
@@ -410,6 +478,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         log.cum_reward.append(cum)
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
         log.epsilon.append(eps)
+    log.full_hidden, log.certified = values.full_hidden, values.certified
     return params, log
 
 

@@ -1,5 +1,6 @@
 import copy
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +34,29 @@ from conftest import (
     random_coupled,
     reward,
 )
+
+
+@pytest.fixture
+def picks(monkeypatch):
+    """Every exploit pick of the train runs that follow, as (certified, tied,
+    finite) triples. Each pick is first checked against the alive argmax of
+    today's scores, computed from scratch; `tied` says another alive node
+    scores exactly the same, and `finite` that every alive score is finite."""
+    seen = []
+    pick = agent._RunValues.pick
+
+    def checked(self, s, alive):
+        before = self.certified
+        v = pick(self, s, alive)
+        hidden = np.maximum(self.params.theta1 @ self.Z, 0.0)
+        fresh = np.where(alive, q_values(s, self.params, hidden), -np.inf)
+        assert v == int(np.argmax(fresh))
+        seen.append((self.certified > before, int(np.sum(fresh == fresh[v])) > 1,
+                     bool(np.isfinite(fresh[alive]).all())))
+        return v
+
+    monkeypatch.setattr(agent._RunValues, "pick", checked)
+    return seen
 
 
 def make_batch(rng, B=8, d=4, n=12):
@@ -168,9 +192,9 @@ def test_factored_scores_match_reference_bit_for_bit(d, n):
                 int(np.argmax(oracle_q_values(Z, s, params, alive)))
 
 
-def test_train_recomputes_the_reused_online_buffer_after_every_update(monkeypatch):
-    # always exploit and update every step: every step but the first reads
-    # an online hidden array that the previous step's SGD update made stale
+def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(monkeypatch, picks):
+    # always exploit and update every step: every pick but the first reads a
+    # reference that the previous step's SGD update made stale
     g = random_coupled(1)
     emb = random_embeddings(g, 5, 2)
     cfg = AgentConfig(budget=4, episodes=6, batch_size=1, buffer_size=8, target_sync=3,
@@ -187,21 +211,26 @@ def test_train_recomputes_the_reused_online_buffer_after_every_update(monkeypatc
     steps = len(log.episode) * cfg.budget
     online = [c for c in calls if not c[0]]
     targets = [c for c in calls if c[0]]
-    assert len(online) == steps
+    assert len(picks) == steps
+    assert log.full_hidden + log.certified == steps
+    assert [certified for certified, _, _ in picks].count(True) == log.certified
+    assert len(online) == log.full_hidden and 0 < log.certified
     assert len(targets) == -(-steps // cfg.target_sync)
     assert len({c[1] for c in calls}) == 1                 # one hidden array per run
-    # a target pass overwrites that array, so the next exploit recomputes it
+    # `scores` recomputes and keeps its array as the reference; a pick against
+    # an unchanged reference needs no product, and a target pass overwrites
+    # the array, so the next pick recomputes it
     params.theta1_hat = params.theta1 + 1.0
     values = agent._RunValues(emb.Z, params)
-    s = emb.Z[:, 0]
+    s, alive = emb.Z[:, 0], np.ones(g.n, dtype=bool)
     want = (s @ params.theta2) @ np.maximum(params.theta1 @ emb.Z, 0.0)
     calls.clear()
-    for read in ("online", "online", "target", "online", "target", "online"):
-        if read == "online":
-            assert values.scores(s).tobytes() == want.tobytes()
-        else:
-            values.target_values()
+    assert values.scores(s).tobytes() == want.tobytes()
+    assert values.pick(s, alive) == int(np.argmax(want))
+    values.target_values()
+    assert values.pick(s, alive) == int(np.argmax(want))
     assert [target for target, _ in calls] == [False, True, False]
+    assert (values.full_hidden, values.certified) == (2, 1)
     o_params, o_log = oracle_train(g, emb, cfg)
     assert np.array_equal(params.theta1, o_params.theta1)
     assert np.array_equal(params.theta2, o_params.theta2)
@@ -289,8 +318,9 @@ def test_select_action_uniform_when_eps_one():
 
 
 def test_select_action_reads_callable_scores_only_on_exploit():
-    # an explore draw never calls the score callable, and the rng ends in
-    # the same state as with the precomputed array
+    # an explore draw never calls the greedy-pick callable, an exploit draw
+    # passes it the alive mask and returns its pick, and the rng ends in the
+    # same state as with the precomputed array
     alive = np.array([True, False, True, True, False, True])
     scores = np.array([0.5, 9.0, 2.0, 2.0, 7.0, -1.0])
     for eps in (0.0, 0.3, 0.7, 1.0):
@@ -299,10 +329,12 @@ def test_select_action_reads_callable_scores_only_on_exploit():
         for _ in range(200):
             explores = eps > 0 and copy.deepcopy(rng_fn).random() < eps
             calls = []
-            a = select_action(lambda: calls.append(1) or scores, eps, rng_fn, alive)
+            a = select_action(lambda mask: calls.append(mask) or int(np.argmax(
+                np.where(mask, scores, -np.inf))), eps, rng_fn, alive)
             assert a == select_action(scores, eps, rng_arr, alive)
             assert rng_fn.bit_generator.state == rng_arr.bit_generator.state
             assert len(calls) == (0 if explores else 1)
+            assert all(mask is alive for mask in calls)
             explored += explores
         if eps in (0.0, 1.0):
             assert explored == 200 * eps
@@ -434,6 +466,19 @@ def test_train_deterministic():
     assert l1.cum_reward == l2.cum_reward
 
 
+def test_train_log_counts_picks_and_keeps_four_csv_columns(tmp_path):
+    g = random_coupled(1)
+    cfg = AgentConfig(budget=3, episodes=8, seed=7, batch_size=4, buffer_size=32, lr=0.01)
+    _, log = train(g, random_embeddings(g, 4, 0), cfg)
+    assert log.full_hidden > 0 and log.certified > 0
+    assert log.full_hidden + log.certified <= cfg.episodes * cfg.budget
+    log.save_csv(tmp_path / "log.csv")
+    rows = [",".join((str(e), repr(c), repr(l), repr(x))) for e, c, l, x in
+            zip(log.episode, log.cum_reward, log.loss_mean, log.epsilon)]
+    assert (tmp_path / "log.csv").read_bytes() == \
+        "\r\n".join(["episode,cum_reward,loss_mean,epsilon", *rows, ""]).encode()
+
+
 @pytest.fixture(scope="module")
 def desk_graph():
     return generate(preset_config("desk", seed=0))
@@ -515,6 +560,100 @@ def test_td_max_cache_recomputes_an_overwritten_slot(desk_graph, batch_size):
                       buffer_size=batch_size + 1, target_sync=1000, eps_end=0.5,
                       lr=0.1, gamma=0.9, seed=12)
     assert_same_run(train(desk_graph, emb, cfg), oracle_train(desk_graph, emb, cfg))
+
+
+# Exploit-only runs for the certified picks: every step exploits, so every
+# step but the first scores against a reference that SGD may have moved.
+EXPLOIT_RUN = dict(budget=4, episodes=20, batch_size=2, buffer_size=40, target_sync=50,
+                   eps_start=0.0, eps_end=0.0, lr=0.5, gamma=0.9, seed=3)
+
+
+def assert_same_greedy_attack(g, emb, params):
+    rep, o_rep = greedy_attack(g, emb, params, 8), oracle_greedy_attack(g, emb, params, 8)
+    assert rep.nodes == o_rep.nodes and rep.reward == o_rep.reward
+
+
+@pytest.mark.parametrize("graph", ["random0", "random2", "desk"])
+def test_duplicate_columns_tie_and_recompute_to_the_lowest_id(graph, desk_graph, picks):
+    # each odd node has the column of the even node before it, so the two
+    # score exactly alike: a tie is never certified, and the recomputed pick
+    # is the lower id (checked by `picks`)
+    g = desk_graph if graph == "desk" else random_coupled(int(graph[-1]))
+    Z = random_embeddings(g, 6, 3).Z
+    Z[:, 1::2] = Z[:, : g.n - 1 : 2]
+    emb = EmbeddingMatrix(Z)
+    cfg = AgentConfig(**{**EXPLOIT_RUN, "lr": 0.1, "batch_size": 4, "target_sync": 7})
+    params, log = train(g, emb, cfg)
+    assert_same_run((params, log), oracle_train(g, emb, cfg))
+    assert_same_greedy_attack(g, emb, params)
+    assert len(picks) == log.full_hidden + log.certified
+    assert any(tied for _, tied, _ in picks)
+    assert not any(certified and tied for certified, tied, _ in picks)
+    assert log.certified > 0
+
+
+def test_wide_bounds_recompute_most_picks(picks):
+    # a large step on embeddings at ten times their usual scale moves theta1
+    # far between picks, so most bounds cannot separate the best node
+    g = random_coupled(1)
+    emb = EmbeddingMatrix(10 * random_embeddings(g, 6, 1).Z)
+    cfg = AgentConfig(**EXPLOIT_RUN)
+    params, log = train(g, emb, cfg)
+    assert_same_run((params, log), oracle_train(g, emb, cfg))
+    assert_same_greedy_attack(g, emb, params)
+    assert len(picks) == log.full_hidden + log.certified == 80
+    assert log.full_hidden > log.certified > 0
+
+
+def test_certification_proves_most_picks_at_the_default_rate(desk_graph, picks):
+    emb = random_embeddings(desk_graph, 16, 2)
+    cfg = AgentConfig(budget=5, episodes=30, batch_size=8, buffer_size=100, target_sync=25,
+                      eps_end=0.1, eps_decay_steps=60, seed=13)
+    params, log = train(desk_graph, emb, cfg)
+    assert_same_run((params, log), oracle_train(desk_graph, emb, cfg))
+    assert_same_greedy_attack(desk_graph, emb, params)
+    assert len(picks) == log.full_hidden + log.certified
+    assert log.certified > 4 * log.full_hidden > 0
+
+
+def test_pick_never_certifies_an_overflowing_score():
+    # node 0's stale score overflows to +inf while its bound stays finite, so
+    # q~ - b would put it above every other node's q~ + b: the pick must
+    # recompute instead, and takes node 0 from today's scores
+    Z = np.array([[1e154, 1.0]])
+    params = QNetParams(theta1=np.ones((2, 1)), theta2=np.full((1, 2), 2.0))
+    values = agent._RunValues(Z, params)
+    s, alive = Z.mean(axis=1), np.ones(2, dtype=bool)
+    with np.errstate(over="ignore"):
+        assert np.isposinf(values.scores(s)[0])
+        assert values.pick(s, alive) == 0
+    assert (values.full_hidden, values.certified) == (2, 0)
+
+
+@pytest.mark.parametrize("case,batch_size,where", [
+    ("inf column", 8, "episode 2, step 8"),
+    ("nan entry", 8, "episode 2, step 8"),
+    ("diverging", 2, "episode 2, step 12"),
+])
+def test_non_finite_runs_never_certify(case, batch_size, where, picks):
+    # each run raises at the step where a loop that recomputes every pick
+    # raises; it may certify picks while its scores are finite, never after
+    g = random_coupled(0)
+    Z = random_embeddings(g, 6, 1).Z
+    if case == "inf column":
+        Z[:, 5] = np.inf
+    elif case == "nan entry":
+        Z[2, 7] = np.nan
+    else:
+        Z *= 10.0                   # the TD loss overflows within three episodes
+    emb = SimpleNamespace(Z=Z)      # an EmbeddingMatrix refuses non-finite entries
+    cfg = AgentConfig(**{**EXPLOIT_RUN, "batch_size": batch_size})
+    with np.errstate(all="ignore"), pytest.raises(
+            AgentError, match=f"^TD loss diverged at {where}$"):
+        train(g, emb, cfg)
+    assert len(picks) == int(where.split()[-1])
+    assert not all(finite for _, _, finite in picks)
+    assert not any(certified and not finite for certified, _, finite in picks)
 
 
 def test_replay_buffer_computes_each_stale_slot_once(monkeypatch):
