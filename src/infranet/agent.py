@@ -31,16 +31,10 @@ batch of 2 or more is computed in a 2-row product, and a cached max is the
 result of the product that computed it. On the desk preset (n mod 8 = 0) the
 tests find the bits of recomputing the whole batch at every step.
 
-For the pooled state a run keeps one C-ordered node-major (n, d) copy of Z
-and sets each picked node's row to -0.0; `train` restores the picked rows
-from Z at every episode reset. The state is the copy's sum over axis 0 over
-the kept count. For d >= 2 numpy adds the rows of a C-ordered array one
-after another in id order, and -0.0 is the exact identity of IEEE addition
-(x + -0.0 == x for every x, +0.0 included, while -0.0 + +0.0 == +0.0), so
-however numpy seeds the sum, the state has the float bits of the column
-mean over the kept nodes, `Z[:, keep].mean(axis=1)`. For d = 1 numpy sums
-the one contiguous column pairwise, and the inserted rows would move the
-block boundaries, so d = 1 takes the mean over the kept nodes directly.
+The pooled state is the intact column total of Z, taken once per training
+run or attack, less the sum of the distinct removed columns, over the kept
+count. Both sums add C-ordered data, so the state's bits depend neither on
+Z's memory layout nor on the order or repeats of the removed ids.
 """
 
 from __future__ import annotations
@@ -179,13 +173,14 @@ class ReplayBuffer:
 
 # -- value network -----------------------------------------------------------
 
-def pooled_state(Z: np.ndarray, removed, pool: np.ndarray = None) -> np.ndarray:
-    """Column-wise mean of Z over the nodes not yet removed.
+def _column_total(Z: np.ndarray) -> np.ndarray:
+    """Row sums of Z, added in C order whatever Z's memory layout."""
+    return np.ascontiguousarray(Z).sum(axis=1)
 
-    `pool` is a C-ordered (n, d) copy of Z whose rows hold Z's values except
-    at removed ids; those rows are set to -0.0 here. It is made when not
-    given.
-    """
+
+def pooled_state(Z: np.ndarray, removed, total: np.ndarray = None) -> np.ndarray:
+    """Column-wise mean of Z over the nodes not yet removed: Z's intact
+    `_column_total` (computed when not given) less the removed columns'."""
     n = Z.shape[1]
     cut = np.unique(np.asarray(list(removed), dtype=np.int64))
     if len(cut) and (cut[0] < 0 or cut[-1] >= n):
@@ -193,14 +188,9 @@ def pooled_state(Z: np.ndarray, removed, pool: np.ndarray = None) -> np.ndarray:
     kept = n - len(cut)
     if kept == 0:
         raise AgentError("all nodes removed; pooled state undefined")
-    if Z.shape[0] == 1:
-        keep = np.ones(n, dtype=bool)
-        keep[cut] = False
-        return Z[:, keep].mean(axis=1)
-    if pool is None:
-        pool = np.array(Z.T, order="C")
-    pool[cut] = -0.0
-    return pool.sum(axis=0) / kept
+    if total is None:
+        total = _column_total(Z)
+    return (total - _column_total(Z[:, cut])) / kept
 
 
 def hidden_layer(Z: np.ndarray, params: QNetParams, target: bool = False,
@@ -432,14 +422,12 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     log = TrainLog()
     env = cascade.AttackEnv(g, cfg.weights)
     values = _RunValues(Z, params)
-    pool = np.array(Z.T, order="C")
-    removed = []
+    total = _column_total(Z)
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
-        pool[removed] = Z.T[removed]      # undo the last episode's -0.0 rows
         removed = []
-        s = pooled_state(Z, removed, pool)
+        s = pooled_state(Z, removed, total)
         cum = 0.0
         losses = []
         for k in range(cfg.budget):
@@ -450,9 +438,9 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
             removed.append(a)
             alive = env.state == NORMAL
             # an episode ends early once no Normal node is left; the TD target
-            # never reads s_next of a done step, which may have no node to pool
+            # never reads s_next of a done step, which may have no kept node
             done = k == cfg.budget - 1 or not alive.any()
-            s_next = (pooled_state(Z, removed, pool) if len(removed) < g.n
+            s_next = (pooled_state(Z, removed, total) if len(removed) < g.n
                       else np.zeros_like(s))
             buf.push(s, a, r, s_next, done, alive)
             s = s_next
@@ -497,11 +485,11 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
         raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
                          f"d={d} and the graph's {g.n} nodes")
     H = hidden_layer(Z, params)
-    pool = np.array(Z.T, order="C")
+    total = _column_total(Z)
     removed = []
 
     def policy(graph, k):
-        q = q_values(pooled_state(Z, removed, pool), params, H, graph.state == NORMAL)
+        q = q_values(pooled_state(Z, removed, total), params, H, graph.state == NORMAL)
         a = int(np.argmax(q))
         removed.append(a)
         return a

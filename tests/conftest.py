@@ -359,13 +359,15 @@ def reference_run_attack(g, policy, budget, weights, method="attack"):
 
 
 def oracle_pooled_state(Z, removed):
-    """The pooled state as a column mean over a boolean mask of the kept
-    nodes. Drop-in for agent.pooled_state."""
-    keep = np.ones(Z.shape[1], dtype=bool)
-    keep[np.asarray(list(removed), dtype=np.int64)] = False
-    if not keep.any():
+    """The pooled state as the intact column total less the sum of the
+    distinct removed columns, over the kept count, both sums taken over a
+    C-ordered copy. Drop-in for agent.pooled_state."""
+    Z = np.array(Z, order="C")
+    cut = sorted(set(removed))
+    kept = Z.shape[1] - len(cut)
+    if kept == 0:
         raise agent.AgentError("all nodes removed; pooled state undefined")
-    return Z[:, keep].mean(axis=1)
+    return (Z.sum(axis=1) - np.array(Z[:, cut], order="C").sum(axis=1)) / kept
 
 
 def oracle_node_values(Z, params, target=False):

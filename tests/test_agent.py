@@ -1,4 +1,5 @@
 import copy
+import math
 import re
 from types import SimpleNamespace
 
@@ -109,6 +110,9 @@ def removed_sets(n, rng):
 @pytest.mark.parametrize("d", [1, 2, 64])
 @pytest.mark.parametrize("n", [2, 9, 130, 1488, 15774])   # 1488 = desk, 15774 = paper
 def test_pooled_state_matches_mask_mean_bit_for_bit(d, n):
+    # the mean over the kept-node mask in the oracle's bits, with the total
+    # computed here and with one total taken for the run, and along the
+    # growing prefixes of two removed lists in turn, as in a run's episodes
     rng = np.random.default_rng(d * n)
     for order in "CF":
         Z = np.asarray(rng.normal(size=(d, n)), order=order)
@@ -116,38 +120,60 @@ def test_pooled_state_matches_mask_mean_bit_for_bit(d, n):
             Z[:, n // 2] = 0.0      # a dead node's all-zero embedding
         if n > 4:
             Z[:, n // 3] = -0.0     # a kept -0.0 embedding, alone in the last set
-        for removed in removed_sets(n, rng):
-            want = oracle_pooled_state(Z, removed)
-            pool = np.array(Z.T, order="C")
-            assert pooled_state(Z, removed, pool).tobytes() == want.tobytes(), removed
-            if d > 1:
-                assert np.all(pool[removed] == 0.0) and np.all(np.signbit(pool[removed]))
-            assert pooled_state(Z, removed).tobytes() == want.tobytes(), removed
+        total = agent._column_total(Z)
+        first = [n // 2, *rng.choice(n, size=min(12, n - 2), replace=False).tolist()]
+        second = rng.choice(n, size=min(12, n - 2), replace=False).tolist()
+        walks = [removed[:k] for removed in (first, second) for k in range(len(removed) + 1)]
+        for removed in removed_sets(n, rng) + walks:
+            want = oracle_pooled_state(Z, removed).tobytes()
+            assert pooled_state(Z, removed).tobytes() == want, removed
+            assert pooled_state(Z, removed, total).tobytes() == want, removed
 
 
 @pytest.mark.parametrize("d", [1, 2, 64])
-def test_one_pool_serves_two_removed_sets_with_rows_restored_between(d):
-    # the way train reuses one pool: the removed list grows one pick at a
-    # time, and the episode reset writes the picked rows back from Z
-    n = 1488
-    rng = np.random.default_rng(d)
-    Z = np.asarray(rng.normal(size=(d, n)), order="F")
-    Z[:, 7] = 0.0
-    fresh = np.array(Z.T, order="C")
-    pool = fresh.copy()
-    first = [7, *rng.choice(n, size=12, replace=False).tolist()]
-    second = [v for v in rng.choice(n, size=12, replace=False).tolist() if v not in first]
-    stale = None
-    for removed in (first, second):
-        for k in range(len(removed) + 1):
-            want = oracle_pooled_state(Z, removed[:k])
-            assert pooled_state(Z, removed[:k], pool).tobytes() == want.tobytes(), k
-        if stale is None:
-            stale = pool.copy()
-        pool[removed] = Z.T[removed]
-        assert pool.tobytes() == fresh.tobytes()
-    if d > 1:   # without the restore the first set's rows stay out of the sum
-        assert pooled_state(Z, second, stale).tobytes() != want.tobytes()
+@pytest.mark.parametrize("n", [2, 9, 1488, 15774])
+def test_pooled_state_is_within_the_summation_bound_of_the_exact_mean(d, n):
+    # The total and the removed columns' sum are each within (m - 1) u of the
+    # sum of their m terms' magnitudes (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., §4.2), and the difference and the
+    # division add u each, so (n + 2) eps = (2n + 4) u covers the state
+    # against the exact kept mean. The offset makes the difference cancel.
+    rng = np.random.default_rng(d + n)
+    eps = np.finfo(float).eps
+    for offset in (0.0, 1e6):
+        Z = rng.normal(size=(d, n)) + offset
+        half = rng.choice(n, size=n // 2, replace=False).tolist()
+        for removed in ([], half, list(range(1, n))):     # the last keeps node 0 alone
+            keep = np.ones(n, dtype=bool)
+            keep[removed] = False
+            kept = int(keep.sum())
+            exact = np.array([math.fsum(row) for row in Z[:, keep]]) / kept
+            bound = (n + 2) * eps * np.array([math.fsum(row) for row in np.abs(Z)]) / kept
+            assert np.all(np.abs(pooled_state(Z, removed) - exact) <= bound), (offset, kept)
+
+
+def test_a_fortran_ordered_embedding_computes_the_bytes_of_its_c_copy(desk_graph):
+    # a sum over a Fortran-ordered array adds in another order than over its
+    # C copy, so the state, and all a run or an attack computes from it,
+    # would take other bits if the totals were summed in Z's own layout
+    rng = np.random.default_rng(4)
+    for d, n in [(2, 9), (16, 2000), (64, 1488), (64, 15774)]:
+        C = rng.normal(size=(d, n))
+        F = np.asfortranarray(C)
+        for removed in ([], [n - 1, 0, n - 1], rng.choice(n, size=n // 3, replace=False)):
+            assert pooled_state(F, removed).tobytes() == pooled_state(C, removed).tobytes()
+    C = random_embeddings(desk_graph, 64, 5).Z
+    F = EmbeddingMatrix(np.asfortranarray(C))
+    assert F.Z.flags.f_contiguous and not F.Z.flags.c_contiguous
+    cfg = AgentConfig(budget=5, episodes=12, batch_size=8, buffer_size=60, target_sync=9,
+                      eps_end=0.3, lr=0.1, gamma=0.9, seed=6)
+    (params, log), (c_params, c_log) = (train(desk_graph, emb, cfg)
+                                        for emb in (F, EmbeddingMatrix(C)))
+    for key in ("theta1", "theta2", "theta1_hat", "theta2_hat"):
+        assert getattr(params, key).tobytes() == getattr(c_params, key).tobytes(), key
+    assert log == c_log
+    assert greedy_attack(desk_graph, F, params, 10).nodes == \
+        greedy_attack(desk_graph, EmbeddingMatrix(C), params, 10).nodes
 
 
 def test_pooled_state_rejects_ids_out_of_range():
@@ -630,6 +656,34 @@ def test_pick_never_certifies_an_overflowing_score():
     assert (values.full_hidden, values.certified) == (2, 0)
 
 
+def test_pick_recomputes_when_the_bounds_meet_exactly(monkeypatch):
+    # Two nodes of equal column norm share one bound b. The stale scores q~
+    # are set here, and a recomputed pick scores both nodes 0. A first pick
+    # sets the reference; a second scores q~ = 0 and reads b back from the
+    # array, which the pick overwrites with q~ + b. Then q~ = (2b, 0) puts
+    # node 1's upper end exactly on node 0's lower end, b == 2b - b, so
+    # strict `<` must recompute; one representable step higher certifies.
+    Z = np.array([[1.0, -1.0], [2.0, 2.0]])
+    params = QNetParams.init(2, np.random.default_rng(0))
+    values = agent._RunValues(Z, params)
+    assert values.z_norm[0] == values.z_norm[1]
+    s, alive = Z.mean(axis=1), np.ones(2, dtype=bool)
+    scored = np.zeros(2)
+    monkeypatch.setattr(agent, "q_values", lambda s, params, hidden, alive_mask=None:
+                        np.zeros(2) if alive_mask is None else scored)
+    assert values.pick(s, alive) == 0
+    assert values.pick(s, alive) == 0
+    b = scored[1]
+    assert 0.0 < b < np.inf and (values.full_hidden, values.certified) == (2, 0)
+    scored = np.array([2 * b, 0.0])
+    assert (scored[0] - b, scored[1] + b) == (b, b)
+    assert values.pick(s, alive) == 0
+    assert (values.full_hidden, values.certified) == (3, 0)
+    scored = np.array([np.nextafter(2 * b, np.inf), 0.0])
+    assert values.pick(s, alive) == 0
+    assert (values.full_hidden, values.certified) == (3, 1)
+
+
 @pytest.mark.parametrize("case,batch_size,where", [
     ("inf column", 8, "episode 2, step 8"),
     ("nan entry", 8, "episode 2, step 8"),
@@ -794,6 +848,11 @@ def test_train_ends_an_episode_when_no_normal_node_is_left(toy_chain, monkeypatc
     # the greedy attack pads the same run-out with no-op picks of dead node 0
     rep = greedy_attack(toy_chain, emb, params, 6)
     assert rep.nodes[-2:] == [0, 0] and rep.reward[-2:] == [0.0, 0.0]
+    o_rep = oracle_greedy_attack(toy_chain, emb, params, 6)
+    assert rep.nodes == o_rep.nodes and rep.reward == o_rep.reward
+    # a repeated pick of node 0 leaves the state it left the first time
+    a = next(v for v in rep.nodes if v != 0)
+    assert pooled_state(emb.Z, [a, 0, 0]).tobytes() == pooled_state(emb.Z, [0, a]).tobytes()
 
 
 def test_train_with_budget_equal_to_node_count_picks_every_node():
