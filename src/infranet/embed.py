@@ -6,10 +6,13 @@ and passed through ReLU. Training pits observed edges against sampled
 non-edges under a hinge margin; gradients are hand-derived, and the neighbor
 sums of both passes and the hinge gradient are one scatter-add, `_scatter`.
 
-Pretraining runs the same machinery on each layer's subgraph alone; the
-coupled-graph training then starts from those columns. Transfer retraining
-(`transfer.retrain`) is `train` on a mask graph from the old embedding as the
-fixed input, with a `pull` term that keeps the output near that input.
+Pretraining runs the same machinery on each layer's subgraph alone, over
+that layer's own nodes: its edges are relabelled onto its sorted pool, so
+every pass works on the pool's columns only. The coupled-graph training then
+starts from those columns, written back into the graph's station and
+junction columns. Transfer retraining (`transfer.retrain`) is `train` on a
+mask graph from the old embedding as the fixed input, with a `pull` term
+that keeps the output near that input.
 """
 
 from __future__ import annotations
@@ -108,14 +111,22 @@ class EmbedProblem:
     Edges must be distinct undirected pairs inside the pool, no self-loops, as
     in every `problem_for` scope: a CoupledGraph refuses duplicate edges,
     self-loops, second parents or suppliers, and node kinds keep layers apart.
-    The p pool nodes then have a non-edge pair iff edges < p*(p-1)/2."""
+    The p pool nodes then have a non-edge pair iff edges < p*(p-1)/2.
+
+    A problem's n columns may be some of the nodes of a wider graph: column j
+    is graph node ids[j] of `width` nodes. ids None means column j is node j,
+    and width is n."""
 
     n: int
     edges: np.ndarray        # (m, 2) undirected pairs
     edge_weights: np.ndarray # (m,)
     pool: np.ndarray         # node ids eligible for negative endpoints
+    ids: np.ndarray = None   # (n,) graph id of each column, or None
+    width: int = None        # node count of the graph the columns come from
 
     def __post_init__(self):
+        if self.width is None:
+            self.width = self.n
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
         self.pool = np.asarray(self.pool, dtype=np.int64)
@@ -138,19 +149,23 @@ def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
     """scope: 'elec', 'road', or 'coupled' (all layers, type-weighted)."""
     tw = cfg.edge_type_weights
     if scope in ("elec", "road"):
-        edges = g.elec_edges if scope == "elec" else g.road_edges
+        # the layer's own nodes, in id order: its edges relabelled onto them
+        ids = g.station_ids() if scope == "elec" else g.junction_ids()
+        layer = g.elec_edges if scope == "elec" else g.road_edges
+        edges = np.searchsorted(ids, layer)
         w = np.full(len(edges), tw[scope])
-        pool = g.station_ids() if scope == "elec" else g.junction_ids()
     elif scope == "coupled":
+        ids = None
         edges = np.stack([g.edge_u, g.edge_v], axis=1)
         counts = [len(g.elec_edges), len(g.road_edges), len(g.dep_edges)]
         w = np.repeat([tw["elec"], tw["road"], tw["dep"]], counts)
-        pool = np.arange(g.n)
     else:
         raise EmbedError(f"unknown scope {scope!r}")
     if len(edges) == 0:
         raise EmbedError(f"scope {scope!r} has no edges to train on")
-    return EmbedProblem(n=g.n, edges=edges, edge_weights=w, pool=pool)
+    n = g.n if ids is None else len(ids)
+    return EmbedProblem(n=n, edges=edges, edge_weights=w, pool=np.arange(n), ids=ids,
+                        width=g.n)
 
 
 # -- initial features ------------------------------------------------------
@@ -162,15 +177,15 @@ def _uniform(rng, shape, d):
 
 def init_features(g: CoupledGraph, d: int, emb_e: EmbeddingMatrix,
                   emb_r: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Initial feature columns from the per-layer pretrained embeddings, both
-    sized like the full graph: station columns come from `emb_e`, junction
-    columns from `emb_r`. Every node is one or the other."""
-    if emb_e.d != d or emb_r.d != d or emb_e.n != g.n or emb_r.n != g.n:
+    """Initial feature columns from the per-layer pretrained embeddings, each
+    one column per node of its layer in id order: the station columns are
+    `emb_e`, the junction columns `emb_r`. Every node is one or the other."""
+    st, ju = g.station_ids(), g.junction_ids()
+    if emb_e.d != d or emb_r.d != d or emb_e.n != len(st) or emb_r.n != len(ju):
         raise EmbedError("sub-embedding dimensions do not match")
     F = np.empty((d, g.n))
-    st, ju = g.station_ids(), g.junction_ids()
-    F[:, st] = emb_e.Z[:, st]
-    F[:, ju] = emb_r.Z[:, ju]
+    F[:, st] = emb_e.Z
+    F[:, ju] = emb_r.Z
     return EmbeddingMatrix(F, provenance=PRETRAINED)
 
 
@@ -419,11 +434,16 @@ def train(problem: EmbedProblem, cfg: EmbedConfig, F: np.ndarray = None,
     """Gradient-descent training; negatives are resampled every epoch.
 
     `pull` weighs the deviation of the output from F (see loss_and_grads).
+    F None draws features for every node of the problem's graph and keeps
+    the problem's columns, so the weights and negatives that follow come
+    from the same stream whatever the problem's width.
     Returns (EmbeddingMatrix, weight matrices, per-epoch loss list).
     """
     rng = np.random.default_rng(cfg.seed)
     if F is None:
-        F = _uniform(rng, (cfg.d, problem.n), cfg.d)
+        F = _uniform(rng, (cfg.d, problem.width), cfg.d)
+        if problem.ids is not None:
+            F = F.take(problem.ids, axis=1)
     params = init_params(cfg, rng)
     M0 = _aggregate(np.asarray(F, dtype=np.float64), problem, cfg.aggregator)
     losses = []
@@ -443,13 +463,14 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
     """Eq-1 pipeline: pretrain each layer's subgraph, then the coupled graph.
 
     Per-stage seeds are derived from cfg.seed so the whole pipeline is a
-    pure function of (g, cfg). A layer without edges gets random columns.
+    pure function of (g, cfg). Each layer is pretrained over its own nodes; a
+    layer without edges gets its nodes' columns of `random_embeddings`.
     """
     F = init_features(g, cfg.d, *(
         train(problem_for(g, scope, cfg), replace(cfg, seed=seed))[0] if len(edges)
-        else random_embeddings(g, cfg.d, seed)
-        for seed, scope, edges in ((cfg.seed + 1, "elec", g.elec_edges),
-                                   (cfg.seed + 2, "road", g.road_edges))))
+        else EmbeddingMatrix(random_embeddings(g, cfg.d, seed).Z[:, ids], RANDOM)
+        for seed, scope, edges, ids in ((cfg.seed + 1, "elec", g.elec_edges, g.station_ids()),
+                                        (cfg.seed + 2, "road", g.road_edges, g.junction_ids()))))
     return train(problem_for(g, "coupled", cfg), cfg, F=F.Z)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -497,33 +498,67 @@ def oracle_backward(dZ, params, caches, problem, aggregator):
     return dWs, dH
 
 
-def oracle_retrain(g_mask, old_emb, cfg):
-    """The transfer retraining loop as a separate epoch loop: forward, hinge
-    loss, pull-back term, backward and update written out. Drop-in for
-    transfer.retrain."""
-    F_old = old_emb.Z
-    ecfg = embed.EmbedConfig(d=F_old.shape[0], seed=cfg.seed)
-    problem = embed.problem_for(g_mask, "coupled", ecfg)
+def oracle_embed_train(problem, cfg, F=None, pull=0.0):
+    """embed.train as a written-out epoch loop over the oracle kernels:
+    forward, hinge loss, pull-back term, backward and update. F None is drawn
+    at problem.n columns, before the weights, from the seeded generator.
+    Drop-in for embed.train on a problem whose columns are its graph's nodes."""
     rng = np.random.default_rng(cfg.seed)
-    params = embed.init_params(ecfg, rng)
-    scale = F_old.size
+    if F is None:
+        F = embed._uniform(rng, (cfg.d, problem.n), cfg.d)
+    params = embed.init_params(cfg, rng)
     losses = []
     for epoch in range(cfg.epochs):
-        neg = embed.sample_negatives(rng, problem, len(problem.edges) * ecfg.neg_ratio)
-        Z, caches = oracle_forward(F_old, params, problem, ecfg.aggregator,
-                                   want_cache=True)
-        recon, dZ = oracle_margin_loss(Z, problem.edges, neg, ecfg,
-                                       pos_weights=problem.edge_weights, params=params)
-        diff = Z - F_old
-        distant = float(np.sum(diff ** 2) / scale)
-        loss = recon + cfg.distance_weight * distant
+        neg = oracle_sample_negatives(rng, problem, len(problem.edges) * cfg.neg_ratio)
+        Z, caches = oracle_forward(F, params, problem, cfg.aggregator, want_cache=True)
+        loss, dZ = oracle_margin_loss(Z, problem.edges, neg, cfg,
+                                      pos_weights=problem.edge_weights, params=params)
+        if pull:
+            diff = Z - F
+            loss += pull * float(np.sum(diff ** 2) / F.size)
+            dZ = dZ + pull * 2.0 * diff / F.size
         losses.append(loss)
-        dZ = dZ + cfg.distance_weight * 2.0 * diff / scale
-        dWs, _ = oracle_backward(dZ, params, caches, problem, ecfg.aggregator)
+        dWs, _ = oracle_backward(dZ, params, caches, problem, cfg.aggregator)
         for W, dW in zip(params, dWs):
-            W -= cfg.lr * (dW + 2.0 * ecfg.l2 * W)
-    Z = oracle_forward(F_old, params, problem, ecfg.aggregator)
-    return embed.EmbeddingMatrix(Z, provenance=embed.PRETRAINED), losses
+            W -= cfg.lr * (dW + 2.0 * cfg.l2 * W)
+    Z = oracle_forward(F, params, problem, cfg.aggregator)
+    return embed.EmbeddingMatrix(Z, provenance=embed.PRETRAINED), params, losses
+
+
+def oracle_retrain(g_mask, old_emb, cfg):
+    """The transfer retraining loop: oracle_embed_train on the coupled mask
+    graph from the old embedding, with the distance weight as the pull.
+    Drop-in for transfer.retrain."""
+    F_old = old_emb.Z
+    ecfg = embed.EmbedConfig(d=F_old.shape[0], lr=cfg.lr, epochs=cfg.epochs, seed=cfg.seed)
+    emb, _, losses = oracle_embed_train(embed.problem_for(g_mask, "coupled", ecfg), ecfg,
+                                        F=F_old, pull=cfg.distance_weight)
+    return emb, losses
+
+
+def oracle_problem_for(g, scope, cfg):
+    """A layer's problem ('elec' or 'road') over every graph column: its
+    edges on graph ids, n = g.n, and the layer's nodes as the pool."""
+    edges = g.elec_edges if scope == "elec" else g.road_edges
+    pool = g.station_ids() if scope == "elec" else g.junction_ids()
+    return embed.EmbedProblem(n=g.n, edges=edges,
+                              edge_weights=np.full(len(edges), cfg.edge_type_weights[scope]),
+                              pool=pool)
+
+
+def oracle_train_coupled(g, cfg):
+    """Eq-1 pipeline with each layer pretrained over every graph column
+    (oracle_problem_for), its own nodes' columns then copied into the
+    features. Drop-in for embed.train_coupled, up to the rounding of the
+    layer stages' `G @ M.T` contraction over n columns."""
+    F = np.empty((cfg.d, g.n))
+    for seed, scope, edges, ids in ((cfg.seed + 1, "elec", g.elec_edges, g.station_ids()),
+                                    (cfg.seed + 2, "road", g.road_edges, g.junction_ids())):
+        layer_cfg = dataclasses.replace(cfg, seed=seed)
+        Z = (oracle_embed_train(oracle_problem_for(g, scope, cfg), layer_cfg)[0].Z
+             if len(edges) else embed.random_embeddings(g, cfg.d, seed).Z)
+        F[:, ids] = Z[:, ids]
+    return oracle_embed_train(embed.problem_for(g, "coupled", cfg), cfg, F=F)
 
 
 def oracle_sample_negatives(rng, problem, count):

@@ -25,14 +25,18 @@ from infranet.graph import JUNCTION, CoupledGraph
 from infranet.netgen import GenConfig, generate, preset_config
 from infranet.transfer import MaskSpec, TransferError, mask_graph
 
+import conftest
 from conftest import (
     central_diff_check,
     oracle_adjacency,
     oracle_backward,
+    oracle_embed_train,
     oracle_forward,
     oracle_margin_loss,
+    oracle_problem_for,
     oracle_sample_negatives,
     oracle_score,
+    oracle_train_coupled,
     random_coupled,
 )
 
@@ -42,21 +46,47 @@ def road_graph(edges, n):
                         elec_edges=[], road_edges=edges, dep_edges=[])
 
 
-def test_init_features_copies_sub_embeddings(toy_chain):
+def _interleaved(g, seed=0):
+    """g with its nodes renumbered at random, so that stations and junctions
+    interleave by id."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    inv = np.argsort(perm)
+    return CoupledGraph(kind=g.kind[perm], level=g.level[perm], load=g.load[perm],
+                        elec_edges=inv[g.elec_edges], road_edges=inv[g.road_edges],
+                        dep_edges=inv[g.dep_edges])
+
+
+def test_init_features_copies_sub_embeddings():
+    # stations and junctions interleaved by id: each layer's embedding holds
+    # one column per node of the layer, in id order
+    g = _interleaved(random_coupled(5))
     d = 4
-    emb_e = random_embeddings(toy_chain, d, 1)
-    emb_r = random_embeddings(toy_chain, d, 2)
-    F = init_features(toy_chain, d, emb_e, emb_r)
-    st, ju = toy_chain.station_ids(), toy_chain.junction_ids()
-    np.testing.assert_array_equal(F.Z[:, st], emb_e.Z[:, st])
-    np.testing.assert_array_equal(F.Z[:, ju], emb_r.Z[:, ju])
+    st, ju = g.station_ids(), g.junction_ids()
+    assert np.any(np.diff(g.kind) < 0)
+    emb_e = EmbeddingMatrix(random_embeddings(g, d, 1).Z[:, st])
+    emb_r = EmbeddingMatrix(random_embeddings(g, d, 2).Z[:, ju])
+    F = init_features(g, d, emb_e, emb_r)
+    assert F.Z.shape == (d, g.n) and F.provenance == "pretrained"
+    assert F.Z[:, st].tobytes() == emb_e.Z.tobytes()
+    assert F.Z[:, ju].tobytes() == emb_r.Z.tobytes()
 
 
 def test_init_features_dimension_mismatch(toy_chain):
-    bad = EmbeddingMatrix(np.zeros((3, toy_chain.n)))
-    good = EmbeddingMatrix(np.zeros((4, toy_chain.n)))
-    with pytest.raises(EmbedError):
+    bad = EmbeddingMatrix(np.zeros((3, 3)))
+    good = EmbeddingMatrix(np.zeros((4, 3)))
+    with pytest.raises(EmbedError, match="^sub-embedding dimensions do not match$"):
         init_features(toy_chain, 4, bad, good)
+
+
+@pytest.mark.parametrize("e_cols, r_cols", [(6, 3), (3, 6), (6, 6), (2, 3), (3, 4), (3, 0)],
+                         ids=["elec-graph-width", "road-graph-width", "both-graph-width",
+                              "elec-short", "road-long", "road-empty"])
+def test_init_features_refuses_a_layer_of_another_width(toy_chain, e_cols, r_cols):
+    # toy_chain has 3 stations and 3 junctions; a layer embedding is as wide
+    # as its layer, so the graph-wide embeddings of old are refused too
+    emb_e, emb_r = (EmbeddingMatrix(np.zeros((4, k))) for k in (e_cols, r_cols))
+    with pytest.raises(EmbedError, match="^sub-embedding dimensions do not match$"):
+        init_features(toy_chain, 4, emb_e, emb_r)
 
 
 def test_forward_isolated_node_halves_feature():
@@ -309,7 +339,8 @@ def test_train_coupled_without_road_edges_uses_random_road_columns(monkeypatch):
 
     monkeypatch.setattr(embed, "init_features", spy)
     emb, params, losses = train_coupled(g, cfg)
-    np.testing.assert_array_equal(road_columns[0].Z, random_embeddings(g, 4, 7).Z)
+    junctions = g.junction_ids()
+    assert road_columns[0].Z.tobytes() == random_embeddings(g, 4, 7).Z[:, junctions].tobytes()
     assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
 
 
@@ -321,14 +352,15 @@ def test_train_coupled_without_elec_edges_uses_random_station_columns(monkeypatc
     real, features = embed.init_features, []
 
     def spy(g, d, emb_e, emb_r):
-        features.append(real(g, d, emb_e, emb_r))
-        return features[-1]
+        features.append((emb_e, real(g, d, emb_e, emb_r)))
+        return features[-1][1]
 
     monkeypatch.setattr(embed, "init_features", spy)
     emb, params, losses = train_coupled(g, cfg)
     stations = g.station_ids()
-    np.testing.assert_array_equal(features[0].Z[:, stations],
-                                  random_embeddings(g, 4, 6).Z[:, stations])
+    (emb_e, F), = features
+    assert emb_e.Z.tobytes() == random_embeddings(g, 4, 6).Z[:, stations].tobytes()
+    assert F.Z[:, stations].tobytes() == emb_e.Z.tobytes()
     assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
 
 
@@ -524,7 +556,8 @@ def test_neighbor_sum_matches_csr_product_bit_for_bit(graph, scope, d, aggregato
     rng = np.random.default_rng(seed)
     g = random_coupled(graph)
     assume(scope != "road" or len(g.road_edges) > 0)
-    n, problem = g.n, problem_for(g, scope, EmbedConfig())
+    problem = problem_for(g, scope, EmbedConfig())
+    n = problem.n
     X = rng.normal(size=(d, n))
     X[rng.random(X.shape) < 0.3] = -0.0
     v = int(rng.integers(0, n))
@@ -662,6 +695,145 @@ def test_train_coupled_matches_all_oracle_kernels(graph, monkeypatch):
     monkeypatch.setattr(embed, "forward", oracle_forward)
     monkeypatch.setattr(embed, "_backward", lambda *args: oracle_backward(*args)[0])
     o_emb, o_params, o_losses = train_coupled(g, cfg)
+    assert emb.Z.tobytes() == o_emb.Z.tobytes()
+    assert all(W.tobytes() == oW.tobytes() for W, oW in zip(params, o_params))
+    assert losses == o_losses
+
+
+# Graphs for the pool-width layer problems. `masked` deletes half the edges,
+# so it has junctions without a road edge and stations without a parent or
+# any electricity edge; `interleaved` renumbers it so that the two kinds mix by
+# id; `childless` has 220kV roots without children.
+LAYER_GRAPHS = {
+    "random0": lambda: random_coupled(0),
+    "random3": lambda: random_coupled(3),
+    "masked": lambda: mask_graph(random_coupled(8),
+                                 MaskSpec(delete_fraction=0.5, add_fraction=0.0, seed=1)),
+    "interleaved": lambda: _interleaved(LAYER_GRAPHS["masked"](), seed=2),
+    "childless": lambda: generate(GenConfig(seed=5, n_220=3, fanout_110=(0, 2), road_nodes=30)),
+    "desk": lambda: generate(preset_config("desk", seed=0)),
+}
+
+
+def _layer_config(case):
+    if case == "desk":
+        return EmbedConfig(d=16, epochs=4, seed=5, lr=0.02)
+    i = sorted(LAYER_GRAPHS).index(case)
+    return EmbedConfig(d=3 + 5 * i, epochs=20, seed=i, lr=0.02, neg_ratio=1 + i % 3,
+                       aggregator="mean" if i % 2 else "sum")
+
+
+def _rounding_bound(p, scale):
+    """2 gamma_p times scale, with gamma_p = p u / (1 - p u) and u the unit
+    roundoff. See test_layer_pretraining_matches_the_full_width_oracle."""
+    u = np.finfo(np.float64).eps / 2
+    return 2 * p * u / (1 - p * u) * scale
+
+
+def test_layer_graphs_have_isolated_junctions_and_parentless_stations():
+    for case in ("masked", "interleaved", "childless"):
+        g = LAYER_GRAPHS[case]()
+        stations, junctions = g.station_ids(), g.junction_ids()
+        assert not np.isin(stations, g.elec_edges).all(), case
+        if case != "childless":
+            assert not np.isin(junctions, g.road_edges).all(), case
+            assert not np.isin(stations[g.level[stations] < 220], g.elec_edges[:, 1]).all()
+    g = LAYER_GRAPHS["interleaved"]()
+    assert np.any(np.diff(g.kind) < 0) and np.any(np.diff(g.kind) > 0)
+
+
+@pytest.mark.parametrize("case", list(LAYER_GRAPHS))
+def test_layer_problem_is_its_pool_relabelled(case):
+    g = LAYER_GRAPHS[case]()
+    cfg = EmbedConfig(edge_type_weights={"elec": 2.0, "road": 0.5, "dep": 1.0})
+    for scope, ids in (("elec", g.station_ids()), ("road", g.junction_ids())):
+        full = oracle_problem_for(g, scope, cfg)
+        problem = problem_for(g, scope, cfg)
+        assert (problem.n, problem.width) == (len(ids), g.n)
+        assert problem.ids.tobytes() == ids.tobytes()
+        assert problem.pool.tobytes() == np.arange(len(ids)).tobytes()
+        assert ids[problem.edges].tobytes() == full.edges.tobytes()
+        assert problem.edge_weights.tobytes() == full.edge_weights.tobytes()
+        assert problem.has_non_edge == full.has_non_edge
+        assert ids[problem.nbr_rows].tobytes() == full.nbr_rows.tobytes()
+        assert ids[problem.nbr_cols].tobytes() == full.nbr_cols.tobytes()
+        assert problem.deg.tobytes() == full.deg[ids].tobytes()
+
+
+# Bounds of a pool-width layer run against the full-width oracle. The two
+# differ in how BLAS blocks the n-long contraction of each weight gradient
+# G @ M.T, where G is exactly zero outside the pool; the neighbor sums and
+# the hinge gradient add each column's terms in the same order at either
+# width, and the negatives are the same pairs. Any order of a p-term
+# sum is within gamma_p = p u / (1 - p u) of the exact sum, relative to the
+# sum of the terms' magnitudes (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., §3.1), so two orders differ by at most 2 gamma_p of
+# it. Z, each W and each loss are held to 2 gamma_p of their own largest
+# magnitude, with p the pool size; these short runs (lr * epochs <= 0.4) do
+# not amplify an epoch's difference past that. Over these cases the worst
+# difference read 0.08 of its bound and the losses were equal; desk at
+# d = 64 over 200 epochs differed by at most 2 u of max|Z|.
+@pytest.mark.parametrize("case", list(LAYER_GRAPHS))
+def test_layer_pretraining_matches_the_full_width_oracle(case, monkeypatch):
+    g, cfg = LAYER_GRAPHS[case](), _layer_config(case)
+
+    def recorder(sample, drawn):
+        def record(rng, problem, count):
+            drawn.append(sample(rng, problem, count))
+            return drawn[-1]
+        return record
+
+    for scope, ids in (("elec", g.station_ids()), ("road", g.junction_ids())):
+        full = oracle_problem_for(g, scope, cfg)
+        if len(full.edges) == 0:
+            continue
+        negs, o_negs = [], []
+        monkeypatch.setattr(embed, "sample_negatives", recorder(sample_negatives, negs))
+        monkeypatch.setattr(conftest, "oracle_sample_negatives",
+                            recorder(oracle_sample_negatives, o_negs))
+        emb, params, losses = train(problem_for(g, scope, cfg), cfg)
+        o_emb, o_params, o_losses = oracle_embed_train(full, cfg)
+        assert len(negs) == len(o_negs) == cfg.epochs
+        assert all(ids[a].tobytes() == b.tobytes() for a, b in zip(negs, o_negs))
+
+        bound = lambda x: _rounding_bound(len(ids), np.abs(x).max())
+        o_Z = o_emb.Z[:, ids]
+        assert emb.Z.flags.c_contiguous and emb.Z.shape == o_Z.shape
+        assert np.abs(emb.Z - o_Z).max() <= bound(o_Z)
+        assert all(np.abs(W - oW).max() <= bound(oW) for W, oW in zip(params, o_params))
+        assert len(losses) == len(o_losses)
+        assert all(abs(a - b) <= bound(b) for a, b in zip(losses, o_losses))
+
+
+# The coupled stage starts from layer columns that differ by the bound above,
+# and its own products are the oracle's; held to the same bound over all n
+# graph columns.
+@pytest.mark.parametrize("case", ["random3", "masked", "interleaved", "desk"])
+def test_train_coupled_matches_the_full_width_oracle_within_rounding(case):
+    g, cfg = LAYER_GRAPHS[case](), _layer_config(case)
+    emb, params, losses = train_coupled(g, cfg)
+    o_emb, o_params, o_losses = oracle_train_coupled(g, cfg)
+    bound = lambda x: _rounding_bound(g.n, np.abs(x).max())
+    assert np.abs(emb.Z - o_emb.Z).max() <= bound(o_emb.Z)
+    assert all(np.abs(W - oW).max() <= bound(oW) for W, oW in zip(params, o_params))
+    assert len(losses) == len(o_losses)
+    assert all(abs(a - b) <= bound(b) for a, b in zip(losses, o_losses))
+
+
+def test_coupled_scope_keeps_graph_width_and_its_bytes_on_desk():
+    # the coupled problem is today's, and a coupled `train` that draws its
+    # own features, as the paper-attack probe does, gives the oracle's bits
+    g = generate(preset_config("desk", seed=0))
+    cfg = EmbedConfig(d=16, epochs=2, seed=3, lr=0.02)
+    problem = problem_for(g, "coupled", cfg)
+    want = embed.EmbedProblem(n=g.n, edges=np.stack([g.edge_u, g.edge_v], axis=1),
+                              edge_weights=np.ones(len(g.edge_u)), pool=np.arange(g.n))
+    assert (problem.n, problem.width, problem.ids) == (g.n, g.n, None)
+    for name in ("edges", "edge_weights", "pool", "edge_keys", "nbr_rows", "nbr_cols", "deg"):
+        assert getattr(problem, name).tobytes() == getattr(want, name).tobytes(), name
+    assert problem.has_non_edge
+    emb, params, losses = train(problem, cfg)
+    o_emb, o_params, o_losses = oracle_embed_train(problem, cfg)
     assert emb.Z.tobytes() == o_emb.Z.tobytes()
     assert all(W.tobytes() == oW.tobytes() for W, oW in zip(params, o_params))
     assert losses == o_losses

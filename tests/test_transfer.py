@@ -216,7 +216,7 @@ def test_retrain_does_not_depend_on_embedding_layout(d, order):
 
 def test_retrain_from_a_saved_embedding_matches_the_in_memory_run(tmp_path):
     # desk at d = 16 is a size where `W @ M` takes another BLAS path for an
-    # F-ordered M
+    # F-ordered M; both runs give the bits of the written-out loop
     g = generate(preset_config("desk", seed=0))
     emb = random_embeddings(g, 16, 0)
     save_embedding(tmp_path / "emb.bin", emb)
@@ -224,8 +224,9 @@ def test_retrain_from_a_saved_embedding_matches_the_in_memory_run(tmp_path):
     cfg = RetrainConfig(epochs=2, seed=0)
     new, losses = retrain(m, emb, cfg)
     loaded, loaded_losses = retrain(m, load_embedding(tmp_path / "emb.bin"), cfg)
-    assert loaded.Z.tobytes() == new.Z.tobytes()
-    assert loaded_losses == losses
+    ref, ref_losses = oracle_retrain(m, emb, cfg)
+    assert loaded.Z.tobytes() == new.Z.tobytes() == ref.Z.tobytes()
+    assert loaded_losses == losses == ref_losses
 
 
 def test_retrain_deterministic():
