@@ -46,8 +46,10 @@ def ci_scores(g: CoupledGraph, radius: int = 1) -> np.ndarray:
     """Collective influence on the alive view: (d_v - 1) * sum of (d_u - 1)
     over the nodes u at exactly `radius` hops from v, where d counts alive
     edges (both ends Normal). Dead nodes score -inf."""
+    if not cascade.is_int(radius):
+        raise BaselineError(f"CI radius must be an integer, got {radius!r}")
     if radius < 1:
-        raise BaselineError("CI radius must be >= 1")
+        raise BaselineError(f"CI radius must be >= 1, got {radius}")
     n = g.n
     alive = g.state == NORMAL
     keep = alive[g.edge_u] & alive[g.edge_v]

@@ -7,12 +7,12 @@ non-edges under a hinge margin; gradients are hand-derived, and the neighbor
 sums of both passes and the hinge gradient are one scatter-add, `_scatter`.
 
 Pretraining runs the same machinery on each layer's subgraph alone, over
-that layer's own nodes: its edges are relabelled onto its sorted pool, so
-every pass works on the pool's columns only. The coupled-graph training then
-starts from those columns, written back into the graph's station and
-junction columns. Transfer retraining (`transfer.retrain`) is `train` on a
-mask graph from the old embedding as the fixed input, with a `pull` term
-that keeps the output near that input.
+that layer's own nodes: `problem_for` relabels its edges onto its sorted
+stations or junctions, so every pass works on those columns only. The
+coupled-graph training then starts from those columns, written back into the
+graph's station and junction columns. Transfer retraining (`transfer.retrain`)
+is `train` on a mask graph from the old embedding as the fixed input, with a
+`pull` term that keeps the output near that input.
 """
 
 from __future__ import annotations
@@ -106,12 +106,13 @@ class EmbeddingMatrix:
 
 @dataclass
 class EmbedProblem:
-    """One training instance: edges with type weights plus the sampling pool.
+    """One training instance: edges with type weights over n columns.
 
-    Edges must be distinct undirected pairs inside the pool, no self-loops, as
-    in every `problem_for` scope: a CoupledGraph refuses duplicate edges,
+    Edges must be distinct undirected pairs of columns, no self-loops, as in
+    every `problem_for` scope: a CoupledGraph refuses duplicate edges,
     self-loops, second parents or suppliers, and node kinds keep layers apart.
-    The p pool nodes then have a non-edge pair iff edges < p*(p-1)/2.
+    A problem trains iff 0 < edges < n*(n-1)/2: it has an edge to score and a
+    non-edge pair to sample against it.
 
     A problem's n columns may be some of the nodes of a wider graph: column j
     is graph node ids[j] of `width` nodes. ids None means column j is node j,
@@ -120,7 +121,6 @@ class EmbedProblem:
     n: int
     edges: np.ndarray        # (m, 2) undirected pairs
     edge_weights: np.ndarray # (m,)
-    pool: np.ndarray         # node ids eligible for negative endpoints
     ids: np.ndarray = None   # (n,) graph id of each column, or None
     width: int = None        # node count of the graph the columns come from
 
@@ -129,13 +129,11 @@ class EmbedProblem:
             self.width = self.n
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.edge_weights = np.asarray(self.edge_weights, dtype=np.float64)
-        self.pool = np.asarray(self.pool, dtype=np.int64)
         if self.edges.size and not 0 <= self.edges.min() <= self.edges.max() < self.n:
             raise EmbedError(f"edge endpoints must lie in [0, {self.n})")
-        # sorted undirected edge keys min*n+max, for the rejection in sample_negatives
-        self.edge_keys = np.unique(self.edges.min(axis=1) * self.n + self.edges.max(axis=1))
-        p = len(np.unique(self.pool))
-        self.has_non_edge = len(self.edge_keys) < p * (p - 1) // 2
+        # sorted undirected edge keys, for the rejection in sample_negatives
+        self.edge_keys = np.unique(_key(self.edges[:, 0], self.edges[:, 1], self.n))
+        self.trainable = 0 < len(self.edge_keys) < self.n * (self.n - 1) // 2
         # the symmetric adjacency as neighbor pairs in CSR order (rows
         # ascending, columns ascending within a row)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
@@ -146,26 +144,19 @@ class EmbedProblem:
 
 
 def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
-    """scope: 'elec', 'road', or 'coupled' (all layers, type-weighted)."""
+    """scope: 'elec' or 'road' (the layer over its own nodes, in id order),
+    or 'coupled' (all layers over every node, type-weighted)."""
     tw = cfg.edge_type_weights
     if scope in ("elec", "road"):
-        # the layer's own nodes, in id order: its edges relabelled onto them
         ids = g.station_ids() if scope == "elec" else g.junction_ids()
-        layer = g.elec_edges if scope == "elec" else g.road_edges
-        edges = np.searchsorted(ids, layer)
-        w = np.full(len(edges), tw[scope])
-    elif scope == "coupled":
-        ids = None
-        edges = np.stack([g.edge_u, g.edge_v], axis=1)
-        counts = [len(g.elec_edges), len(g.road_edges), len(g.dep_edges)]
-        w = np.repeat([tw["elec"], tw["road"], tw["dep"]], counts)
-    else:
+        edges = np.searchsorted(ids, g.elec_edges if scope == "elec" else g.road_edges)
+        return EmbedProblem(n=len(ids), edges=edges, edge_weights=np.full(len(edges), tw[scope]),
+                            ids=ids, width=g.n)
+    if scope != "coupled":
         raise EmbedError(f"unknown scope {scope!r}")
-    if len(edges) == 0:
-        raise EmbedError(f"scope {scope!r} has no edges to train on")
-    n = g.n if ids is None else len(ids)
-    return EmbedProblem(n=n, edges=edges, edge_weights=w, pool=np.arange(n), ids=ids,
-                        width=g.n)
+    counts = [len(g.elec_edges), len(g.road_edges), len(g.dep_edges)]
+    return EmbedProblem(n=g.n, edges=np.stack([g.edge_u, g.edge_v], axis=1),
+                        edge_weights=np.repeat([tw["elec"], tw["road"], tw["dep"]], counts))
 
 
 # -- initial features ------------------------------------------------------
@@ -173,20 +164,6 @@ def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
 def _uniform(rng, shape, d):
     bound = 1.0 / np.sqrt(d)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def init_features(g: CoupledGraph, d: int, emb_e: EmbeddingMatrix,
-                  emb_r: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Initial feature columns from the per-layer pretrained embeddings, each
-    one column per node of its layer in id order: the station columns are
-    `emb_e`, the junction columns `emb_r`. Every node is one or the other."""
-    st, ju = g.station_ids(), g.junction_ids()
-    if emb_e.d != d or emb_r.d != d or emb_e.n != len(st) or emb_r.n != len(ju):
-        raise EmbedError("sub-embedding dimensions do not match")
-    F = np.empty((d, g.n))
-    F[:, st] = emb_e.Z
-    F[:, ju] = emb_r.Z
-    return EmbeddingMatrix(F, provenance=PRETRAINED)
 
 
 def random_embeddings(g: CoupledGraph, d: int, seed: int) -> EmbeddingMatrix:
@@ -321,17 +298,9 @@ def draw_pairs(rng, pool, count, keep) -> np.ndarray:
     return np.stack([u[kept], v[kept]], axis=1)
 
 
-def draw_new_pairs(rng, pool, count, n, taken) -> np.ndarray:
-    """`draw_pairs` keeping each pair u != v whose key min*n+max is not in
-    `taken` and was not drawn before: `count` new distinct edges of a node
-    set whose ids are below n."""
-    def new(u, v):
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        first = np.zeros(len(key), dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        return (u != v) & first & ~np.isin(key, taken)
-
-    return draw_pairs(rng, pool, count, new)
+def _key(u, v, n):
+    """The key min*n+max of each undirected pair of ids below n."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 def _member(sorted_keys, keys):
@@ -342,22 +311,37 @@ def _member(sorted_keys, keys):
     return sorted_keys[i] == keys
 
 
-def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
-    """Uniform non-edges within the pool, excluding self-loops.
+def draw_new_pairs(rng, pool, count, n, taken) -> np.ndarray:
+    """`draw_pairs` keeping each pair u != v that is no pair of the (m, 2)
+    edge array `taken` and was not drawn before: `count` new distinct edges
+    of a node set whose ids are below n."""
+    taken_keys = np.unique(_key(taken[:, 0], taken[:, 1], n))
 
-    The draws are those of a loop of `rng.integers(0, len(pool), size=2)`
-    pairs that keeps each pair u != v that is not an edge.
+    def new(u, v):
+        key = _key(u, v, n)
+        first = np.zeros(len(key), dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        return (u != v) & first & ~_member(taken_keys, key)
+
+    return draw_pairs(rng, pool, count, new)
+
+
+def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
+    """Uniform non-edges among the problem's n columns, excluding self-loops.
+
+    The draws are those of a loop of `rng.integers(0, n, size=2)` pairs that
+    keeps each pair u != v that is not an edge. A problem that does not
+    train (see EmbedProblem) raises before any draw.
     """
-    if len(problem.pool) < 2:
-        raise EmbedError("pool too small to sample negatives")
-    if not problem.has_non_edge:
-        raise EmbedError("pool has no non-edge pair")
     n, edge_keys = problem.n, problem.edge_keys
+    if not problem.trainable:
+        raise EmbedError(f"nothing to train on: {len(edge_keys)} edge(s) among {n} "
+                         f"node(s); training needs an edge and a non-edge pair")
 
     def non_edge(u, v):
-        return (u != v) & ~_member(edge_keys, np.minimum(u, v) * n + np.maximum(u, v))
+        return (u != v) & ~_member(edge_keys, _key(u, v, n))
 
-    return draw_pairs(rng, problem.pool, count, non_edge)
+    return draw_pairs(rng, np.arange(n), count, non_edge)
 
 
 def margin_loss(Z: np.ndarray, pos, neg, cfg: EmbedConfig,
@@ -463,15 +447,16 @@ def train_coupled(g: CoupledGraph, cfg: EmbedConfig):
     """Eq-1 pipeline: pretrain each layer's subgraph, then the coupled graph.
 
     Per-stage seeds are derived from cfg.seed so the whole pipeline is a
-    pure function of (g, cfg). Each layer is pretrained over its own nodes; a
-    layer without edges gets its nodes' columns of `random_embeddings`.
+    pure function of (g, cfg). Each layer is pretrained over its own nodes,
+    into their columns of the coupled stage's features; a layer that does
+    not train (see EmbedProblem) gets those columns of `random_embeddings`.
     """
-    F = init_features(g, cfg.d, *(
-        train(problem_for(g, scope, cfg), replace(cfg, seed=seed))[0] if len(edges)
-        else EmbeddingMatrix(random_embeddings(g, cfg.d, seed).Z[:, ids], RANDOM)
-        for seed, scope, edges, ids in ((cfg.seed + 1, "elec", g.elec_edges, g.station_ids()),
-                                        (cfg.seed + 2, "road", g.road_edges, g.junction_ids()))))
-    return train(problem_for(g, "coupled", cfg), cfg, F=F.Z)
+    F = np.empty((cfg.d, g.n))
+    for seed, scope in ((cfg.seed + 1, "elec"), (cfg.seed + 2, "road")):
+        problem = problem_for(g, scope, cfg)
+        F[:, problem.ids] = (train(problem, replace(cfg, seed=seed))[0].Z if problem.trainable
+                             else random_embeddings(g, cfg.d, seed).Z[:, problem.ids])
+    return train(problem_for(g, "coupled", cfg), cfg, F=F)
 
 
 # -- persistence -----------------------------------------------------------

@@ -100,9 +100,8 @@ def _ring_chord_edges(n: int, offset: int, rng: np.random.Generator) -> np.ndarr
         return offset + np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     order = rng.permutation(n)
     ring = np.stack([order, np.roll(order, -1)], axis=1)
-    keys = ring.min(axis=1) * n + ring.max(axis=1)
     chords = draw_new_pairs(rng, np.arange(n), int(np.floor(RANDOM_ROAD_CHORD_FRACTION * n)),
-                            n, keys)
+                            n, ring)
     return offset + np.concatenate([ring, chords])
 
 

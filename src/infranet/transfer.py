@@ -89,8 +89,8 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     start = np.where(under_root, 0, len(roots))
     parents = np.concatenate([roots, mids])[start + rng.integers(0, sizes)]
 
-    # road additions: uniform new junction pairs, keyed min*n+max; a pair is
-    # kept if it is no kept edge and the first draw of its key
+    # road additions: uniform new junction pairs; a pair is kept if it is no
+    # kept edge and was not drawn before
     add_road = int(round(spec.add_fraction * len(g.road_edges)))
     junctions = g.junction_ids()
     free_pairs = len(junctions) * (len(junctions) - 1) // 2 - len(road)
@@ -99,8 +99,7 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
             f"cannot add {add_road} road edges: only {free_pairs} junction "
             f"pair(s) are not edges"
         )
-    new_road = embed_mod.draw_new_pairs(rng, junctions, add_road, g.n,
-                                        road[:, 0] * g.n + road[:, 1])
+    new_road = embed_mod.draw_new_pairs(rng, junctions, add_road, g.n, road)
 
     # dependency additions: unsupplied junctions get a random 10kV station
     add_dep = int(round(spec.add_fraction * len(g.dep_edges)))

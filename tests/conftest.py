@@ -538,34 +538,41 @@ def oracle_retrain(g_mask, old_emb, cfg):
 
 def oracle_problem_for(g, scope, cfg):
     """A layer's problem ('elec' or 'road') over every graph column: its
-    edges on graph ids, n = g.n, and the layer's nodes as the pool."""
+    edges on graph ids and n = g.n. Its `pool`, set here and read only by
+    oracle_sample_negatives, is the layer's nodes."""
     edges = g.elec_edges if scope == "elec" else g.road_edges
-    pool = g.station_ids() if scope == "elec" else g.junction_ids()
-    return embed.EmbedProblem(n=g.n, edges=edges,
-                              edge_weights=np.full(len(edges), cfg.edge_type_weights[scope]),
-                              pool=pool)
+    problem = embed.EmbedProblem(n=g.n, edges=edges,
+                                 edge_weights=np.full(len(edges), cfg.edge_type_weights[scope]))
+    problem.pool = g.station_ids() if scope == "elec" else g.junction_ids()
+    return problem
 
 
 def oracle_train_coupled(g, cfg):
     """Eq-1 pipeline with each layer pretrained over every graph column
     (oracle_problem_for), its own nodes' columns then copied into the
-    features. Drop-in for embed.train_coupled, up to the rounding of the
-    layer stages' `G @ M.T` contraction over n columns."""
+    features; a layer of p nodes trains iff 0 < edges < p*(p-1)/2, else its
+    nodes get their columns of random_embeddings. Drop-in for
+    embed.train_coupled, up to the rounding of the layer stages' `G @ M.T`
+    contraction over n columns."""
     F = np.empty((cfg.d, g.n))
-    for seed, scope, edges, ids in ((cfg.seed + 1, "elec", g.elec_edges, g.station_ids()),
-                                    (cfg.seed + 2, "road", g.road_edges, g.junction_ids())):
-        layer_cfg = dataclasses.replace(cfg, seed=seed)
-        Z = (oracle_embed_train(oracle_problem_for(g, scope, cfg), layer_cfg)[0].Z
-             if len(edges) else embed.random_embeddings(g, cfg.d, seed).Z)
+    for seed, scope in ((cfg.seed + 1, "elec"), (cfg.seed + 2, "road")):
+        full = oracle_problem_for(g, scope, cfg)
+        ids, p = full.pool, len(full.pool)
+        Z = (oracle_embed_train(full, dataclasses.replace(cfg, seed=seed))[0].Z
+             if 0 < len(full.edges) < p * (p - 1) // 2
+             else embed.random_embeddings(g, cfg.d, seed).Z)
         F[:, ids] = Z[:, ids]
     return oracle_embed_train(embed.problem_for(g, "coupled", cfg), cfg, F=F)
 
 
 def oracle_sample_negatives(rng, problem, count):
     """The one-pair-at-a-time negative sampler: draw two pool indices with
-    `rng.integers`, keep the pair if it is no self-pair and no edge. Drop-in
-    for embed.sample_negatives on a pool that has a non-edge pair."""
-    pool, n = problem.pool, problem.n
+    `rng.integers`, keep the pair if it is no self-pair and no edge. The pool
+    is the problem's `pool` where oracle_problem_for set one, else its n
+    columns. Drop-in for embed.sample_negatives on a pool that has a
+    non-edge pair."""
+    n = problem.n
+    pool = getattr(problem, "pool", np.arange(n))
     edge_set = set((problem.edges.min(axis=1) * n + problem.edges.max(axis=1)).tolist())
     out = np.empty((count, 2), dtype=np.int64)
     k = 0

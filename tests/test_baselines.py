@@ -151,6 +151,20 @@ def test_ci_scores_bad_radius(toy_chain):
         ci_scores(toy_chain, radius=0)
 
 
+@pytest.mark.parametrize("radius, message", [
+    (2.5, "an integer, got 2.5"), (2.0, "an integer, got 2.0"), (True, "an integer, got True"),
+    ("2", "an integer, got '2'"), (None, "an integer, got None"),
+    (0, ">= 1, got 0"), (-3, ">= 1, got -3"),
+])
+def test_ci_refuses_a_radius_that_is_not_an_integer_of_at_least_one(toy_chain, radius, message):
+    # a float radius once reached the breadth-first expansion and raised a
+    # bare TypeError there
+    for score in (lambda: ci_scores(toy_chain, radius=radius),
+                  lambda: ci_attack(toy_chain, 2, radius=radius)):
+        with pytest.raises(BaselineError, match=f"^CI radius must be {message}$"):
+            score()
+
+
 def test_ci_attack_rescores_each_step():
     g = random_coupled(3)
     rep = ci_attack(g, 4)

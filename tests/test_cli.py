@@ -437,18 +437,37 @@ def test_cli_byte_determinism(tmp_path, workdir):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_embed_exits_with_embed_error_on_a_road_triangle(tmp_path, capsys):
-    # a triangle of junctions has no non-edge pair to sample as a negative
-    graph = tmp_path / "triangle.json"
-    CoupledGraph(kind=[STATION] * 3 + [JUNCTION] * 3, level=[220, 110, 10, 0, 0, 0],
-                 load=[0, 0, 5.0, 0, 0, 0], elec_edges=[(0, 1), (1, 2)],
-                 road_edges=[(3, 4), (4, 5), (3, 5)], dep_edges=[(2, 3)]).save(graph)
+def test_embed_exits_with_embed_error_on_a_complete_coupled_graph(tmp_path, capsys):
+    # one 10kV station supplying one junction: the coupled graph's one pair
+    # is an edge, so no negative is left to sample
+    graph = tmp_path / "pair.json"
+    CoupledGraph(kind=[STATION, JUNCTION], level=[10, 0], load=[5.0, 0.0], elec_edges=[],
+                 road_edges=[], dep_edges=[(0, 1)]).save(graph)
     argv = ["embed", "--graph", str(graph), "--d", "4", "--epochs", "2",
             "--out", str(tmp_path / "emb.bin")]
-    assert "pool has no non-edge pair" in cli_error(capsys, argv)
+    message = ("nothing to train on: 1 edge(s) among 2 node(s); "
+               "training needs an edge and a non-edge pair")
+    assert cli_error(capsys, argv) == f"infranet: error: {message}\n"
     assert not (tmp_path / "emb.bin").exists()
-    with pytest.raises(embed.EmbedError, match="pool has no non-edge pair"):
+    with pytest.raises(embed.EmbedError) as exc:
         embed.train_coupled(CoupledGraph.from_file(graph), embed.EmbedConfig(d=4, epochs=2))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("gen", [
+    netgen.GenConfig(seed=3, road_nodes=2),
+    netgen.GenConfig(n_220=1, fanout_110=(1, 1), fanout_10=(0, 0), coupling_fraction=0.0),
+], ids=["road-edge", "elec-pair"])
+def test_embed_succeeds_on_a_graph_with_a_complete_layer(tmp_path, gen):
+    # a layer whose nodes are all joined gets random columns, as an empty
+    # layer does, and the coupled graph still trains
+    graph, out = tmp_path / "g.json", tmp_path / "emb.bin"
+    g = netgen.generate(gen)
+    g.save(graph)
+    assert main(["embed", "--graph", str(graph), "--d", "4", "--epochs", "2",
+                 "--out", str(out)]) == 0
+    want, _, _ = embed.train_coupled(g, embed.EmbedConfig(d=4, epochs=2))
+    assert embed.load_embedding(out).Z.tobytes() == want.Z.tobytes()
 
 
 def test_unknown_command_exits():

@@ -10,7 +10,6 @@ from infranet.embed import (
     EmbedError,
     EmbeddingMatrix,
     forward,
-    init_features,
     init_params,
     loss_and_grads,
     margin_loss,
@@ -56,37 +55,35 @@ def _interleaved(g, seed=0):
                         dep_edges=inv[g.dep_edges])
 
 
-def test_init_features_copies_sub_embeddings():
+def _record_train(monkeypatch):
+    """Record every embed.train call of a train_coupled run as (problem,
+    cfg, F, its result)."""
+    calls, real = [], embed.train
+
+    def spy(problem, cfg, F=None, pull=0.0):
+        calls.append((problem, cfg, F, real(problem, cfg, F, pull)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(embed, "train", spy)
+    return calls
+
+
+def test_init_features_copies_sub_embeddings(monkeypatch):
     # stations and junctions interleaved by id: each layer's embedding holds
-    # one column per node of the layer, in id order
+    # one column per node of the layer, in id order, and the coupled stage
+    # starts from them in those nodes' columns
     g = _interleaved(random_coupled(5))
-    d = 4
+    cfg = EmbedConfig(d=4, epochs=2, seed=3)
     st, ju = g.station_ids(), g.junction_ids()
     assert np.any(np.diff(g.kind) < 0)
-    emb_e = EmbeddingMatrix(random_embeddings(g, d, 1).Z[:, st])
-    emb_r = EmbeddingMatrix(random_embeddings(g, d, 2).Z[:, ju])
-    F = init_features(g, d, emb_e, emb_r)
-    assert F.Z.shape == (d, g.n) and F.provenance == "pretrained"
-    assert F.Z[:, st].tobytes() == emb_e.Z.tobytes()
-    assert F.Z[:, ju].tobytes() == emb_r.Z.tobytes()
-
-
-def test_init_features_dimension_mismatch(toy_chain):
-    bad = EmbeddingMatrix(np.zeros((3, 3)))
-    good = EmbeddingMatrix(np.zeros((4, 3)))
-    with pytest.raises(EmbedError, match="^sub-embedding dimensions do not match$"):
-        init_features(toy_chain, 4, bad, good)
-
-
-@pytest.mark.parametrize("e_cols, r_cols", [(6, 3), (3, 6), (6, 6), (2, 3), (3, 4), (3, 0)],
-                         ids=["elec-graph-width", "road-graph-width", "both-graph-width",
-                              "elec-short", "road-long", "road-empty"])
-def test_init_features_refuses_a_layer_of_another_width(toy_chain, e_cols, r_cols):
-    # toy_chain has 3 stations and 3 junctions; a layer embedding is as wide
-    # as its layer, so the graph-wide embeddings of old are refused too
-    emb_e, emb_r = (EmbeddingMatrix(np.zeros((4, k))) for k in (e_cols, r_cols))
-    with pytest.raises(EmbedError, match="^sub-embedding dimensions do not match$"):
-        init_features(toy_chain, 4, emb_e, emb_r)
+    calls = _record_train(monkeypatch)
+    train_coupled(g, cfg)
+    (elec, _, _, (emb_e, _, _)), (road, _, _, (emb_r, _, _)), (_, _, F, _) = calls
+    assert elec.ids.tobytes() == st.tobytes() and road.ids.tobytes() == ju.tobytes()
+    assert emb_e.Z.shape == (4, len(st)) and emb_r.Z.shape == (4, len(ju))
+    assert F.shape == (4, g.n)
+    assert F[:, st].tobytes() == emb_e.Z.tobytes()
+    assert F[:, ju].tobytes() == emb_r.Z.tobytes()
 
 
 def test_forward_isolated_node_halves_feature():
@@ -197,19 +194,33 @@ def test_embedding_matrix_rejects_bad_arrays(Z, message):
         EmbeddingMatrix(Z)
 
 
+def _untrainable(m, n):
+    return (f"^nothing to train on: {m} edge\\(s\\) among {n} node\\(s\\); "
+            f"training needs an edge and a non-edge pair$")
+
+
 def test_problem_for_rejects_unknown_scope_and_empty_layer():
     g = road_graph([(0, 1)], 3)        # junctions only: no electricity edge
     with pytest.raises(EmbedError, match="^unknown scope 'rail'$"):
         problem_for(g, "rail", EmbedConfig())
-    with pytest.raises(EmbedError, match="^scope 'elec' has no edges to train on$"):
-        problem_for(g, "elec", EmbedConfig())
+    # the empty layer is a problem over no columns, refused at training
+    problem = problem_for(g, "elec", EmbedConfig())
+    assert (problem.n, problem.width, len(problem.edges), problem.trainable) == (0, 3, 0, False)
+    with pytest.raises(EmbedError, match=_untrainable(0, 0)):
+        train(problem, EmbedConfig(d=2, epochs=1))
 
 
 def test_sample_negatives_rejects_a_pool_of_one():
-    problem = embed.EmbedProblem(n=3, edges=np.array([[0, 1]]), edge_weights=np.ones(1),
-                                 pool=np.array([2]))
-    with pytest.raises(EmbedError, match="^pool too small to sample negatives$"):
-        sample_negatives(np.random.default_rng(0), problem, 2)
+    # one column, or none, has no pair to draw; three without an edge have
+    # nothing to score
+    for n in (1, 0, 3):
+        problem = embed.EmbedProblem(n=n, edges=np.empty((0, 2)), edge_weights=np.ones(0))
+        assert not problem.trainable
+        rng = np.random.default_rng(0)
+        start = rng.bit_generator.state
+        with pytest.raises(EmbedError, match=_untrainable(0, n)):
+            sample_negatives(rng, problem, 2)
+        assert rng.bit_generator.state == start
 
 
 def test_train_refuses_a_diverging_run(toy_chain):
@@ -331,16 +342,12 @@ def test_train_coupled_without_road_edges_uses_random_road_columns(monkeypatch):
     g = generate(GenConfig(seed=3, road_nodes=1))
     assert len(g.road_edges) == 0
     cfg = EmbedConfig(d=4, epochs=3, seed=5)
-    real, road_columns = embed.init_features, []
-
-    def spy(g, d, emb_e, emb_r):
-        road_columns.append(emb_r)
-        return real(g, d, emb_e, emb_r)
-
-    monkeypatch.setattr(embed, "init_features", spy)
+    calls = _record_train(monkeypatch)
     emb, params, losses = train_coupled(g, cfg)
+    (elec, _, _, _), (coupled, _, F, _) = calls
     junctions = g.junction_ids()
-    assert road_columns[0].Z.tobytes() == random_embeddings(g, 4, 7).Z[:, junctions].tobytes()
+    assert elec.ids is not None and coupled.ids is None
+    assert F[:, junctions].tobytes() == random_embeddings(g, 4, 7).Z[:, junctions].tobytes()
     assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
 
 
@@ -349,19 +356,47 @@ def test_train_coupled_without_elec_edges_uses_random_station_columns(monkeypatc
     g = generate(GenConfig(n_220=2, fanout_110=(0, 0), coupling_fraction=0.0, road_nodes=16))
     assert len(g.elec_edges) == 0 and len(g.road_edges) > 0
     cfg = EmbedConfig(d=4, epochs=3, seed=5)
-    real, features = embed.init_features, []
-
-    def spy(g, d, emb_e, emb_r):
-        features.append((emb_e, real(g, d, emb_e, emb_r)))
-        return features[-1][1]
-
-    monkeypatch.setattr(embed, "init_features", spy)
+    calls = _record_train(monkeypatch)
     emb, params, losses = train_coupled(g, cfg)
-    stations = g.station_ids()
-    (emb_e, F), = features
-    assert emb_e.Z.tobytes() == random_embeddings(g, 4, 6).Z[:, stations].tobytes()
-    assert F.Z[:, stations].tobytes() == emb_e.Z.tobytes()
+    (road, _, _, (emb_r, _, _)), (_, _, F, _) = calls
+    stations, junctions = g.station_ids(), g.junction_ids()
+    assert road.ids.tobytes() == junctions.tobytes()
+    assert F[:, stations].tobytes() == random_embeddings(g, 4, 6).Z[:, stations].tobytes()
+    assert F[:, junctions].tobytes() == emb_r.Z.tobytes()
     assert emb.Z.shape == (4, g.n) and len(losses) == 3 and np.all(np.isfinite(losses))
+
+
+# Graphs with a complete layer: one road edge between the two junctions, and
+# one 220kV station with one 110kV child and no 10kV leaf.
+COMPLETE_LAYER_GRAPHS = {
+    "road": lambda: generate(GenConfig(seed=3, road_nodes=2)),
+    "elec": lambda: generate(GenConfig(n_220=1, fanout_110=(1, 1), fanout_10=(0, 0),
+                                       coupling_fraction=0.0)),
+}
+
+
+@pytest.mark.parametrize("complete", list(COMPLETE_LAYER_GRAPHS))
+def test_train_coupled_gives_a_complete_layer_random_columns(complete, monkeypatch):
+    # a layer whose nodes are all joined has no non-edge pair to sample, so
+    # it is not pretrained, as a layer without edges is not
+    g = COMPLETE_LAYER_GRAPHS[complete]()
+    cfg = EmbedConfig(d=4, epochs=3, seed=5)
+    seeds = {"elec": 6, "road": 7}
+    for scope in seeds:
+        problem = problem_for(g, scope, cfg)
+        assert problem.trainable == (scope != complete)
+        full = len(problem.edges) == problem.n * (problem.n - 1) // 2
+        assert full == (scope == complete)
+    calls = _record_train(monkeypatch)
+    emb, params, losses = train_coupled(g, cfg)
+    (trained, _, _, (emb_t, _, _)), (_, _, F, _) = calls
+    ids = problem_for(g, complete, cfg).ids
+    assert F[:, ids].tobytes() == random_embeddings(g, 4, seeds[complete]).Z[:, ids].tobytes()
+    assert F[:, trained.ids].tobytes() == emb_t.Z.tobytes()
+    o_emb, o_params, o_losses = oracle_train_coupled(g, cfg)
+    bound = lambda x: _rounding_bound(g.n, np.abs(x).max())
+    assert np.abs(emb.Z - o_emb.Z).max() <= bound(o_emb.Z)
+    assert len(losses) == 3 and all(abs(a - b) <= bound(b) for a, b in zip(losses, o_losses))
 
 
 def test_mean_aggregator_variant():
@@ -403,9 +438,8 @@ def _assert_same_generator(a, b):
        neg_ratio=st.integers(1, 3), seed=st.integers(0, 10_000), buffered=st.booleans())
 def test_sample_negatives_matches_loop_oracle(graph, scope, neg_ratio, seed, buffered):
     g = random_coupled(graph)
-    assume(scope != "road" or len(g.road_edges) > 0)
     problem = problem_for(g, scope, EmbedConfig())
-    assume(problem.has_non_edge)
+    assume(problem.trainable)
     count = len(problem.edges) * neg_ratio
     a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
     got = sample_negatives(a, problem, count)
@@ -465,16 +499,17 @@ def test_draw_pairs_matches_loop_on_large_pools(bound, seed, buffered, count):
 def test_draw_pairs_first_key_matches_set_loop(buffered):
     # draw_new_pairs, the rule of road chords and mask road additions: a pair
     # is kept if it is no old edge and the first draw of its key; the old
-    # keys need not be sorted
+    # edges need not be sorted, nor have their lower end first
     pool = np.array([2, 3, 5, 8, 9, 11])
     n = 12
-    unsorted = [8 * n + 11, 2 * n + 3, 5 * n + 9]
+    unsorted = [(11, 8), (2, 3), (5, 9)]
     # the pool has 15 pairs, 12 of them new against `unsorted`
     for taken, counts in (([], (1, 15)), (unsorted, (0, 1, 5, 12))):
         for count, seed in itertools.product(counts, range(5)):
             a, b = _buffered_rng(seed, buffered), _buffered_rng(seed, buffered)
-            got = embed.draw_new_pairs(a, pool, count, n, np.array(taken, dtype=np.int64))
-            seen, expect = set(taken), []
+            got = embed.draw_new_pairs(a, pool, count, n,
+                                       np.array(taken, dtype=np.int64).reshape(-1, 2))
+            seen, expect = {min(u, v) * n + max(u, v) for u, v in taken}, []
             while len(expect) < count:
                 u, v = pool[b.integers(0, len(pool), size=2)].tolist()
                 key = min(u, v) * n + max(u, v)
@@ -506,27 +541,24 @@ def test_sample_negatives_matches_loop_on_other_bit_generators(bit_generator, bu
 @given(graph=st.integers(0, 30), masked=st.booleans(), delete=st.floats(0.0, 1.0),
        add=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
 def test_every_scope_meets_the_problem_precondition(graph, masked, delete, add, seed):
-    # EmbedProblem counts each neighbor pair once and finds a non-edge pair
-    # by counting edges; both hold only for distinct pairs, no self-loops and
-    # endpoints in the pool
+    # EmbedProblem counts each neighbor pair once and tells a trainable
+    # problem by counting edges; both hold only for distinct pairs, no
+    # self-loops and endpoints among its columns
     g = random_coupled(graph)
     if masked:
         try:
             g = mask_graph(g, MaskSpec(delete_fraction=delete, add_fraction=add, seed=seed))
         except TransferError:
             assume(False)
-    for scope, layer in (("elec", g.elec_edges), ("road", g.road_edges), ("coupled", g.edge_u)):
-        if len(layer) == 0:
-            continue
+    for scope in ("elec", "road", "coupled"):
         problem = problem_for(g, scope, EmbedConfig())
         u, v = problem.edges.T
         assert np.all(u != v)
-        keys = np.minimum(u, v) * g.n + np.maximum(u, v)
+        keys = np.minimum(u, v) * problem.n + np.maximum(u, v)
         assert len(np.unique(keys)) == len(keys)
-        assert np.isin(problem.edges, problem.pool).all()
-        pool = np.unique(problem.pool)
-        pairs = {a * g.n + b for a, b in itertools.combinations(pool.tolist(), 2)}
-        assert problem.has_non_edge == bool(pairs - set(keys.tolist()))
+        assert np.all((0 <= problem.edges) & (problem.edges < problem.n))
+        pairs = {a * problem.n + b for a, b in itertools.combinations(range(problem.n), 2)}
+        assert problem.trainable == (len(keys) > 0 and bool(pairs - set(keys.tolist())))
 
 
 @pytest.mark.parametrize("make", [
@@ -536,13 +568,14 @@ def test_every_scope_meets_the_problem_precondition(graph, masked, delete, add, 
 ], ids=["triangle", "K4"])
 def test_pool_without_non_edge_pair_raises_before_drawing(make):
     problem = make()
-    assert not problem.has_non_edge
+    assert not problem.trainable
+    m, n = len(problem.edges), problem.n
     rng = np.random.default_rng(0)
     start = rng.bit_generator.state
-    with pytest.raises(EmbedError, match="pool has no non-edge pair"):
+    with pytest.raises(EmbedError, match=_untrainable(m, n)):
         sample_negatives(rng, problem, 4)
     assert rng.bit_generator.state == start
-    with pytest.raises(EmbedError, match="pool has no non-edge pair"):
+    with pytest.raises(EmbedError, match=_untrainable(m, n)):
         train(problem, EmbedConfig(d=2, epochs=1))
 
 
@@ -593,14 +626,13 @@ def test_score_in_edge_blocks_matches_one_einsum(d, order):
 @pytest.mark.parametrize("edge", [(0, 4), (-1, 2)])
 def test_problem_rejects_edge_endpoints_out_of_range(edge):
     with pytest.raises(EmbedError, match=r"edge endpoints must lie in \[0, 4\)"):
-        embed.EmbedProblem(n=4, edges=[(0, 1), edge], edge_weights=np.ones(2),
-                           pool=np.arange(4))
+        embed.EmbedProblem(n=4, edges=[(0, 1), edge], edge_weights=np.ones(2))
 
 
 def test_pool_with_one_non_edge_pair_samples_it():
     g = road_graph([(0, 1), (1, 2)], 3)
     problem = problem_for(g, "road", EmbedConfig())
-    assert problem.has_non_edge
+    assert problem.trainable
     neg = sample_negatives(np.random.default_rng(0), problem, 6)
     assert sorted(map(sorted, neg.tolist())) == [[0, 2]] * 6
 
@@ -750,11 +782,11 @@ def test_layer_problem_is_its_pool_relabelled(case):
         full = oracle_problem_for(g, scope, cfg)
         problem = problem_for(g, scope, cfg)
         assert (problem.n, problem.width) == (len(ids), g.n)
-        assert problem.ids.tobytes() == ids.tobytes()
-        assert problem.pool.tobytes() == np.arange(len(ids)).tobytes()
+        assert problem.ids.tobytes() == ids.tobytes() == full.pool.tobytes()
         assert ids[problem.edges].tobytes() == full.edges.tobytes()
         assert problem.edge_weights.tobytes() == full.edge_weights.tobytes()
-        assert problem.has_non_edge == full.has_non_edge
+        p = len(full.pool)
+        assert problem.trainable == (0 < len(full.edges) < p * (p - 1) // 2)
         assert ids[problem.nbr_rows].tobytes() == full.nbr_rows.tobytes()
         assert ids[problem.nbr_cols].tobytes() == full.nbr_cols.tobytes()
         assert problem.deg.tobytes() == full.deg[ids].tobytes()
@@ -827,11 +859,11 @@ def test_coupled_scope_keeps_graph_width_and_its_bytes_on_desk():
     cfg = EmbedConfig(d=16, epochs=2, seed=3, lr=0.02)
     problem = problem_for(g, "coupled", cfg)
     want = embed.EmbedProblem(n=g.n, edges=np.stack([g.edge_u, g.edge_v], axis=1),
-                              edge_weights=np.ones(len(g.edge_u)), pool=np.arange(g.n))
+                              edge_weights=np.ones(len(g.edge_u)))
     assert (problem.n, problem.width, problem.ids) == (g.n, g.n, None)
-    for name in ("edges", "edge_weights", "pool", "edge_keys", "nbr_rows", "nbr_cols", "deg"):
+    for name in ("edges", "edge_weights", "edge_keys", "nbr_rows", "nbr_cols", "deg"):
         assert getattr(problem, name).tobytes() == getattr(want, name).tobytes(), name
-    assert problem.has_non_edge
+    assert problem.trainable
     emb, params, losses = train(problem, cfg)
     o_emb, o_params, o_losses = oracle_embed_train(problem, cfg)
     assert emb.Z.tobytes() == o_emb.Z.tobytes()
