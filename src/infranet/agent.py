@@ -9,14 +9,14 @@ on the squared TD error; gradients are hand-derived.
 Every greedy pick, a training run's exploit steps and each step of a
 greedy attack, scores the nodes with `q_values`: (s @ theta2) @ H against
 the (2d, n) hidden array H = relu(theta1 @ Z). A greedy attack computes H
-once. Training keeps the last H it computed as a reference across SGD
-updates: an exploit step scores the nodes against it, takes the pick when an
-error bound proves it is the argmax of the fresh scores, and recomputes H
-otherwise (see `_RunValues`). The TD targets read the target network's
-(d, n) node values Y_hat, recomputed at the first TD loss after a target
-sync, since many replay rows are scored against one frozen target net.
-Both training passes write one (2d, n) hidden buffer, so a target pass also
-drops the online hidden array. Exact ties break to the lowest id.
+once. Training keeps the last H it computed, under the online or the
+target net, as a reference in one (2d, n) buffer: an exploit step scores the
+nodes against it, takes the pick when an error bound proves it is the argmax
+of the fresh scores, and recomputes H otherwise (see `_RunValues`). The TD
+targets read the target network's (d, n) node values Y_hat, recomputed at
+the first TD loss after a target sync, since many replay rows are scored
+against one frozen target net; they reuse the reference when it was computed
+under the target net's theta1. Exact ties break to the lowest id.
 
 The TD target of a transition is r + gamma * next_max * ~done, where
 next_max is the max of s_next @ Y_hat over the nodes alive after the step
@@ -96,6 +96,12 @@ class QNetParams:
     theta2_hat: np.ndarray = None
 
     def __post_init__(self):
+        d = np.shape(self.theta2)[0] if np.ndim(self.theta2) == 2 else -1
+        shapes = (np.shape(self.theta1), np.shape(self.theta2))
+        if shapes != ((2 * d, d), (d, 2 * d)):
+            raise AgentError(f"thetas must be of shapes (2d, d) and (d, 2d), got {shapes}")
+        if not (np.isfinite(self.theta1).all() and np.isfinite(self.theta2).all()):
+            raise AgentError("non-finite theta entries")
         if self.theta1_hat is None:
             self.sync_target()
 
@@ -180,9 +186,13 @@ def _column_total(Z: np.ndarray) -> np.ndarray:
 
 def pooled_state(Z: np.ndarray, removed, total: np.ndarray = None) -> np.ndarray:
     """Column-wise mean of Z over the nodes not yet removed: Z's intact
-    `_column_total` (computed when not given) less the removed columns'."""
+    `_column_total` (computed when not given) less the removed columns'.
+    The removed ids must be integers (not bools) in [0, n)."""
     n = Z.shape[1]
-    cut = np.unique(np.asarray(list(removed), dtype=np.int64))
+    removed = list(removed)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in removed):
+        raise AgentError("removed node ids must be integers")
+    cut = np.unique(np.asarray(removed, dtype=np.int64))
     if len(cut) and (cut[0] < 0 or cut[-1] >= n):
         raise AgentError(f"removed node ids must lie in [0, {n})")
     kept = n - len(cut)
@@ -200,15 +210,9 @@ def hidden_layer(Z: np.ndarray, params: QNetParams, target: bool = False,
     return np.maximum(h, 0.0, out=h)
 
 
-def node_values(Z: np.ndarray, params: QNetParams, target: bool = False,
-                hidden: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
-    """(d, n) transformed per-node embeddings; q(v) = s . column v.
-
-    The (2d, n) `hidden` and (d, n) `out` arrays are written in place when
-    given, and allocated otherwise.
-    """
-    h = hidden_layer(Z, params, target, out=hidden)
-    return np.matmul(params.theta2_hat if target else params.theta2, h, out=out)
+def node_values(Z: np.ndarray, params: QNetParams, target: bool = False) -> np.ndarray:
+    """(d, n) transformed per-node embeddings; q(v) = s . column v."""
+    return (params.theta2_hat if target else params.theta2) @ hidden_layer(Z, params, target)
 
 
 def q_values(s: np.ndarray, params: QNetParams, hidden: np.ndarray,
@@ -291,7 +295,7 @@ class TrainLog:
     cum_reward: list = field(default_factory=list)
     loss_mean: list = field(default_factory=list)
     epsilon: list = field(default_factory=list)
-    full_hidden: int = 0      # exploit picks that computed relu(theta1 @ Z)
+    full_hidden: int = 0      # exploit picks that recomputed the reference (not target passes)
     certified: int = 0        # exploit picks proved against the kept reference
 
     def save_csv(self, path):
@@ -321,13 +325,13 @@ def _norm(x: np.ndarray):
 class _RunValues:
     """The node values a training run reads, and its exploit picks.
 
-    One (2d, n) buffer holds either the online hidden array that exploit
-    steps score against, or the target pass's hidden array on its way to the
-    target node values; so computing the target values drops the online
-    array. The caller sets `target` to None after a target sync.
+    One (2d, n) buffer holds the reference H_ref = relu(theta1_ref @ Z),
+    kept across SGD updates and target syncs. The target pass reads
+    theta2_hat @ H_ref when theta1_ref has theta1_hat's bytes, and otherwise
+    computes the hidden array under theta1_hat as the new reference. The
+    caller sets `target` to None after a target sync.
 
-    The online array is a reference H_ref = relu(theta1_ref @ Z), kept
-    across SGD updates. An exploit pick scores the nodes against it with
+    An exploit pick scores the nodes against the reference with
     `q_values`, q~ = u @ H_ref for u = s @ theta2, and bounds each node's
     error against today's scores u @ relu(theta1 @ Z) by
 
@@ -399,9 +403,12 @@ class _RunValues:
 
     def target_values(self) -> np.ndarray:
         if self.target is None:
-            self.online = None    # the target pass overwrites `hidden`
-            self.target = node_values(self.Z, self.params, target=True,
-                                      hidden=self.hidden, out=self.target_out)
+            p = self.params
+            if self.online is None or self.theta1_ref.tobytes() != p.theta1_hat.tobytes():
+                self.online = hidden_layer(self.Z, p, target=True, out=self.hidden)
+                np.copyto(self.theta1_ref, p.theta1_hat)
+                self.ref_norm = _norm(p.theta1_hat.ravel())
+            self.target = np.matmul(p.theta2_hat, self.online, out=self.target_out)
         return self.target
 
 

@@ -373,7 +373,7 @@ def oracle_pooled_state(Z, removed):
 
 def oracle_node_values(Z, params, target=False):
     """The node-value matrix as one allocating expression. Drop-in for
-    agent.node_values without buffers."""
+    agent.node_values."""
     t1 = params.theta1_hat if target else params.theta1
     t2 = params.theta2_hat if target else params.theta2
     return t2 @ np.maximum(t1 @ Z, 0.0)

@@ -60,6 +60,22 @@ def picks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Every hidden-array product of the code that follows, as (target, id of
+    the out array, bytes of the theta1 it ran under) triples."""
+    seen = []
+    compute = agent.hidden_layer
+
+    def record(Z, params, target=False, out=None):
+        theta1 = params.theta1_hat if target else params.theta1
+        seen.append((target, id(out), theta1.tobytes()))
+        return compute(Z, params, target, out=out)
+
+    monkeypatch.setattr(agent, "hidden_layer", record)
+    return seen
+
+
 def make_batch(rng, B=8, d=4, n=12):
     s = rng.normal(size=(B, d))
     a = rng.integers(0, n, size=B)
@@ -183,20 +199,47 @@ def test_pooled_state_rejects_ids_out_of_range():
             pooled_state(Z, removed)
 
 
+@pytest.mark.parametrize("removed", [
+    [1.5], [1.0], [True], [False], [0, True], [np.float64(1)], [np.True_],
+    np.array([1.0]), np.array([True]), [[1]],
+])
+def test_pooled_state_refuses_ids_that_are_not_integers(removed):
+    # a cast would take 1.5 and True for node 1
+    with pytest.raises(AgentError, match="removed node ids must be integers"):
+        pooled_state(np.arange(10.0).reshape(2, 5), removed)
+
+
+def test_pooled_state_takes_integer_ids_of_any_type():
+    Z = np.random.default_rng(0).normal(size=(3, 6))
+    want = pooled_state(Z, [1, 4]).tobytes()
+    for removed in ([np.int64(1), 4], np.array([1, 4], dtype=np.uint8), (4, 1), range(1, 5, 3)):
+        assert pooled_state(Z, removed).tobytes() == want
+    for empty in ([], (), np.array([], dtype=float)):
+        assert pooled_state(Z, empty).tobytes() == pooled_state(Z, []).tobytes()
+
+
 @pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (6, 130), (16, 1488), (64, 2000)])
 def test_buffered_node_values_match_allocating_formula(d, n):
+    # a run's target values, computed into its buffers under theta1_hat or
+    # read off a reference taken under theta1_hat's bytes, are the bytes of
+    # one allocating expression, and so are node_values of either net
     rng = np.random.default_rng(d + n)
-    hidden, out = np.full((2 * d, n), np.nan), np.full((d, n), np.nan)
     for order in "CF":
         Z = np.asarray(rng.normal(size=(d, n)), order=order)
         for _ in range(2):
             params = QNetParams.init(d, rng)
             params.theta1_hat = rng.normal(size=(2 * d, d))
+            values = agent._RunValues(Z, params)
+            values.hidden[:], values.target_out[:] = np.nan, np.nan
+            want = oracle_node_values(Z, params, target=True)
+            got = values.target_values()
+            assert got is values.target_out and got.tobytes() == want.tobytes()
+            params.theta1 = params.theta1_hat.copy()
+            values.scores(rng.normal(size=d))
+            values.target = None
+            assert values.target_values().tobytes() == want.tobytes()
             for target in (False, True):
-                got = node_values(Z, params, target, hidden=hidden, out=out)
-                assert got is out
                 want = oracle_node_values(Z, params, target)
-                assert got.tobytes() == want.tobytes()
                 assert node_values(Z, params, target).tobytes() == want.tobytes()
 
 
@@ -218,21 +261,25 @@ def test_factored_scores_match_reference_bit_for_bit(d, n):
                 int(np.argmax(oracle_q_values(Z, s, params, alive)))
 
 
-def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(monkeypatch, picks):
+def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(
+        monkeypatch, picks, products):
     # always exploit and update every step: every pick but the first reads a
     # reference that the previous step's SGD update made stale
     g = random_coupled(1)
     emb = random_embeddings(g, 5, 2)
     cfg = AgentConfig(budget=4, episodes=6, batch_size=1, buffer_size=8, target_sync=3,
                       eps_start=0.0, eps_end=0.0, lr=0.3, gamma=0.9, seed=4)
-    calls = []
-    compute = agent.hidden_layer
+    calls, passes = products, []
+    target_values = agent._RunValues.target_values
 
-    def record(Z, params, target=False, out=None):
-        calls.append((target, id(out)))
-        return compute(Z, params, target, out=out)
+    def record_pass(self):
+        # a new target pass needs no product when the last one wrote the
+        # buffer under theta1_hat's bytes
+        if self.target is None:
+            passes.append(bool(calls) and calls[-1][2] == self.params.theta1_hat.tobytes())
+        return target_values(self)
 
-    monkeypatch.setattr(agent, "hidden_layer", record)
+    monkeypatch.setattr(agent._RunValues, "target_values", record_pass)
     params, log = train(g, emb, cfg)
     steps = len(log.episode) * cfg.budget
     online = [c for c in calls if not c[0]]
@@ -241,11 +288,14 @@ def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(monkeypat
     assert log.full_hidden + log.certified == steps
     assert [certified for certified, _, _ in picks].count(True) == log.certified
     assert len(online) == log.full_hidden and 0 < log.certified
-    assert len(targets) == -(-steps // cfg.target_sync)
+    assert len(passes) == -(-steps // cfg.target_sync)
+    assert len(targets) == passes.count(False) and True in passes
     assert len({c[1] for c in calls}) == 1                 # one hidden array per run
     # `scores` recomputes and keeps its array as the reference; a pick against
-    # an unchanged reference needs no product, and a target pass overwrites
-    # the array, so the next pick recomputes it
+    # an unchanged reference needs no product. A target pass under other
+    # weights makes its own array the reference, too far from theta1 here to
+    # certify the next pick; once the target holds theta1's bytes, a target
+    # pass reads the reference with no product
     params.theta1_hat = params.theta1 + 1.0
     values = agent._RunValues(emb.Z, params)
     s, alive = emb.Z[:, 0], np.ones(g.n, dtype=bool)
@@ -253,14 +303,59 @@ def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(monkeypat
     calls.clear()
     assert values.scores(s).tobytes() == want.tobytes()
     assert values.pick(s, alive) == int(np.argmax(want))
-    values.target_values()
+    assert values.target_values().tobytes() == \
+        oracle_node_values(emb.Z, params, target=True).tobytes()
     assert values.pick(s, alive) == int(np.argmax(want))
-    assert [target for target, _ in calls] == [False, True, False]
+    assert [c[0] for c in calls] == [False, True, False]
     assert (values.full_hidden, values.certified) == (2, 1)
+    params.sync_target()
+    values.target = None
+    assert values.target_values().tobytes() == \
+        oracle_node_values(emb.Z, params, target=True).tobytes()
+    assert len(calls) == 3
     o_params, o_log = oracle_train(g, emb, cfg)
     assert np.array_equal(params.theta1, o_params.theta1)
     assert np.array_equal(params.theta2, o_params.theta2)
     assert log.cum_reward == o_log.cum_reward and log.loss_mean == o_log.loss_mean
+
+
+@pytest.mark.parametrize("eps_start", [0.0, 1.0])
+def test_a_run_reads_its_first_td_targets_off_the_exploit_reference(
+        desk_graph, eps_start, products):
+    # a short run shaped like the paper-transfer training: its first TD loss
+    # comes before any SGD step, so theta1_hat still holds theta1's bytes and
+    # the target pass reads the array the first exploit pick computed. The
+    # target never syncs and every later pick certifies, so the run computes
+    # the hidden array once
+    emb = random_embeddings(desk_graph, 16, 1)
+    cfg = AgentConfig(budget=10, episodes=2, batch_size=8, eps_start=eps_start, seed=2)
+    params, log = train(desk_graph, emb, cfg)
+    assert cfg.episodes * cfg.budget < cfg.target_sync
+    assert [c[0] for c in products] == [False]
+    assert log.full_hidden == 1 and log.certified > 0
+    assert_same_run((params, log), oracle_train(desk_graph, emb, cfg))
+
+
+def test_a_target_pass_reuses_the_reference_only_for_theta1_hats_bytes(products):
+    # -0.0 == 0.0 and NaN != NaN, so only the bytes of theta1_hat tell
+    # whether the reference is the target net's hidden array
+    rng = np.random.default_rng(7)
+    Z = rng.normal(size=(3, 11))
+    params = QNetParams.init(3, rng)
+    values = agent._RunValues(Z, params)
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    for ref, hat, reuses in [(0.0, -0.0, False), (np.nan, np.nan, True),
+                             (np.nan, other_nan, False), (0.5, 0.5, True)]:
+        params.theta1[0, 0] = ref
+        with np.errstate(invalid="ignore"):
+            values.scores(Z[:, 0])
+            params.sync_target()
+            params.theta1_hat[0, 0] = hat
+            products.clear()
+            values.target = None
+            got = values.target_values()
+            assert got.tobytes() == oracle_node_values(Z, params, target=True).tobytes()
+        assert [c[0] for c in products] == ([] if reuses else [True]), (ref, hat)
 
 
 def test_q_values_zero_cases():
@@ -494,7 +589,7 @@ def test_train_deterministic():
 
 def test_train_log_counts_picks_and_keeps_four_csv_columns(tmp_path):
     g = random_coupled(1)
-    cfg = AgentConfig(budget=3, episodes=8, seed=7, batch_size=4, buffer_size=32, lr=0.01)
+    cfg = AgentConfig(budget=3, episodes=8, seed=7, batch_size=4, buffer_size=32, lr=0.3)
     _, log = train(g, random_embeddings(g, 4, 0), cfg)
     assert log.full_hidden > 0 and log.certified > 0
     assert log.full_hidden + log.certified <= cfg.episodes * cfg.budget
@@ -560,6 +655,33 @@ def test_cached_node_values_match_per_step_oracle(graph, overrides):
     o_rep = oracle_greedy_attack(g, emb, params, 8, w)
     for key in ("nodes", "power", "sigma", "gcc", "anc", "reward", "cum_reward"):
         assert getattr(rep, key) == getattr(o_rep, key), key
+
+
+@pytest.mark.parametrize("graph", [0, 1, 2])
+@pytest.mark.parametrize("overrides", DIFFERENTIAL_CONFIGS)
+def test_every_td_loss_reads_the_target_nets_node_values(graph, overrides, monkeypatch):
+    # the target values handed to the max cache, read off the reference or
+    # computed under theta1_hat, are the slow path's bytes at every TD loss,
+    # across many target syncs
+    runs, reads = [], []
+    init, cached_max = agent._RunValues.__init__, ReplayBuffer.cached_max
+
+    def record_run(self, Z, params):
+        init(self, Z, params)
+        runs.append(self)
+
+    def checked(self, idx, Y_hat):
+        values = runs[-1]
+        assert Y_hat.tobytes() == node_values(values.Z, values.params, target=True).tobytes()
+        reads.append(values.params.theta1_hat.tobytes())
+        return cached_max(self, idx, Y_hat)
+
+    monkeypatch.setattr(agent._RunValues, "__init__", record_run)
+    monkeypatch.setattr(ReplayBuffer, "cached_max", checked)
+    g = random_coupled(graph)
+    cfg = AgentConfig(seed=5, **overrides)
+    train(g, random_embeddings(g, 6, 3), cfg)
+    assert len(runs) == 1 and len(set(reads)) > 2
 
 
 # The cached TD maxima against the per-step oracle on the desk graph, whose
@@ -794,6 +916,34 @@ def test_greedy_attack_deterministic_and_masked():
     # step either cascades or removes a junction; metrics never increase
     assert all(a >= b for a, b in zip(rep1.power, rep1.power[1:]))
     assert all(a >= b for a, b in zip(rep1.sigma, rep1.sigma[1:]))
+
+
+@pytest.mark.parametrize("theta1,theta2", [
+    (np.zeros((10, 8)), np.zeros((8, 16))),      # greedy_attack raised numpy's ValueError
+    (np.zeros((16, 8)), np.zeros((8, 15))),
+    (np.zeros((8, 16)), np.zeros((16, 8))),         # a (d, 2d) and (2d, d) pair
+    (np.zeros(16), np.zeros((8, 16))),
+    (np.zeros((16, 8)), np.zeros(16)),
+    (np.zeros((16, 8, 1)), np.zeros((8, 16))),
+    (np.zeros((2, 1)), np.float64(0.0)),
+])
+def test_qnet_params_refuse_thetas_of_other_shapes(theta1, theta2):
+    with pytest.raises(AgentError, match=r"thetas must be of shapes \(2d, d\) and \(d, 2d\)"):
+        QNetParams(theta1=theta1, theta2=theta2)
+
+
+def test_qnet_params_refuse_non_finite_thetas():
+    # all-NaN thetas would score every node NaN, and the attack take 0, 1, 2
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in ("theta1", "theta2"):
+            thetas = {"theta1": np.zeros((16, 8)), "theta2": np.zeros((8, 16))}
+            thetas[key][3, 5] = bad
+            with pytest.raises(AgentError, match="^non-finite theta entries$"):
+                QNetParams(**thetas)
+    g = random_coupled(2)
+    with pytest.raises(AgentError, match="non-finite"):
+        greedy_attack(g, random_embeddings(g, 8, 1), QNetParams(
+            theta1=np.full((16, 8), np.nan), theta2=np.full((8, 16), np.nan)), 3)
 
 
 def test_greedy_attack_scale_invariance():
