@@ -7,16 +7,20 @@ periodically synced target network, an epsilon-greedy policy, and plain SGD
 on the squared TD error; gradients are hand-derived.
 
 Every greedy pick, a training run's exploit steps and each step of a
-greedy attack, scores the nodes with `q_values`: (s @ theta2) @ H against
-the (2d, n) hidden array H = relu(theta1 @ Z). A greedy attack computes H
-once. Training keeps the last H it computed, under the online or the
-target net, as a reference in one (2d, n) buffer: an exploit step scores the
-nodes against it, takes the pick when an error bound proves it is the argmax
-of the fresh scores, and recomputes H otherwise (see `_RunValues`). The TD
-targets read the target network's (d, n) node values Y_hat, recomputed at
-the first TD loss after a target sync, since many replay rows are scored
-against one frozen target net; they reuse the reference when it was computed
-under the target net's theta1. Exact ties break to the lowest id.
+greedy attack, goes through one kernel, `_RunValues.pick`. The scores are
+`q_values`, (s @ theta2) @ H against the (2d, n) hidden array
+H = relu(theta1 @ Z). The kernel keeps the last H computed, under the online
+or the target net, as a reference in one (2d, n) buffer, and the scores of
+the first pick against it as a base. A later pick bounds every node's score
+by the base, scores only the candidate columns whose bounds reach the best
+lower bound, and takes the pick when the bounds prove it the argmax of the
+fresh scores. Otherwise it scores every node, recomputing H only when theta1
+has moved (see `_RunValues`). A greedy attack computes H once, since its
+theta1 never moves. The TD targets read the target network's (d, n) node
+values Y_hat, recomputed at the first TD loss after a target sync, since
+many replay rows are scored against one frozen target net; they reuse the
+reference when it was computed under the target net's theta1. Exact ties
+break to the lowest id.
 
 The TD target of a transition is r + gamma * next_max * ~done, where
 next_max is the max of s_next @ Y_hat over the nodes alive after the step
@@ -297,6 +301,7 @@ class TrainLog:
     epsilon: list = field(default_factory=list)
     full_hidden: int = 0      # exploit picks that recomputed the reference (not target passes)
     certified: int = 0        # exploit picks proved against the kept reference
+    exact: int = 0            # exploit picks scored in full over a reference under theta1
 
     def save_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -323,7 +328,8 @@ def _norm(x: np.ndarray):
 
 
 class _RunValues:
-    """The node values a training run reads, and its exploit picks.
+    """The node values a run reads, and its greedy picks: a training run's
+    exploit steps and every step of a greedy attack.
 
     One (2d, n) buffer holds the reference H_ref = relu(theta1_ref @ Z),
     kept across SGD updates and target syncs. The target pass reads
@@ -331,9 +337,9 @@ class _RunValues:
     computes the hidden array under theta1_hat as the new reference. The
     caller sets `target` to None after a target sync.
 
-    An exploit pick scores the nodes against the reference with
-    `q_values`, q~ = u @ H_ref for u = s @ theta2, and bounds each node's
-    error against today's scores u @ relu(theta1 @ Z) by
+    A pick's exact scores against the reference are q~ = u @ H_ref for
+    u = s @ theta2, the product `q_values` takes. Each node's error against
+    today's scores u @ relu(theta1 @ Z) is bounded by
 
         b_v = ||u|| (||theta1 - theta1_ref||_F + slack T) ||z_v||
               + 8 d^2 tiny (1 + ||u||),   T = ||theta1||_F + ||theta1_ref||_F.
@@ -346,16 +352,37 @@ class _RunValues:
     bound itself, whose norms hold within gamma_2d^2: slack = 4 (d + 2)^2 eps
     covers both, 3.9e-12 at d = 64. The last term bounds what underflow can
     take from the products of both paths and from the bound's own
-    arithmetic (tiny is the smallest subnormal). The check runs only while
-    4 (1 + ||u||) T max ||z_v|| is finite, so no partial sum of either path
-    can overflow and every score and bound is finite.
+    arithmetic (tiny is the smallest subnormal).
 
-    The pick v is the alive argmax of q~ - b. It is certified when
-    max over alive w != v of (q~_w + b_w) < q~_v - b_v: today's score of v
-    then exceeds every other alive node's, so v is their unique argmax and
-    the pick that recomputing H would take. Otherwise (exact ties, wide
-    bounds, non-finite values, or no reference) the pick recomputes H into
-    the buffer, makes it the reference and takes today's masked argmax.
+    The first pick against a reference scores every node and keeps its
+    scores as the base, base = u0 @ H_ref. A later pick bounds each node's
+    q~ without reading H_ref, by
+
+        |q~_v - base_v| <= e_v = (||u - u0|| + slack (||u|| + ||u0||)) ||h_v||
+                                 + 8 d^2 tiny (1 + ||u|| + ||u0||),
+
+    where the column norms ||h_v|| are taken once per reference and the slack
+    covers the rounding of both products and of the bound as above. The best
+    lower bound L is the max over alive v of base_v - e_v - b_v, and the
+    candidates are the alive nodes with base_v + e_v + b_v >= L; only their
+    q~ is computed. A non-candidate's fresh score lies below L, and L lies
+    below the fresh score of the node that attains it, a candidate. With
+    more than n/8 candidates the pick scores every node instead, as a new
+    base: a gathered product of that many columns costs about what the full
+    product costs. The check runs only while
+    4 (1 + ||u|| + ||u0||) T max ||z_v|| is finite, so no partial sum of any
+    product can overflow and every score and bound is finite.
+
+    The pick v is the candidates' argmax of q~ - b. It is certified when
+    max over candidates w != v of (q~_w + b_w) < q~_v - b_v: today's score of
+    v then exceeds every other alive node's, so v is their unique argmax, the
+    pick that scoring every node against a fresh H would take. Otherwise
+    (exact ties, wide bounds, non-finite values, or no reference) the pick
+    takes today's masked argmax of `q_values` over every node: over the
+    reference when theta1 holds theta1_ref's bytes, and otherwise over H
+    recomputed into the buffer as the new reference. Either way its scores
+    become the base. The lowest id wins an exact tie, and node 0 is the pick
+    when no node is alive.
     """
 
     def __init__(self, Z: np.ndarray, params: QNetParams):
@@ -367,47 +394,87 @@ class _RunValues:
         self.target = None        # target node values, in `target_out`
         self.theta1_ref = np.empty_like(params.theta1)
         self.ref_norm = 0.0
+        self.base = self.h_norm = None    # u0 @ H_ref and ||h_v||, kept per reference
+        self.u0, self.u0_norm = None, 0.0
         self.z_norm = _norm(Z)
         self.z_max = self.z_norm.max()
         self.slack = 4 * (d + 2) ** 2 * np.finfo(float).eps
         self.tiny = 8 * d * d * _TINY
-        self.full_hidden = self.certified = 0    # picks of each kind, for the TrainLog
+        self.full_hidden = self.certified = self.exact = 0   # picks of each kind, for the TrainLog
+
+    def _refer(self, target: bool):
+        """Compute the hidden array under theta1 (theta1_hat when `target`) as
+        the reference."""
+        theta1 = self.params.theta1_hat if target else self.params.theta1
+        self.online = hidden_layer(self.Z, self.params, target, out=self.hidden)
+        np.copyto(self.theta1_ref, theta1)
+        self.ref_norm = _norm(theta1.ravel())
+        self.base = self.h_norm = None
+
+    def _full(self, s: np.ndarray) -> np.ndarray:
+        """`q_values` of every node against the reference, kept as the base."""
+        self.u0 = s @ self.params.theta2
+        self.u0_norm = _norm(self.u0)
+        self.base = q_values(s, self.params, self.online)
+        return self.base
 
     def scores(self, s: np.ndarray) -> np.ndarray:
         """Today's exploit scores `q_values` of every node; the hidden array
         computed for them becomes the reference."""
-        self.online = hidden_layer(self.Z, self.params, out=self.hidden)
-        np.copyto(self.theta1_ref, self.params.theta1)
-        self.ref_norm = _norm(self.params.theta1.ravel())
+        self._refer(False)
         self.full_hidden += 1
-        return q_values(s, self.params, self.online)
+        return self._full(s)
+
+    @np.errstate(over="ignore", invalid="ignore")   # a non-finite bound only fails the check
+    def candidates(self, s: np.ndarray, alive: np.ndarray):
+        """(ids, q~, b) of the candidate nodes, in id order: every alive node,
+        scored in full as the new base, when there is no base or more than
+        n/8 candidates. None when no check can run."""
+        p = self.params
+        u = s @ p.theta2
+        u_norm = _norm(u)
+        T = _norm(p.theta1.ravel()) + self.ref_norm
+        if not np.isfinite(4 * (1 + u_norm + self.u0_norm) * T * self.z_max):
+            return None
+        drift = _norm((p.theta1 - self.theta1_ref).ravel())
+        b = u_norm * (drift + self.slack * T) * self.z_norm + self.tiny * (1 + u_norm)
+        if self.base is not None:
+            if self.h_norm is None:
+                self.h_norm = _norm(self.online)
+            w = (_norm(u - self.u0) + self.slack * (u_norm + self.u0_norm)) * self.h_norm
+            w += b
+            w += self.tiny * (1 + u_norm + self.u0_norm)
+            lo = np.where(alive, self.base - w, -np.inf)
+            ids = np.flatnonzero(alive & (self.base + w >= lo.max()))
+            if len(ids) <= len(alive) // 8:     # beyond, the gather costs more than a full product
+                return ids, q_values(s, p, self.online[:, ids]), b[ids]
+        ids = np.flatnonzero(alive)
+        return ids, self._full(s)[ids], b[ids]
 
     def pick(self, s: np.ndarray, alive: np.ndarray) -> int:
-        """The alive argmax of today's exploit scores, certified or recomputed."""
-        p = self.params
-        if self.online is not None:
-            u_norm = _norm(s @ p.theta2)
-            T = _norm(p.theta1.ravel()) + self.ref_norm
-            if np.isfinite(4 * (1 + u_norm) * T * self.z_max):
-                drift = _norm((p.theta1 - self.theta1_ref).ravel())
-                b = u_norm * (drift + self.slack * T) * self.z_norm + self.tiny * (1 + u_norm)
-                q = q_values(s, p, self.online, alive)
-                lo = q - b
-                v = int(np.argmax(lo))
-                hi = np.add(q, b, out=q)
-                hi[v] = -np.inf
-                if hi.max() < lo[v]:
-                    self.certified += 1
-                    return v
-        return int(np.argmax(np.where(alive, self.scores(s), -np.inf)))
+        """The alive argmax of today's scores, certified or scored in full."""
+        got = self.candidates(s, alive) if self.online is not None else None
+        if got is not None and len(got[0]):
+            ids, q, b = got
+            lo = q - b
+            i = int(np.argmax(lo))
+            hi = np.add(q, b, out=q)
+            hi[i] = -np.inf
+            if hi.max() < lo[i]:
+                self.certified += 1
+                return int(ids[i])
+        if self.online is not None and self.theta1_ref.tobytes() == self.params.theta1.tobytes():
+            self.exact += 1
+            q = self._full(s)
+        else:
+            q = self.scores(s)
+        return int(np.argmax(np.where(alive, q, -np.inf)))
 
     def target_values(self) -> np.ndarray:
         if self.target is None:
             p = self.params
             if self.online is None or self.theta1_ref.tobytes() != p.theta1_hat.tobytes():
-                self.online = hidden_layer(self.Z, p, target=True, out=self.hidden)
-                np.copyto(self.theta1_ref, p.theta1_hat)
-                self.ref_norm = _norm(p.theta1_hat.ravel())
+                self._refer(True)
             self.target = np.matmul(p.theta2_hat, self.online, out=self.target_out)
         return self.target
 
@@ -473,7 +540,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         log.cum_reward.append(cum)
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
         log.epsilon.append(eps)
-    log.full_hidden, log.certified = values.full_hidden, values.certified
+    log.full_hidden, log.certified, log.exact = values.full_hidden, values.certified, values.exact
     return params, log
 
 
@@ -481,9 +548,11 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
                   weights: RewardWeights = None, method: str = "agent") -> AttackReport:
     """One evaluation episode with epsilon = 0; never touches params.
 
-    Once a cascade leaves no Normal node, every further pick is a dead node
-    (node 0, the argmax over all -inf scores), which `run_attack` records as
-    a no-op step with reward 0, so the report still has budget steps.
+    Every pick goes through `_RunValues.pick` against the hidden array of
+    the first pick, which never goes stale. Once a cascade leaves no Normal
+    node, every further pick is a dead node (node 0), which `run_attack`
+    records as a no-op step with reward 0, so the report still has budget
+    steps.
     """
     cascade.check_budget(g, budget, AgentError)
     Z = emb.Z
@@ -491,13 +560,12 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
     if Z.shape != (d, g.n):
         raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
                          f"d={d} and the graph's {g.n} nodes")
-    H = hidden_layer(Z, params)
+    values = _RunValues(Z, params)
     total = _column_total(Z)
     removed = []
 
     def policy(graph, k):
-        q = q_values(pooled_state(Z, removed, total), params, H, graph.state == NORMAL)
-        a = int(np.argmax(q))
+        a = values.pick(pooled_state(Z, removed, total), graph.state == NORMAL)
         removed.append(a)
         return a
 

@@ -103,8 +103,8 @@ def cmd_train(args):
     agent_mod.save_qnet(args.out, params, cfg)
     if args.log:
         log.save_csv(args.log)
-    last = log.cum_reward[-1] if log.cum_reward else 0.0
-    print(f"wrote {args.out}; last episode cum_reward {last!r}")
+    ran = f"last episode cum_reward {log.cum_reward[-1]!r}" if log.cum_reward else "no episode ran"
+    print(f"wrote {args.out}; {ran}")
 
 
 def cmd_baseline(args):

@@ -27,6 +27,7 @@ from infranet.netgen import generate, preset_config
 
 from conftest import (
     central_diff_check,
+    make_toy_chain,
     oracle_greedy_attack,
     oracle_node_values,
     oracle_pooled_state,
@@ -39,8 +40,8 @@ from conftest import (
 
 @pytest.fixture
 def picks(monkeypatch):
-    """Every exploit pick of the train runs that follow, as (certified, tied,
-    finite) triples. Each pick is first checked against the alive argmax of
+    """Every greedy pick of the code that follows, a training run's exploit
+    steps and a greedy attack's steps, as (certified, tied, finite) triples. Each pick is first checked against the alive argmax of
     today's scores, computed from scratch; `tied` says another alive node
     scores exactly the same, and `finite` that every alive score is finite."""
     seen = []
@@ -392,28 +393,24 @@ def test_q_values_masking():
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 def test_greedy_attack_scores_equal_training_exploit_scores(d, monkeypatch):
-    # both score through q_values, so every greedy pick sees the exploit
-    # step's bytes: no near tie can split the two
+    # both pick through `_RunValues.pick`, so every greedy pick is the argmax
+    # of the exploit step's full scores: no near tie can split the two
     g = generate(preset_config("desk", seed=0))
     emb = random_embeddings(g, d, 1)
     params = QNetParams.init(d, np.random.default_rng(d))
     seen = []
-    score = agent.q_values
+    pick = agent._RunValues.pick
 
-    def record(s, params, hidden, alive_mask=None):
-        q = score(s, params, hidden, alive_mask)
-        seen.append((s.copy(), alive_mask.copy(), q))
-        return q
+    def record(self, s, alive):
+        seen.append((s.copy(), alive.copy()))
+        return pick(self, s, alive)
 
-    monkeypatch.setattr(agent, "q_values", record)
+    monkeypatch.setattr(agent._RunValues, "pick", record)
     rep = greedy_attack(g, emb, params, 6)
-    monkeypatch.setattr(agent, "q_values", score)
     assert len(seen) == 6
     values = agent._RunValues(emb.Z, params)
-    for (s, alive, q), node in zip(seen, rep.nodes):
-        exploit = values.scores(s)
-        assert np.where(alive, exploit, -np.inf).tobytes() == q.tobytes()
-        assert select_action(exploit, 0.0, None, alive) == node
+    for (s, alive), node in zip(seen, rep.nodes):
+        assert select_action(values.scores(s), 0.0, None, alive) == node
 
 
 def test_select_action_greedy_and_ties():
@@ -733,8 +730,8 @@ def test_duplicate_columns_tie_and_recompute_to_the_lowest_id(graph, desk_graph,
     cfg = AgentConfig(**{**EXPLOIT_RUN, "lr": 0.1, "batch_size": 4, "target_sync": 7})
     params, log = train(g, emb, cfg)
     assert_same_run((params, log), oracle_train(g, emb, cfg))
+    assert len(picks) == log.full_hidden + log.certified + log.exact
     assert_same_greedy_attack(g, emb, params)
-    assert len(picks) == log.full_hidden + log.certified
     assert any(tied for _, tied, _ in picks)
     assert not any(certified and tied for certified, tied, _ in picks)
     assert log.certified > 0
@@ -748,8 +745,8 @@ def test_wide_bounds_recompute_most_picks(picks):
     cfg = AgentConfig(**EXPLOIT_RUN)
     params, log = train(g, emb, cfg)
     assert_same_run((params, log), oracle_train(g, emb, cfg))
+    assert len(picks) == log.full_hidden + log.certified + log.exact == 80
     assert_same_greedy_attack(g, emb, params)
-    assert len(picks) == log.full_hidden + log.certified == 80
     assert log.full_hidden > log.certified > 0
 
 
@@ -759,15 +756,16 @@ def test_certification_proves_most_picks_at_the_default_rate(desk_graph, picks):
                       eps_end=0.1, eps_decay_steps=60, seed=13)
     params, log = train(desk_graph, emb, cfg)
     assert_same_run((params, log), oracle_train(desk_graph, emb, cfg))
+    assert len(picks) == log.full_hidden + log.certified + log.exact
     assert_same_greedy_attack(desk_graph, emb, params)
-    assert len(picks) == log.full_hidden + log.certified
     assert log.certified > 4 * log.full_hidden > 0
 
 
 def test_pick_never_certifies_an_overflowing_score():
     # node 0's stale score overflows to +inf while its bound stays finite, so
     # q~ - b would put it above every other node's q~ + b: the pick must
-    # recompute instead, and takes node 0 from today's scores
+    # score every node instead (over the reference, since theta1 has not
+    # moved), and takes node 0 from today's scores
     Z = np.array([[1e154, 1.0]])
     params = QNetParams(theta1=np.ones((2, 1)), theta2=np.full((1, 2), 2.0))
     values = agent._RunValues(Z, params)
@@ -775,16 +773,15 @@ def test_pick_never_certifies_an_overflowing_score():
     with np.errstate(over="ignore"):
         assert np.isposinf(values.scores(s)[0])
         assert values.pick(s, alive) == 0
-    assert (values.full_hidden, values.certified) == (2, 0)
+    assert (values.full_hidden, values.certified, values.exact) == (1, 0, 1)
 
 
 def test_pick_recomputes_when_the_bounds_meet_exactly(monkeypatch):
-    # Two nodes of equal column norm share one bound b. The stale scores q~
-    # are set here, and a recomputed pick scores both nodes 0. A first pick
-    # sets the reference; a second scores q~ = 0 and reads b back from the
-    # array, which the pick overwrites with q~ + b. Then q~ = (2b, 0) puts
-    # node 1's upper end exactly on node 0's lower end, b == 2b - b, so
-    # strict `<` must recompute; one representable step higher certifies.
+    # Two nodes of equal column norm share one bound b, which `candidates`
+    # reports. The scores q~ are set here. A first pick sets the reference.
+    # Then q~ = (2b, 0) puts node 1's upper end exactly on node 0's lower end,
+    # b == 2b - b, so strict `<` must score every node (theta1 has not moved,
+    # so over the reference); one representable step higher certifies.
     Z = np.array([[1.0, -1.0], [2.0, 2.0]])
     params = QNetParams.init(2, np.random.default_rng(0))
     values = agent._RunValues(Z, params)
@@ -792,18 +789,18 @@ def test_pick_recomputes_when_the_bounds_meet_exactly(monkeypatch):
     s, alive = Z.mean(axis=1), np.ones(2, dtype=bool)
     scored = np.zeros(2)
     monkeypatch.setattr(agent, "q_values", lambda s, params, hidden, alive_mask=None:
-                        np.zeros(2) if alive_mask is None else scored)
+                        scored.copy())
     assert values.pick(s, alive) == 0
-    assert values.pick(s, alive) == 0
-    b = scored[1]
-    assert 0.0 < b < np.inf and (values.full_hidden, values.certified) == (2, 0)
+    _, _, (b, b1) = values.candidates(s, alive)
+    assert 0.0 < b == b1 < np.inf
+    assert (values.full_hidden, values.certified, values.exact) == (1, 0, 0)
     scored = np.array([2 * b, 0.0])
     assert (scored[0] - b, scored[1] + b) == (b, b)
     assert values.pick(s, alive) == 0
-    assert (values.full_hidden, values.certified) == (3, 0)
+    assert (values.full_hidden, values.certified, values.exact) == (1, 0, 1)
     scored = np.array([np.nextafter(2 * b, np.inf), 0.0])
     assert values.pick(s, alive) == 0
-    assert (values.full_hidden, values.certified) == (3, 1)
+    assert (values.full_hidden, values.certified, values.exact) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("case,batch_size,where", [
@@ -830,6 +827,98 @@ def test_non_finite_runs_never_certify(case, batch_size, where, picks):
     assert len(picks) == int(where.split()[-1])
     assert not all(finite for _, _, finite in picks)
     assert not any(certified and not finite for certified, _, finite in picks)
+
+
+# Greedy attacks against the per-step oracle. Odd nodes copy the column of
+# the even node before them, so pairs score exactly alike and the lower id
+# must win; a huge theta1 overflows the bound's norms and a NaN in theta2
+# makes every score NaN, so no bound can run and every pick scores every node.
+GREEDY_CASES = ["plain", "duplicates", "overflow", "nan"]
+
+
+@pytest.mark.parametrize("graph", ["random0", "random1", "random2", "random3", "desk", "toy"])
+@pytest.mark.parametrize("case", GREEDY_CASES)
+def test_greedy_attack_picks_equal_the_per_step_oracle(graph, case, desk_graph, picks):
+    g = (desk_graph if graph == "desk" else make_toy_chain() if graph == "toy"
+         else random_coupled(int(graph[-1])))
+    budget = 6 if graph == "toy" else 10       # the toy chain runs out of Normal nodes
+    Z = random_embeddings(g, 6, 3).Z
+    params = QNetParams.init(6, np.random.default_rng(g.n))
+    if case == "duplicates":
+        Z[:, 1::2] = Z[:, : g.n - 1 : 2]
+    elif case == "overflow":
+        params.theta1 *= 1e308
+    elif case == "nan":
+        params.theta2[0, 0] = np.nan
+    emb = EmbeddingMatrix(Z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep, o_rep = greedy_attack(g, emb, params, budget), oracle_greedy_attack(g, emb, params, budget)
+    assert rep.nodes == o_rep.nodes and rep.reward == o_rep.reward
+    assert len(picks) == budget                # each checked against today's full scores
+    certified = sum(c for c, _, _ in picks)
+    if case == "overflow":
+        assert certified == 0
+    elif case == "nan":
+        assert certified == 0 and not all(finite for _, _, finite in picks)
+    elif case == "duplicates":
+        assert any(tied for _, tied, _ in picks) and not any(c and t for c, t, _ in picks)
+    if graph == "toy":
+        env, k = cascade.AttackEnv(g), 0
+        while (env.state == NORMAL).any():
+            env.step(rep.nodes[k])
+            k += 1
+        assert k < budget and rep.nodes[k:] == [0] * (budget - k)
+    elif case == "plain":
+        assert certified >= budget // 2
+
+
+@pytest.mark.parametrize("run", ["attack", "train"])
+def test_a_certified_pick_multiplies_only_its_candidate_columns(run, desk_graph, monkeypatch,
+                                                                products):
+    # a certified pick computes no hidden array and makes one product: over
+    # exactly the columns of its at most n/8 candidates, or over the whole
+    # reference when it scores every node as the new base
+    emb = random_embeddings(desk_graph, 16, 1)
+    seen, scored, candidates = [], [], []
+    pick, score, bound = agent._RunValues.pick, agent.q_values, agent._RunValues.candidates
+
+    def record_score(s, params, hidden, alive_mask=None):
+        scored.append(hidden.copy())
+        return score(s, params, hidden, alive_mask)
+
+    def record_candidates(self, s, alive):
+        got = bound(self, s, alive)
+        candidates.append(None if got is None else got[0].copy())
+        return got
+
+    def checked(self, s, alive):
+        before = (self.certified, len(scored), len(products))
+        candidates.clear()
+        v = pick(self, s, alive)
+        if self.certified > before[0]:
+            (ids,) = candidates
+            assert len(products) == before[2] and len(scored) == before[1] + 1
+            assert v in ids and alive[ids].all()
+            if scored[-1].shape == self.online.shape:
+                assert scored[-1].tobytes() == self.online.tobytes()
+                assert ids.tolist() == np.flatnonzero(alive).tolist()
+            else:
+                assert scored[-1].tobytes() == self.online[:, ids].tobytes()
+                assert len(ids) <= len(alive) // 8
+                seen.append(len(ids))
+        return v
+
+    monkeypatch.setattr(agent, "q_values", record_score)
+    monkeypatch.setattr(agent._RunValues, "candidates", record_candidates)
+    monkeypatch.setattr(agent._RunValues, "pick", checked)
+    if run == "attack":
+        greedy_attack(desk_graph, emb, QNetParams.init(16, np.random.default_rng(0)), 10)
+        assert len(seen) >= 7
+    else:
+        cfg = AgentConfig(budget=10, episodes=3, batch_size=8, eps_start=0.0, eps_end=0.0,
+                          seed=2)
+        train(desk_graph, emb, cfg)
+        assert len(seen) >= 20
 
 
 def test_replay_buffer_computes_each_stale_slot_once(monkeypatch):

@@ -179,6 +179,16 @@ def test_train_writes_qnet_and_log(tmp_path, workdir):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("episodes,says", [("0", "no episode ran"),
+                                           ("1", "last episode cum_reward ")])
+def test_train_says_whether_an_episode_ran(tmp_path, workdir, capsys, episodes, says):
+    # a run of no episode has no last cum_reward to print
+    out = tmp_path / "q.bin"
+    assert main(["train", "--graph", str(workdir / "g.json"), "--emb", str(workdir / "emb.bin"),
+                 "--episodes", episodes, "--budget", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}; {says}")
+
+
 def test_train_sizes_its_buffer_to_the_run(tmp_path, workdir):
     # 10**12 slots would need terabytes; the run pushes 2 transitions
     assert main(["train", "--graph", str(workdir / "g.json"), "--emb", str(workdir / "emb.bin"),
