@@ -50,7 +50,7 @@ import numpy as np
 
 from . import cascade
 from .cascade import AttackReport, RewardWeights
-from .graph import NORMAL, CoupledGraph
+from .graph import NORMAL, CoupledGraph, unique_keys
 from . import serial
 
 
@@ -168,7 +168,7 @@ class ReplayBuffer:
         """The masked next-state max of each slot in idx against Y_hat,
         computing only the distinct stale slots (see the module docstring:
         a lone stale slot of a larger batch fills a 2-row product)."""
-        stale = np.unique(idx[~self.fresh[idx]])
+        stale = unique_keys(idx[~self.fresh[idx]])
         if len(stale):
             rows = np.repeat(stale, 2) if len(stale) == 1 < len(idx) else stale
             got = masked_max(self.s_next[rows], self.alive(rows), Y_hat)
@@ -194,9 +194,9 @@ def pooled_state(Z: np.ndarray, removed, total: np.ndarray = None) -> np.ndarray
     The removed ids must be integers (not bools) in [0, n)."""
     n = Z.shape[1]
     removed = list(removed)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in removed):
+    if not all(map(cascade.is_int, removed)):
         raise AgentError("removed node ids must be integers")
-    cut = np.unique(np.asarray(removed, dtype=np.int64))
+    cut = unique_keys(np.asarray(removed, dtype=np.int64))
     if len(cut) and (cut[0] < 0 or cut[-1] >= n):
         raise AgentError(f"removed node ids must lie in [0, {n})")
     kept = n - len(cut)

@@ -4,15 +4,16 @@ supervised dismantling (GDM), and uniform random.
 All emit the same AttackReport as the agent. DE and GDM rank once on the
 intact graph; a ranked node that the cascade has already killed by its turn
 is a recorded no-op step. CI re-scores the alive view before every pick.
+GDM's label cut is numpy's linear quantile, computed from a plain sort.
 
 CI (Morone & Makse, Nature 524, 2015) works on the graph's all-layer edge
 arrays (`edge_u`, `edge_v`) with the dead edges masked out. The ball
 boundary at radius l is the set of nodes at exactly l hops; a node whose
 ball ends sooner has an empty boundary and scores 0. Radius 1 is three
 bincounts: about 1 ms a call on the paper preset (n=15,774). Radius l > 1
-steps every source's breadth-first search together over a CSR of the alive
-edges: about 45 ms and 25 MB at radius 2 on paper, 160 ms and 70 MB at
-radius 3.
+steps every source's breadth-first search together over the alive edges'
+`graph.adjacency` CSR: about 45 ms and 25 MB at radius 2 on paper, 160 ms
+and 70 MB at radius 3.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import cascade
 from .cascade import AttackReport, RewardWeights
-from .graph import NORMAL, CoupledGraph
+from .graph import NORMAL, CoupledGraph, adjacency, neighbors, unique_keys
 
 
 class BaselineError(ValueError):
@@ -59,7 +60,7 @@ def ci_scores(g: CoupledGraph, radius: int = 1) -> np.ndarray:
     # at radius 1, a breadth-first expansion beyond
     head, tail = np.concatenate([u, v]), np.concatenate([v, u])
     if radius > 1:
-        head, tail = _ring(n, head, tail, radius)
+        head, tail = _ring(n, u, v, radius)
     # integer sums below 2**53 are exact in float64
     boundary = np.bincount(head, weights=excess[tail], minlength=n).astype(np.int64)
     scores = np.full(n, -np.inf)
@@ -67,40 +68,26 @@ def ci_scores(g: CoupledGraph, radius: int = 1) -> np.ndarray:
     return scores
 
 
-def _ring(n: int, head: np.ndarray, tail: np.ndarray, radius: int):
+def _ring(n: int, u: np.ndarray, v: np.ndarray, radius: int):
     """(source, node) pairs with node exactly `radius` hops from source over
-    the directed edge list head -> tail (both directions of a simple graph).
+    the undirected simple graph of the edges u-v.
 
-    All sources step together, each pair encoded as source * n + node. In an
-    undirected graph the neighbours of hop-k nodes lie at hop k-1, k or k+1,
-    so dropping the pairs of the last two hops leaves hop k+1 exactly.
+    All sources step together from hop 0, each pair encoded as source * n +
+    node. In an undirected graph the neighbours of hop-k nodes lie at hop
+    k-1, k or k+1, so dropping the pairs of the last two hops leaves hop k+1.
     """
-    order = np.argsort(head, kind="stable")
-    nbr = tail[order]
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(head, minlength=n), out=start[1:])
-    before = np.arange(n, dtype=np.int64) * (n + 1)    # hop 0: (s, s)
-    ring = _unique(head * n + tail)                     # hop 1
-    for _ in range(radius - 1):
+    start, nbr = adjacency(n, u, v)
+    before, ring = np.empty(0, dtype=np.int64), np.arange(n, dtype=np.int64) * (n + 1)
+    for _ in range(radius):
         if not len(ring):       # past the farthest node every ring is empty
             break
         src, node = np.divmod(ring, n)
-        count = start[node + 1] - start[node]
-        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        step = np.repeat(src * n, count) + nbr[np.repeat(start[node], count) + offset]
-        step = _unique(step)
+        reach, count = neighbors(start, nbr, node)
+        step = unique_keys(np.repeat(src * n, count) + reach)
         step = step[~np.isin(step, ring, assume_unique=True)
                     & ~np.isin(step, before, assume_unique=True)]
         before, ring = ring, step
     return np.divmod(ring, n)
-
-
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys; np.unique's hash path is far slower here."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
 
 
 def ci_attack(g: CoupledGraph, budget: int, radius: int = 1,
@@ -108,8 +95,7 @@ def ci_attack(g: CoupledGraph, budget: int, radius: int = 1,
     cascade.check_budget(g, budget, BaselineError)
 
     def policy(graph, k):
-        scores = ci_scores(graph, radius)
-        return int(np.argmax(scores))
+        return np.argmax(ci_scores(graph, radius))
 
     return cascade.run_attack(g, policy, budget, weights, method="ci")
 
@@ -145,7 +131,7 @@ def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):
     for i, v in enumerate(nodes):
         env.reset()
         rewards[i] = env.step(v)
-    cut = np.quantile(rewards, 1.0 - cfg.positive_quantile)
+    cut = _linear_quantile(rewards, 1.0 - cfg.positive_quantile)
     labels = rewards >= cut
     if labels.all():
         # ties at the cut: the cut equals the minimum reward
@@ -153,6 +139,16 @@ def gdm_labels(g: CoupledGraph, cfg: GdmConfig, weights: RewardWeights):
     if labels.min() == labels.max():
         raise BaselineError("degenerate GDM labels: all samples in one class")
     return nodes, labels.astype(np.float64), rewards
+
+
+def _linear_quantile(values: np.ndarray, q: float):
+    """numpy's linear quantile of finite values, up to a zero's sign: its index
+    rule and _lerp arithmetic over a plain sort, which imports no numpy.ma."""
+    at = (len(values) - 1) * q
+    i = min(int(at), len(values) - 1)
+    lo, hi = np.sort(values)[[i, min(i + 1, len(values) - 1)]]
+    t, diff = at - i, hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
 
 
 def _train_mlp(X, y, hidden, lr, epochs, rng):

@@ -147,11 +147,19 @@ def check_budget(g: CoupledGraph, budget: int, error=CascadeError):
         raise error(f"budget {budget} exceeds the {normal} Normal nodes of the graph")
 
 
-def _check_normal(g: CoupledGraph, v: int):
+def _node_id(g: CoupledGraph, v, at: str = "") -> int:
+    if not is_int(v):
+        raise CascadeError(f"{at}node id {v!r} is not an integer")
     if not 0 <= v < g.n:
-        raise CascadeError(f"node id {v} out of range")
+        raise CascadeError(f"{at}node id {v} out of range [0,{g.n})")
+    return int(v)
+
+
+def _check_normal(g: CoupledGraph, v) -> int:
+    v = _node_id(g, v)
     if g.state[v] != NORMAL:
         raise CascadeError(f"node {v} is not Normal; mask such actions")
+    return v
 
 
 def _propagate(g: CoupledGraph, v: int) -> np.ndarray:
@@ -183,8 +191,7 @@ def damage(g: CoupledGraph, v: int) -> CascadeOutcome:
     Every metric is computed from scratch, so g may be in any state; this is
     the single-step reference that AttackEnv.step must agree with.
     """
-    v = int(v)
-    _check_normal(g, v)
+    v = _check_normal(g, v)
     p_before = power(g)
     s_before = sigma(g)
     newly_invalid = _propagate(g, v)
@@ -237,8 +244,7 @@ class AttackEnv:
     def step(self, v: int):
         """Damage Normal node v; returns the reward a_r * sigma drop + a_e * power drop."""
         g = self.graph
-        v = int(v)
-        _check_normal(g, v)
+        v = _check_normal(g, v)
         lost = np.append(_propagate(g, v), v)
         p_before, s_before = self.power, self.sigma
         self.power = p_before - float(g.feeds[lost].sum())
@@ -300,8 +306,8 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights = No
 
     policy(graph, step) -> node id, where graph is the episode's fork; a
     node that is no longer Normal when its turn comes is recorded as a no-op
-    step (zero reward, metrics unchanged). A node id outside the graph is a
-    CascadeError.
+    step (zero reward, metrics unchanged). A node id outside the graph, or
+    one that is not an integer (a bool or a float), is a CascadeError.
     """
     t0 = time.perf_counter()
     env = AttackEnv(g, weights)
@@ -317,9 +323,7 @@ def run_attack(g: CoupledGraph, policy, budget: int, weights: RewardWeights = No
         cum_reward=[0.0],
     )
     for k in range(budget):
-        v = int(policy(env.graph, k))
-        if not 0 <= v < g.n:
-            raise CascadeError(f"step {k}: node id {v} out of range [0,{g.n})")
+        v = _node_id(g, policy(env.graph, k), f"step {k}: ")
         r = env.step(v) if env.state[v] == NORMAL else 0.0
         rep.nodes.append(v)
         rep.power.append(env.power)

@@ -5,6 +5,7 @@ mean behind a flag), averaged with the node's own feature, linearly mixed
 and passed through ReLU. Training pits observed edges against sampled
 non-edges under a hinge margin; gradients are hand-derived, and the neighbor
 sums of both passes and the hinge gradient are one scatter-add, `_scatter`.
+Edge keys, CSR and pair rejection use `graph`'s sorted-key helpers.
 
 Pretraining runs the same machinery on each layer's subgraph alone, over
 that layer's own nodes: `problem_for` relabels its edges onto its sorted
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .cascade import check_fields, is_int
-from .graph import CoupledGraph
+from .graph import CoupledGraph, adjacency, member, unique_keys
 from . import serial
 
 PRETRAINED = "pretrained"
@@ -132,15 +133,13 @@ class EmbedProblem:
         if self.edges.size and not 0 <= self.edges.min() <= self.edges.max() < self.n:
             raise EmbedError(f"edge endpoints must lie in [0, {self.n})")
         # sorted undirected edge keys, for the rejection in sample_negatives
-        self.edge_keys = np.unique(_key(self.edges[:, 0], self.edges[:, 1], self.n))
+        self.edge_keys = unique_keys(_key(self.edges[:, 0], self.edges[:, 1], self.n))
         self.trainable = 0 < len(self.edge_keys) < self.n * (self.n - 1) // 2
-        # the symmetric adjacency as neighbor pairs in CSR order (rows
-        # ascending, columns ascending within a row)
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        self.nbr_rows, self.nbr_cols = np.divmod(np.sort(rows * self.n + cols), self.n)
+        # the symmetric adjacency as (row, column) neighbor pairs in CSR order
+        start, self.nbr_cols = adjacency(self.n, self.edges[:, 0], self.edges[:, 1])
+        self.nbr_rows = np.repeat(np.arange(self.n), np.diff(start))
         # the degree clamped to >= 1, the divisor of the mean aggregator
-        self.deg = np.maximum(np.bincount(rows, minlength=self.n), 1).astype(np.float64)
+        self.deg = np.maximum(np.diff(start), 1).astype(np.float64)
 
 
 def problem_for(g: CoupledGraph, scope: str, cfg: EmbedConfig) -> EmbedProblem:
@@ -303,25 +302,17 @@ def _key(u, v, n):
     return np.minimum(u, v) * n + np.maximum(u, v)
 
 
-def _member(sorted_keys, keys):
-    """Bool mask: which of keys occur in the sorted array sorted_keys."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    i = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[i] == keys
-
-
 def draw_new_pairs(rng, pool, count, n, taken) -> np.ndarray:
     """`draw_pairs` keeping each pair u != v that is no pair of the (m, 2)
     edge array `taken` and was not drawn before: `count` new distinct edges
     of a node set whose ids are below n."""
-    taken_keys = np.unique(_key(taken[:, 0], taken[:, 1], n))
+    taken_keys = unique_keys(_key(taken[:, 0], taken[:, 1], n))
 
     def new(u, v):
         key = _key(u, v, n)
         first = np.zeros(len(key), dtype=bool)
         first[np.unique(key, return_index=True)[1]] = True
-        return (u != v) & first & ~_member(taken_keys, key)
+        return (u != v) & first & ~member(taken_keys, key)
 
     return draw_pairs(rng, pool, count, new)
 
@@ -339,7 +330,7 @@ def sample_negatives(rng, problem: EmbedProblem, count: int) -> np.ndarray:
                          f"node(s); training needs an edge and a non-edge pair")
 
     def non_edge(u, v):
-        return (u != v) & ~_member(edge_keys, _key(u, v, n))
+        return (u != v) & ~member(edge_keys, _key(u, v, n))
 
     return draw_pairs(rng, np.arange(n), count, non_edge)
 

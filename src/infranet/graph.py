@@ -92,6 +92,39 @@ def _edge_array(name: str, edges, undirected: bool = False) -> np.ndarray:
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+# -- sorted integer keys: the package's one dedup, membership test and CSR --
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, without numpy's unique (slow here; imports numpy.ma)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Bool mask: which of keys occur in the sorted array sorted_keys."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    i = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[i] == keys
+
+
+def adjacency(n: int, u: np.ndarray, v: np.ndarray):
+    """(start, nbr): the edges u-v in both directions as a CSR over nodes
+    0..n-1, node x's neighbours nbr[start[x]:start[x + 1]] in ascending order."""
+    rows, nbr = np.divmod(np.sort(np.concatenate([u, v]) * n + np.concatenate([v, u])), n)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=start[1:])
+    return start, nbr
+
+
+def neighbors(start: np.ndarray, nbr: np.ndarray, nodes: np.ndarray):
+    """The neighbour lists of `nodes` in an `adjacency` CSR, joined, and their lengths."""
+    count = start[nodes + 1] - start[nodes]
+    at = np.repeat(start[nodes] - np.cumsum(count) + count, count)
+    return nbr[at + np.arange(len(at))], count
+
+
 def _component_labels(n: int, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
     """Connected-component labels of nodes 0..n-1 over the given edges.
 
@@ -122,23 +155,15 @@ def _breadth_first_order(n: int, edge_u: np.ndarray, edge_v: np.ndarray,
     """Nodes 0..n-1 in breadth-first order from `roots` over the undirected
     edges, level by level and by id within a level; the nodes not reached
     within `RANK_LEVELS` levels follow in id order."""
-    ends = np.concatenate([edge_u, edge_v])
-    # node x's neighbours are nbr[start[x]:start[x] + degree[x]]
-    nbr = np.concatenate([edge_v, edge_u])[np.argsort(ends)]
-    degree = np.bincount(ends, minlength=n)
-    start = np.cumsum(degree) - degree
-    slot = np.arange(len(nbr))
+    start, nbr = adjacency(n, edge_u, edge_v)
     seen = np.zeros(n, dtype=bool)
     seen[roots] = True
     front, levels = roots, [roots]
     for _ in range(RANK_LEVELS - 1):
-        d = degree[front]
-        at = np.repeat(start[front] - d.cumsum() + d, d)
-        reach = nbr[at + slot[:len(at)]]
-        reach = np.sort(reach[~seen[reach]])
-        if len(reach) == 0:
+        reach = neighbors(start, nbr, front)[0]
+        front = unique_keys(reach[~seen[reach]])
+        if len(front) == 0:
             break
-        front = reach[np.append(True, reach[1:] != reach[:-1])]
         seen[front] = True
         levels.append(front)
     levels.append(np.flatnonzero(~seen))

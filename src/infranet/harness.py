@@ -123,7 +123,7 @@ class ExperimentPlan:
             **{_GRAPH_KEYS[key]: value for key, value in graph.items()},
             **{key: tuple(doc[key]) for key in ("methods", "seeds") if key in doc},
             **{key: doc[key] for key in ("budget", "ci_radius") if key in doc},
-            weights=_override("weights", RewardWeights, weights) if weights else None,
+            weights=None if weights is None else _override("weights", RewardWeights, weights),
             embed_config=_override("embed", embed_mod.EmbedConfig, doc.get("embed", {})),
             gdm_config=_override("gdm", baselines.GdmConfig, doc.get("gdm", {})),
         )

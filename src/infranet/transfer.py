@@ -17,7 +17,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import embed as embed_mod
 from .cascade import AttackReport, RewardWeights, check_fields
-from .graph import CoupledGraph
+from .graph import CoupledGraph, member
 
 
 class TransferError(ValueError):
@@ -72,7 +72,8 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
     # electricity additions: re-parent orphaned stations one level down a
     # valid parent; availability is bounded by the current orphan count
     add_elec = int(round(spec.add_fraction * len(g.elec_edges)))
-    orphans = np.setdiff1d(np.flatnonzero(np.isin(g.level, (110, 10))), elec[:, 1])
+    orphans = np.flatnonzero(np.isin(g.level, (110, 10)))
+    orphans = orphans[~member(np.sort(elec[:, 1]), orphans)]
     if add_elec > len(orphans):
         raise TransferError(
             f"cannot add {add_elec} electricity edges while keeping the forest: "
@@ -103,7 +104,7 @@ def mask_graph(g: CoupledGraph, spec: MaskSpec) -> CoupledGraph:
 
     # dependency additions: unsupplied junctions get a random 10kV station
     add_dep = int(round(spec.add_fraction * len(g.dep_edges)))
-    free = np.setdiff1d(junctions, dep[:, 1])
+    free = junctions[~member(np.sort(dep[:, 1]), junctions)]
     if add_dep > len(free):
         raise TransferError(
             f"cannot add {add_dep} dependency edges: only {len(free)} "

@@ -380,7 +380,9 @@ def oracle_node_values(Z, params, target=False):
 
 
 def oracle_q_values(Z, s, params, alive_mask=None):
-    q = s @ oracle_node_values(Z, params)
+    """The per-node action values, associated as agent.q_values is,
+    (s @ theta2) @ relu(theta1 @ Z), so both overflow alike."""
+    q = (s @ params.theta2) @ np.maximum(params.theta1 @ Z, 0.0)
     return q if alive_mask is None else np.where(alive_mask, q, -np.inf)
 
 

@@ -13,6 +13,7 @@ from infranet.baselines import (
     gdm_labels,
     gdm_scores,
     random_attack,
+    _linear_quantile,
 )
 from infranet.cascade import AttackEnv, RewardWeights, damage
 from infranet.embed import EmbeddingMatrix, random_embeddings
@@ -201,6 +202,31 @@ def test_gdm_labels_ties_at_the_cut():
     assert np.all(rewards >= cut)
     np.testing.assert_array_equal(labels, (rewards > cut).astype(np.float64))
     assert 0 < labels.sum() < len(labels)
+
+
+def _quantile_cases():
+    rng = np.random.default_rng(4)
+    for k in range(3000):
+        m = int(rng.integers(1, 40))
+        kind = k % 4
+        if kind == 0:       # ties
+            a = rng.integers(-3, 3, size=m).astype(np.float64)
+        elif kind == 1:     # adjacent floats
+            a = 1.0 + np.spacing(1.0) * rng.integers(-2, 3, size=m)
+        elif kind == 2:     # scales near 1e+-300, subnormals included
+            a = rng.standard_normal(m) * 10.0 ** float(rng.choice([300, 307, -300, -307, -320]))
+        else:
+            a = rng.standard_normal(m)
+        q = float(rng.choice([0.8, 0.5, 0.0, 1.0, 1 - 1e-17, rng.random()]))
+        yield a, q
+
+
+def test_gdm_cut_equals_numpys_quantile_to_the_bit():
+    # no signed zeros of both signs: numpy's partition and a sort may order
+    # -0.0 and 0.0 differently, and they compare equal anyway
+    for values, q in _quantile_cases():
+        got, want = _linear_quantile(values, q), np.quantile(values, q)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes(), (values, q)
 
 
 def test_gdm_labels_all_tied_is_degenerate():

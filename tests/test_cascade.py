@@ -10,6 +10,7 @@ import infranet
 from infranet.agent import AgentConfig, AgentError
 from infranet.baselines import BaselineError, GdmConfig
 from infranet.cascade import (
+    AttackEnv,
     CascadeError,
     RewardWeights,
     anc,
@@ -236,6 +237,26 @@ def test_replay_rejects_node_ids_outside_the_graph(toy_chain):
     with pytest.raises(CascadeError, match=r"step 0: node id -1 out of range \[0,6\)"):
         replay_attack(toy_chain, [-1], w)
     assert replay_attack(toy_chain, [5], w).nodes == [5]
+
+
+@pytest.mark.parametrize("bad", [1.7, True, np.float64(5.2), np.bool_(True), 2.0, "3"])
+def test_every_entry_point_refuses_a_node_id_that_is_not_an_integer(toy_chain, bad):
+    # no id is rounded or read as 0/1: floats, bools and strings fail alike
+    with pytest.raises(CascadeError, match=r"^step 1: node id .* is not an integer$"):
+        replay_attack(toy_chain, [5, bad, 4], RewardWeights())
+    with pytest.raises(CascadeError, match=r"^step 0: node id .* is not an integer$"):
+        run_attack(toy_chain, lambda graph, k: bad, 1, RewardWeights())
+    with pytest.raises(CascadeError, match=r"^node id .* is not an integer$"):
+        AttackEnv(toy_chain, RewardWeights()).step(bad)
+    with pytest.raises(CascadeError, match=r"^node id .* is not an integer$"):
+        damage(toy_chain, bad)
+    assert np.all(toy_chain.state == NORMAL)
+
+
+def test_numpy_integer_node_ids_are_plain_ints_in_the_report(toy_chain):
+    rep = replay_attack(toy_chain, [np.int32(5), np.uint8(4)], RewardWeights())
+    assert rep.nodes == [5, 4] and all(type(v) is int for v in rep.nodes)
+    assert type(damage(toy_chain, np.int64(3)).node) is int
 
 
 @pytest.mark.parametrize("a_e, a_r", [(float("nan"), 1.0), (1.0, float("inf")),

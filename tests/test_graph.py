@@ -19,6 +19,10 @@ from infranet.graph import (
     STATION,
     CoupledGraph,
     GraphError,
+    adjacency,
+    member,
+    neighbors,
+    unique_keys,
 )
 from infranet.netgen import generate, preset_config
 
@@ -519,3 +523,98 @@ def test_fuzz_from_json_columns(path, value):
         if key == "road_edges":
             pairs = [(min(e), max(e)) for e in pairs]
         assert sorted(pairs) == sorted(map(tuple, getattr(g, key).tolist()))
+
+
+# -- the sorted-key toolkit against numpy's own set routines ----------------
+
+def _key_arrays():
+    rng = np.random.default_rng(5)
+    yield np.empty(0, dtype=np.int64)
+    yield np.array([7], dtype=np.int64)
+    for size, high in [(10, 3), (200, 50), (1000, 10**12), (3000, 2**62)]:
+        yield rng.integers(-high, high, size=size)
+
+
+@pytest.mark.parametrize("keys", _key_arrays())
+def test_unique_keys_equals_numpys_unique(keys):
+    got = unique_keys(keys)
+    assert got.dtype == keys.dtype and got.tobytes() == np.unique(keys).tobytes()
+
+
+@pytest.mark.parametrize("keys", _key_arrays())
+def test_member_equals_numpys_isin(keys):
+    rng = np.random.default_rng(len(keys))
+    sorted_keys = np.unique(keys)
+    # repeated queries: draws from the keys, the keys' neighbours and the keys
+    queries = np.concatenate([rng.choice(keys, size=2 * len(keys)) if len(keys) else keys,
+                              keys + 1, keys - 1, keys, [0, -1, 2**62]]).astype(np.int64)
+    got = member(sorted_keys, queries)
+    assert got.dtype == bool and got.tobytes() == np.isin(queries, sorted_keys).tobytes()
+    assert member(sorted_keys, np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def _edge_lists():
+    rng = np.random.default_rng(9)
+    yield 4, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    yield 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for seed in range(4):
+        g = random_coupled(seed)
+        yield g.n, g.edge_u, g.edge_v
+    g = generate(preset_config("desk", seed=0))
+    yield g.n, g.edge_u, g.edge_v
+    # isolated nodes, repeated edges, and the ends of an edge in either order
+    u, v = rng.integers(0, 40, size=(2, 60))
+    keep = u != v
+    yield 50, u[keep], v[keep]
+
+
+@pytest.mark.parametrize("n, u, v", _edge_lists())
+def test_adjacency_and_neighbors_equal_per_node_sorted_lists(n, u, v):
+    lists = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        lists[a].append(b)
+        lists[b].append(a)
+    lists = [sorted(x) for x in lists]
+    start, nbr = adjacency(n, u, v)
+    assert start.dtype == nbr.dtype == np.int64 and start.tolist()[0] == 0
+    assert [nbr[start[x]:start[x + 1]].tolist() for x in range(n)] == lists
+    rng = np.random.default_rng(n)
+    for nodes in (np.arange(n), rng.integers(0, n, size=3 * n), np.empty(0, dtype=np.int64)):
+        got, count = neighbors(start, nbr, nodes)
+        assert count.tolist() == [len(lists[x]) for x in nodes.tolist()]
+        assert got.tolist() == [y for x in nodes.tolist() for y in lists[x]]
+
+
+def test_no_pipeline_stage_imports_numpy_ma():
+    # numpy's unique (and its quantile, which calls it) imports numpy.ma on
+    # its first call, 8-17 ms in a fresh interpreter. A subprocess, since
+    # pytest's own imports may already have loaded it here.
+    code = """
+import sys
+from infranet import agent, baselines, embed, transfer
+from infranet.netgen import generate, preset_config
+
+loaded = []
+def stage(name):
+    if "numpy.ma" in sys.modules and not loaded:
+        loaded.append(name)
+
+g = generate(preset_config("paper", seed=0, n_220=2, fanout_110=(2, 3), fanout_10=(3, 5),
+                           road_nodes=64)); stage("generate")
+emb = embed.train_coupled(g, embed.EmbedConfig(d=8, epochs=2))[0]; stage("train_coupled")
+params, _ = agent.train(g, emb, agent.AgentConfig(episodes=3, budget=3, batch_size=4))
+stage("agent.train")
+agent.greedy_attack(g, emb, params, 3); stage("greedy_attack")
+baselines.gdm_attack(g, emb, 3, baselines.GdmConfig(sample_count=20, epochs=5))
+stage("gdm_attack")
+baselines.ci_attack(g, 2, radius=3); stage("ci_attack")
+g_mask = transfer.mask_graph(g, transfer.MaskSpec()); stage("mask_graph")
+new_emb, _ = transfer.retrain(g_mask, emb, transfer.RetrainConfig(epochs=2)); stage("retrain")
+transfer.transfer_attack(g_mask, new_emb, params, 3); stage("transfer_attack")
+print(loaded[0] if loaded else "none", "numpy.ma" in sys.modules)
+"""
+    src = str(Path(infranet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["none", "False"]

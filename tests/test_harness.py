@@ -41,6 +41,14 @@ def small_plan(graph_file, **kw):
     return ExperimentPlan.from_json(json.dumps(doc))
 
 
+def test_a_weights_block_sets_the_weights_even_when_empty(small_graph_file):
+    # a key left out takes RewardWeights' default, so {} is (1, 1); only a
+    # plan without the block leaves each attack its normalized weights
+    assert small_plan(small_graph_file, weights={}).weights == RewardWeights(1.0, 1.0)
+    assert small_plan(small_graph_file, weights={"a_e": 2.0}).weights == RewardWeights(2.0, 1.0)
+    assert small_plan(small_graph_file).weights is None
+
+
 def test_plan_from_json_fields(small_graph_file):
     plan = small_plan(small_graph_file,
                       weights={"a_e": 1.0, "a_r": 2.0},
