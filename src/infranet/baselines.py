@@ -145,7 +145,7 @@ def _linear_quantile(values: np.ndarray, q: float):
     """numpy's linear quantile of finite values, up to a zero's sign: its index
     rule and _lerp arithmetic over a plain sort, which imports no numpy.ma."""
     at = (len(values) - 1) * q
-    i = min(int(at), len(values) - 1)
+    i = int(at)                 # q <= 1, so i <= len - 1
     lo, hi = np.sort(values)[[i, min(i + 1, len(values) - 1)]]
     t, diff = at - i, hi - lo
     return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
