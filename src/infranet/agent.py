@@ -10,30 +10,28 @@ Every greedy pick, a training run's exploit steps and each step of a
 greedy attack, goes through one kernel, `_RunValues.pick`. The scores are
 `q_values`, (s @ theta2) @ H against the (2d, n) hidden array
 H = relu(theta1 @ Z). The kernel keeps the last H computed, under the online
-or the target net, as a reference in one (2d, n) buffer, and the scores of
-the first pick against it as a base. A later pick bounds every node's score
-by the base, scores only the candidate columns whose bounds reach the best
-lower bound, and takes the pick when the bounds prove it the argmax of the
-fresh scores. Otherwise it scores every node, recomputing H only when theta1
-has moved (see `_RunValues`). A greedy attack computes H once, since its
-theta1 never moves. The TD targets read the target network's (d, n) node
-values Y_hat, recomputed at the first TD loss after a target sync, since
-many replay rows are scored against one frozen target net; they reuse the
-reference when it was computed under the target net's theta1. Exact ties
-break to the lowest id.
+or the target net, as a reference, and the scores of the first pick against
+it as a base. A later pick bounds every node's score by the base, scores
+only the candidate columns whose bounds reach the best lower bound, and
+takes the pick when the bounds prove it the argmax of the fresh scores.
+Otherwise it scores every node, recomputing H only when theta1 has moved
+(see `_RunValues`). A greedy attack computes H once, since its theta1 never
+moves. Exact ties break to the lowest id.
 
-The TD target of a transition is r + gamma * next_max * ~done, where
-next_max is the max of s_next @ Y_hat over the nodes alive after the step
-(Mnih et al., Nature 518, 2015). A stored transition never changes and the
-target values Y_hat change only at a target sync, so the replay buffer caches
-each slot's next_max until its slot is pushed again or the target syncs. An
-SGD step computes the max only for its batch's distinct stale slots, in one
-product, and unpacks only their alive masks. The bits of a product row can
-depend on the row count: a 1-row product takes BLAS's gemv path, and at
-n mod 8 != 0 the last columns can take other bits. So a lone stale slot of a
-batch of 2 or more is computed in a 2-row product, and a cached max is the
-result of the product that computed it. On the desk preset (n mod 8 = 0) the
-tests find the bits of recomputing the whole batch at every step.
+The TD target of a transition is r + gamma * next_max, where next_max is
+`td_max`: the max over the nodes alive after the step of K(u, h_v), with
+u = s_next @ theta2_hat a 1-row product and h_v the columns of the target
+net's hidden array H_hat = relu(theta1_hat @ Z), and 0 for a done step
+(Mnih et al., Nature 518, 2015). K adds the 2d products u_i h_iv by halving,
+one elementwise add per level, so its bits do not depend on which columns,
+how many, or which batch it scores. A training run computes each max from
+the row's candidate columns of H_hat, bounded like the picks against the
+base of the intact pooled state (see `_RunValues`), and gets `td_max`'s
+bytes. H_hat is taken at the first TD loss after a target sync, reusing the
+reference when it was computed under theta1_hat. A stored transition never
+changes and H_hat changes only at a target sync, so the replay buffer caches
+each slot's next_max until its slot is pushed again or the target syncs, and
+an SGD step computes the max only for its batch's distinct stale slots.
 
 The pooled state is the intact column total of Z, taken once per training
 run or attack, less the sum of the distinct removed columns, over the kept
@@ -135,7 +133,6 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, d: int, n_nodes: int):
         self.capacity = capacity
-        self.n_nodes = n_nodes
         self.s = np.zeros((capacity, d))
         self.a = np.zeros(capacity, dtype=np.int64)
         self.r = np.zeros(capacity)
@@ -164,21 +161,25 @@ class ReplayBuffer:
         """Slot indices of `batch` transitions drawn uniformly with replacement."""
         return rng.integers(0, self.size, size=batch)
 
-    def cached_max(self, idx: np.ndarray, Y_hat: np.ndarray) -> np.ndarray:
-        """The masked next-state max of each slot in idx against Y_hat,
-        computing only the distinct stale slots (see the module docstring:
-        a lone stale slot of a larger batch fills a 2-row product)."""
+    def cached_max(self, idx: np.ndarray, compute) -> np.ndarray:
+        """The TD max of each slot in idx. `compute(s_next, done, masks)`
+        computes it for the distinct stale slots only."""
         stale = unique_keys(idx[~self.fresh[idx]])
         if len(stale):
-            rows = np.repeat(stale, 2) if len(stale) == 1 < len(idx) else stale
-            got = masked_max(self.s_next[rows], self.alive(rows), Y_hat)
-            self.next_max[stale] = got[: len(stale)]
+            self.next_max[stale] = compute(self.s_next[stale], self.done[stale],
+                                           self.masks[stale])
             self.fresh[stale] = True
         return self.next_max[idx]
 
-    def alive(self, rows: np.ndarray) -> np.ndarray:
-        """The bool next-state alive masks of the slots `rows`, unpacked."""
-        return np.unpackbits(self.masks[rows], axis=1)[:, : self.n_nodes].astype(bool)
+
+def _unpack(masks: np.ndarray, n: int) -> np.ndarray:
+    """The bool alive masks of n nodes packed in the rows of `masks`."""
+    return np.unpackbits(masks, axis=1)[:, :n].astype(bool)
+
+
+def _alive_at(masks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether node cols is alive in packed mask row rows (broadcast)."""
+    return (masks[rows, cols >> 3] >> (7 - (cols & 7))) & 1 == 1
 
 
 # -- value network -----------------------------------------------------------
@@ -196,9 +197,9 @@ def pooled_state(Z: np.ndarray, removed, total: np.ndarray = None) -> np.ndarray
     removed = list(removed)
     if not all(map(cascade.is_int, removed)):
         raise AgentError("removed node ids must be integers")
-    cut = unique_keys(np.asarray(removed, dtype=np.int64))
-    if len(cut) and (cut[0] < 0 or cut[-1] >= n):
+    if not all(0 <= v < n for v in removed):     # before the int64 cast, which could overflow
         raise AgentError(f"removed node ids must lie in [0, {n})")
+    cut = unique_keys(np.asarray(removed, dtype=np.int64))
     kept = n - len(cut)
     if kept == 0:
         raise AgentError("all nodes removed; pooled state undefined")
@@ -212,11 +213,6 @@ def hidden_layer(Z: np.ndarray, params: QNetParams, target: bool = False,
     """(2d, n) hidden array relu(theta1 @ Z), written into `out` when given."""
     h = np.matmul(params.theta1_hat if target else params.theta1, Z, out=out)
     return np.maximum(h, 0.0, out=h)
-
-
-def node_values(Z: np.ndarray, params: QNetParams, target: bool = False) -> np.ndarray:
-    """(d, n) transformed per-node embeddings; q(v) = s . column v."""
-    return (params.theta2_hat if target else params.theta2) @ hidden_layer(Z, params, target)
 
 
 def q_values(s: np.ndarray, params: QNetParams, hidden: np.ndarray,
@@ -246,13 +242,48 @@ def select_action(scores, epsilon: float, rng, alive_mask: np.ndarray) -> int:
 
 # -- TD loss ------------------------------------------------------------------
 
-def masked_max(s_next: np.ndarray, alive: np.ndarray, Y_hat: np.ndarray) -> np.ndarray:
-    """Per row, the max of s_next @ Y_hat over the row's alive nodes; 0 for a
-    row with no alive node (or a non-finite max)."""
-    next_scores = s_next @ Y_hat                      # (B, n)
-    next_scores[~alive] = -np.inf
-    best = next_scores.max(axis=1)
-    return np.where(np.isfinite(best), best, 0.0)
+_CELLS = 2 ** 21    # products per chunk of `td_max`, 16 MB
+
+
+def _halving_sum(P: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of P, overwriting P: while m > 1 rows are left, row
+    i gains row i + m // 2 for i < m // 2, and an odd last row moves up.
+    Every add is elementwise, so each output cell's bits depend only on its
+    own column of P, whatever the shape of P."""
+    m = len(P)
+    while m > 1:
+        h = m // 2
+        head = P[:h]
+        head += P[h:2 * h]
+        if m % 2:
+            P[h] = P[2 * h]
+        m = h + m % 2
+    return P[0]
+
+
+def _rowwise(s: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """s @ theta2 as one 1-row product per row of s, so each row has the
+    bits of its own product whatever the rows around it."""
+    return np.matmul(s[:, None, :], theta2)[:, 0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def td_max(s_next: np.ndarray, done: np.ndarray, alive: np.ndarray, hidden: np.ndarray,
+           theta2_hat: np.ndarray) -> np.ndarray:
+    """The TD max of each row: max over the row's alive v of K(u, h_v), the
+    `_halving_sum` of the products u_i h_iv, with u = s_next @ theta2_hat a
+    1-row product and h_v the columns of the target net's hidden array
+    `hidden`; 0 for a done row, one with no alive node or a non-finite max.
+    Every column is scored, in chunks of rows: the reference that
+    `_RunValues.td_max` reproduces from candidate columns."""
+    out = np.zeros(len(done))
+    rows = np.flatnonzero(~done)
+    u = _rowwise(s_next[rows], theta2_hat)
+    step = max(1, _CELLS // hidden.size)
+    for i in range(0, len(rows), step):
+        q = _halving_sum(u[i:i + step].T[:, :, None] * hidden[:, None, :])
+        out[rows[i:i + step]] = np.where(alive[rows[i:i + step]], q, -np.inf).max(axis=1)
+    return np.where(np.isfinite(out), out + 0.0, 0.0)     # + 0.0: a zero max is +0.0
 
 
 def td_loss(batch, Z: np.ndarray, params: QNetParams, gamma: float,
@@ -260,17 +291,18 @@ def td_loss(batch, Z: np.ndarray, params: QNetParams, gamma: float,
     """Mean squared TD error; optionally with gradients wrt theta1/theta2.
 
     `batch` is (s, a, r, s_next, done, alive). The target of a transition is
-    r + gamma * next_max * ~done, where `next_max` is the masked max of
-    s_next against the target network's node values; it is computed here
-    from s_next and alive when not given, and only then are they read.
+    r + gamma * next_max, where `next_max` is the `td_max` of s_next under
+    the target network (0 where done); it is computed here from s_next and
+    alive when not given, and only then are they read.
     """
     s, a, r, s_next, done, alive = batch
     B = len(a)
     if B == 0:
         raise AgentError("empty batch")
     if next_max is None:
-        next_max = masked_max(s_next, alive, node_values(Z, params, target=True))
-    target = r + gamma * next_max * (~done)
+        next_max = td_max(s_next, done, alive, hidden_layer(Z, params, target=True),
+                          params.theta2_hat)
+    target = r + gamma * next_max
 
     Za = Z[:, a]                                      # (d, B)
     pre = params.theta1 @ Za                          # (2d, B)
@@ -302,6 +334,9 @@ class TrainLog:
     full_hidden: int = 0      # exploit picks that recomputed the reference (not target passes)
     certified: int = 0        # exploit picks proved against the kept reference
     exact: int = 0            # exploit picks scored in full over a reference under theta1
+    td_rows: int = 0          # stale replay rows whose TD max was scored
+    td_full: int = 0          # of those, rows that read every column, not only candidates
+    memo_hits: int = 0        # road relabels the env's memo answered
 
     def save_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -318,6 +353,7 @@ def _epsilon_at(step: int, cfg: AgentConfig) -> float:
 
 
 _TINY = np.finfo(float).smallest_subnormal
+_BLOCK = 32     # top columns of the TD base order that give each row its lower bound
 
 
 def _norm(x: np.ndarray):
@@ -328,14 +364,18 @@ def _norm(x: np.ndarray):
 
 
 class _RunValues:
-    """The node values a run reads, and its greedy picks: a training run's
-    exploit steps and every step of a greedy attack.
+    """The hidden arrays a run reads: its greedy picks, a training run's
+    exploit steps and every step of a greedy attack, and its TD targets.
 
-    One (2d, n) buffer holds the reference H_ref = relu(theta1_ref @ Z),
-    kept across SGD updates and target syncs. The target pass reads
-    theta2_hat @ H_ref when theta1_ref has theta1_hat's bytes, and otherwise
-    computes the hidden array under theta1_hat as the new reference. The
-    caller sets `target` to None after a target sync.
+    A (2d, n) buffer holds the reference H_ref = relu(theta1_ref @ Z), kept
+    across SGD updates and target syncs. The first TD loss after a target
+    sync runs a target pass: the reference stays when theta1_ref has
+    theta1_hat's bytes, a buffer that holds them becomes the reference, and
+    otherwise the hidden array under theta1_hat is computed as the new
+    reference. That array is H_hat, which every TD row of the target period
+    reads. A pick that must recompute H while the TD rows read H_hat writes
+    into a second buffer, allocated then. The caller sets `td` to None after
+    a target sync and calls `moved` after each SGD step.
 
     A pick's exact scores against the reference are q~ = u @ H_ref for
     u = s @ theta2, the product `q_values` takes. Each node's error against
@@ -352,7 +392,8 @@ class _RunValues:
     bound itself, whose norms hold within gamma_2d^2: slack = 4 (d + 2)^2 eps
     covers both, 3.9e-12 at d = 64. The last term bounds what underflow can
     take from the products of both paths and from the bound's own
-    arithmetic (tiny is the smallest subnormal).
+    arithmetic (tiny is the smallest subnormal). Both norms of theta1 are
+    kept until theta1 moves or the reference changes.
 
     The first pick against a reference scores every node and keeps its
     scores as the base, base = u0 @ H_ref. A later pick bounds each node's
@@ -380,20 +421,39 @@ class _RunValues:
     (exact ties, wide bounds, non-finite values, or no reference) the pick
     takes today's masked argmax of `q_values` over every node: over the
     reference when theta1 holds theta1_ref's bytes, and otherwise over H
-    recomputed into the buffer as the new reference. Either way its scores
-    become the base. The lowest id wins an exact tie, and node 0 is the pick
-    when no node is alive.
+    recomputed as the new reference. Either way its scores become the base.
+    The lowest id wins an exact tie, and node 0 is the pick when no node is
+    alive.
+
+    The TD rows take the same bound with b = 0 against the target pass's own
+    base, base = u0 @ H_hat with u0 = s0 @ theta2_hat for the intact pooled
+    state s0; every next state is s0 less at most `budget` columns. The
+    columns are sorted by base once per target period. A row's lower bound L
+    is the best base_v - e_v over the alive columns of the first `_BLOCK` in
+    that order, and its candidates are the alive columns of the prefix whose
+    base reaches L - e with ||h_v|| at its max, that pass base_v >= L - e_v.
+    They are scored with `td_max`'s kernel K, whose bits do not depend on
+    which columns it scores, so the row's max is `td_max`'s to the bit. A row
+    whose block has no alive node, or whose prefix is longer than n/8, takes
+    its own scores u @ H_hat, a full product, as the base: with u0 = u its
+    bound is 2 slack ||u|| ||h_v|| + tiny (1 + 2 ||u||), and its candidates
+    are the alive columns within twice that, at the max ||h_v||, of its best
+    alive score. Both checks run only while 8 (1 + ||u|| + ||u0||) max ||h_v||
+    is finite; a row that fails it scores every alive column, as `td_max`.
     """
 
     def __init__(self, Z: np.ndarray, params: QNetParams):
         d, n = Z.shape
         self.Z, self.params = Z, params
-        self.hidden = np.empty((2 * d, n))
-        self.target_out = np.empty((d, n))
-        self.online = None        # H_ref, in `hidden`
-        self.target = None        # target node values, in `target_out`
+        self.total = _column_total(Z)
+        self.buffers = [np.empty((2 * d, n))]
+        self.held = [None]        # bytes of the theta1 each buffer's array was computed under
+        self.ref = self.online = None     # H_ref: its buffer's index, and the array
+        self.td = None            # H_hat's buffer index this target period; None after a sync
+        self.period = None        # H_hat, u0, ||u0||, base order, -base, ||h_v|| in it, max
         self.theta1_ref = np.empty_like(params.theta1)
         self.ref_norm = 0.0
+        self.theta1_norm = self.drift = None   # kept until theta1 moves or the reference changes
         self.base = self.h_norm = None    # u0 @ H_ref and ||h_v||, kept per reference
         self.u0, self.u0_norm = None, 0.0
         self.z_norm = _norm(Z)
@@ -401,15 +461,32 @@ class _RunValues:
         self.slack = 4 * (d + 2) ** 2 * np.finfo(float).eps
         self.tiny = 8 * d * d * _TINY
         self.full_hidden = self.certified = self.exact = 0   # picks of each kind, for the TrainLog
+        self.td_rows = self.td_full = 0   # TD rows scored, and those that read every column
+
+    def _use(self, i: int, theta1: np.ndarray):
+        """Make buffer i, which holds the hidden array under theta1, the reference."""
+        self.ref, self.online = i, self.buffers[i]
+        np.copyto(self.theta1_ref, theta1)
+        self.ref_norm = _norm(theta1.ravel())
+        self.base = self.h_norm = self.drift = None
 
     def _refer(self, target: bool):
         """Compute the hidden array under theta1 (theta1_hat when `target`) as
-        the reference."""
+        the reference, in a buffer the TD rows do not read."""
         theta1 = self.params.theta1_hat if target else self.params.theta1
-        self.online = hidden_layer(self.Z, self.params, target, out=self.hidden)
-        np.copyto(self.theta1_ref, theta1)
-        self.ref_norm = _norm(theta1.ravel())
-        self.base = self.h_norm = None
+        i = self.ref or 0
+        if i == self.td:
+            i = 1 - i
+            if len(self.buffers) == 1:
+                self.buffers.append(np.empty_like(self.buffers[0]))
+                self.held.append(None)
+        hidden_layer(self.Z, self.params, target, out=self.buffers[i])
+        self.held[i] = theta1.tobytes()
+        self._use(i, theta1)
+
+    def moved(self):
+        """theta1 has changed: its norms are no longer known."""
+        self.theta1_norm = self.drift = None
 
     def _full(self, s: np.ndarray) -> np.ndarray:
         """`q_values` of every node against the reference, kept as the base."""
@@ -433,11 +510,14 @@ class _RunValues:
         p = self.params
         u = s @ p.theta2
         u_norm = _norm(u)
-        T = _norm(p.theta1.ravel()) + self.ref_norm
+        if self.theta1_norm is None:
+            self.theta1_norm = _norm(p.theta1.ravel())
+        T = self.theta1_norm + self.ref_norm
         if not np.isfinite(4 * (1 + u_norm + self.u0_norm) * T * self.z_max):
             return None
-        drift = _norm((p.theta1 - self.theta1_ref).ravel())
-        b = u_norm * (drift + self.slack * T) * self.z_norm + self.tiny * (1 + u_norm)
+        if self.drift is None:
+            self.drift = _norm((p.theta1 - self.theta1_ref).ravel())
+        b = u_norm * (self.drift + self.slack * T) * self.z_norm + self.tiny * (1 + u_norm)
         if self.base is not None:
             if self.h_norm is None:
                 self.h_norm = _norm(self.online)
@@ -470,13 +550,81 @@ class _RunValues:
             q = self.scores(s)
         return int(np.argmax(np.where(alive, q, -np.inf)))
 
-    def target_values(self) -> np.ndarray:
-        if self.target is None:
-            p = self.params
-            if self.online is None or self.theta1_ref.tobytes() != p.theta1_hat.tobytes():
+    def _target_pass(self):
+        """Make H_hat the reference and the TD rows' array, and take the
+        target period's base, its column order and the sorted ||h_v||."""
+        p = self.params
+        key = p.theta1_hat.tobytes()
+        held = [i for i, k in enumerate(self.held) if k == key]
+        if self.ref not in held:
+            if held:
+                self._use(held[0], p.theta1_hat)
+            else:
                 self._refer(True)
-            self.target = np.matmul(p.theta2_hat, self.online, out=self.target_out)
-        return self.target
+        self.td = self.ref
+        if self.h_norm is None:
+            self.h_norm = _norm(self.online)
+        u0 = pooled_state(self.Z, [], self.total) @ p.theta2_hat
+        neg = -(u0 @ self.online)
+        n = len(neg)
+        top = min(n, max(_BLOCK, n // 8 + 1))     # a longer prefix takes the row's own base
+        order = np.argpartition(neg, top - 1)[:top] if top < n else np.arange(n)
+        order = order[np.argsort(neg[order], kind="stable")]
+        self.period = (self.online, u0, _norm(u0), order, neg[order], self.h_norm[order],
+                       self.h_norm.max())
+
+    @np.errstate(over="ignore", invalid="ignore")   # a non-finite bound sends rows to `td_max`
+    def td_max(self, s_next: np.ndarray, done: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """`td_max` of rows given their packed alive masks, each scored with
+        K over its candidate columns only, where its bounds are finite."""
+        if self.td is None:
+            self._target_pass()
+        hidden, u0, u0_norm, order, neg, hn, h_max = self.period
+        n = hidden.shape[1]
+        out = np.zeros(len(done))
+        rows = np.flatnonzero(~done)
+        if not len(rows):
+            return out
+        masks = masks[rows]
+        u = _rowwise(s_next[rows], self.params.theta2_hat)
+        u_norm = _norm(u.T)
+        grow = _norm((u - u0).T) + self.slack * (u_norm + u0_norm)
+        tail = self.tiny * (1 + u_norm + u0_norm)
+        top = order[:_BLOCK]
+        live = _alive_at(masks, np.arange(len(rows))[:, None], top)
+        lo = np.where(live, -neg[:len(top)] - (grow[:, None] * hn[:len(top)] + tail[:, None]),
+                      -np.inf).max(axis=1)
+        reach = np.searchsorted(neg, -(lo - (grow * h_max + tail)), side="right")
+        finite = np.isfinite(8 * (1 + u_norm + u0_norm) * h_max)
+        near = finite & live.any(axis=1) & (reach <= n // 8)
+        self.td_rows += len(rows)
+        self.td_full += len(rows) - int(near.sum())
+        r = np.flatnonzero(~finite)
+        if len(r):
+            out[rows[r]] = td_max(s_next[rows[r]], done[rows[r]], _unpack(masks[r], n), hidden,
+                                  self.params.theta2_hat)
+        r = np.flatnonzero(near)          # the prefix of the base order
+        k = reach[r]
+        rr = np.repeat(r, k)
+        at = np.arange(len(rr)) - np.repeat(np.cumsum(k) - k, k)
+        cols = order[at]
+        keep = ((-neg[at] >= lo[rr] - (grow[rr] * hn[at] + tail[rr]))
+                & _alive_at(masks, rr, cols))
+        rr, cols = [rr[keep]], [cols[keep]]
+        r = np.flatnonzero(finite & ~near)     # each row its own base
+        if len(r):
+            alive = _unpack(masks[r], n)
+            base = np.where(alive, u[r] @ hidden, -np.inf)
+            e = 2 * self.slack * u_norm[r] * h_max + self.tiny * (1 + 2 * u_norm[r])
+            i, v = np.nonzero(alive & (base >= (base.max(axis=1) - 2 * e)[:, None]))
+            rr.append(r[i])
+            cols.append(v)
+        rr, cols = np.concatenate(rr), np.concatenate(cols)
+        if len(rr):
+            q = _halving_sum(np.ascontiguousarray(u.T)[:, rr] * hidden[:, cols])
+            starts = np.flatnonzero(np.r_[True, rr[1:] != rr[:-1]])
+            out[rows[rr[starts]]] = np.maximum.reduceat(q, starts) + 0.0
+        return out
 
 
 @np.errstate(over="ignore", invalid="ignore")    # a diverging run raises below
@@ -496,7 +644,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
     log = TrainLog()
     env = cascade.AttackEnv(g, cfg.weights)
     values = _RunValues(Z, params)
-    total = _column_total(Z)
+    total = values.total
     step = 0
     for ep in range(cfg.episodes):
         env.reset()
@@ -524,15 +672,16 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
                 idx = buf.sample(cfg.batch_size, rng)
                 batch = (buf.s[idx], buf.a[idx], buf.r[idx], None, buf.done[idx], None)
                 loss, d1, d2 = td_loss(batch, Z, params, cfg.gamma, want_grad=True,
-                                       next_max=buf.cached_max(idx, values.target_values()))
+                                       next_max=buf.cached_max(idx, values.td_max))
                 if not np.isfinite(loss):
                     raise AgentError(f"TD loss diverged at episode {ep}, step {step}")
                 params.theta1 -= cfg.lr * d1
                 params.theta2 -= cfg.lr * d2
+                values.moved()
                 losses.append(loss)
             if step % cfg.target_sync == 0:
                 params.sync_target()
-                values.target = None
+                values.td = None
                 buf.fresh[:] = False
             if done:
                 break
@@ -541,6 +690,7 @@ def train(g: CoupledGraph, emb, cfg: AgentConfig):
         log.loss_mean.append(float(np.mean(losses)) if losses else 0.0)
         log.epsilon.append(eps)
     log.full_hidden, log.certified, log.exact = values.full_hidden, values.certified, values.exact
+    log.td_rows, log.td_full, log.memo_hits = values.td_rows, values.td_full, env.memo_hits
     return params, log
 
 
@@ -561,7 +711,7 @@ def greedy_attack(g: CoupledGraph, emb, params: QNetParams, budget: int,
         raise AgentError(f"embedding of shape {Z.shape} does not match the value net's "
                          f"d={d} and the graph's {g.n} nodes")
     values = _RunValues(Z, params)
-    total = _column_total(Z)
+    total = values.total
     removed = []
 
     def policy(graph, k):

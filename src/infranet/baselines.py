@@ -12,8 +12,9 @@ boundary at radius l is the set of nodes at exactly l hops; a node whose
 ball ends sooner has an empty boundary and scores 0. Radius 1 is three
 bincounts: about 1 ms a call on the paper preset (n=15,774). Radius l > 1
 steps every source's breadth-first search together over the alive edges'
-`graph.adjacency` CSR: about 45 ms and 25 MB at radius 2 on paper, 160 ms
-and 70 MB at radius 3.
+`graph.adjacency` CSR: about 35 ms and 25 MB at radius 2 on paper, 95 ms
+and 61 MB at radius 3 (one BLAS thread, median of 9 calls; the memory is
+the peak of numpy's allocations).
 """
 
 from __future__ import annotations

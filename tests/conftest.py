@@ -372,8 +372,8 @@ def oracle_pooled_state(Z, removed):
 
 
 def oracle_node_values(Z, params, target=False):
-    """The node-value matrix as one allocating expression. Drop-in for
-    agent.node_values."""
+    """The (d, n) node values theta2 @ relu(theta1 @ Z) as one allocating
+    expression: the scores of a state s are s @ this matrix."""
     t1 = params.theta1_hat if target else params.theta1
     t2 = params.theta2_hat if target else params.theta2
     return t2 @ np.maximum(t1 @ Z, 0.0)

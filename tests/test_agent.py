@@ -13,7 +13,6 @@ from infranet.agent import (
     QNetParams,
     ReplayBuffer,
     greedy_attack,
-    node_values,
     pooled_state,
     q_values,
     select_action,
@@ -194,8 +193,9 @@ def test_a_fortran_ordered_embedding_computes_the_bytes_of_its_c_copy(desk_graph
 
 
 def test_pooled_state_rejects_ids_out_of_range():
+    # ids beyond int64 are refused before the cast, which would overflow
     Z = np.ones((2, 5))
-    for removed in ([5], [-1], [0, 7]):
+    for removed in ([5], [-1], [0, 7], [2**70], [1, -2**70], [np.uint64(2**64 - 1)]):
         with pytest.raises(AgentError, match=r"removed node ids must lie in \[0, 5\)"):
             pooled_state(Z, removed)
 
@@ -219,29 +219,47 @@ def test_pooled_state_takes_integer_ids_of_any_type():
         assert pooled_state(Z, empty).tobytes() == pooled_state(Z, []).tobytes()
 
 
+def td_rows(rng, d, n, B=6):
+    """B replay rows of next states near the intact mean, as in a run, with
+    their packed alive masks; one row is done, one has a single alive node
+    and one none (a run marks such a row done; its TD max is 0 either way)."""
+    Z_mean = rng.normal(size=d)
+    s_next = Z_mean + 0.01 * rng.normal(size=(B, d))
+    done = np.zeros(B, dtype=bool)
+    done[0] = True
+    alive = rng.random((B, n)) < 0.8
+    alive[1] = False
+    alive[1, n - 1] = True
+    alive[2] = False
+    return s_next, done, alive, np.packbits(alive, axis=1)
+
+
 @pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (6, 130), (16, 1488), (64, 2000)])
 def test_buffered_node_values_match_allocating_formula(d, n):
-    # a run's target values, computed into its buffers under theta1_hat or
-    # read off a reference taken under theta1_hat's bytes, are the bytes of
-    # one allocating expression, and so are node_values of either net
+    # a run's target pass, computing H_hat into its buffer under theta1_hat or
+    # reading it off a reference taken under theta1_hat's bytes, holds the
+    # bytes of one allocating expression, and the run's TD maxima are the
+    # reference td_max's against that expression
     rng = np.random.default_rng(d + n)
     for order in "CF":
         Z = np.asarray(rng.normal(size=(d, n)), order=order)
         for _ in range(2):
             params = QNetParams.init(d, rng)
             params.theta1_hat = rng.normal(size=(2 * d, d))
+            s_next, done, alive, masks = td_rows(rng, d, n)
+            want = np.maximum(params.theta1_hat @ Z, 0.0)
+            ref = agent.td_max(s_next, done, alive, want, params.theta2_hat)
             values = agent._RunValues(Z, params)
-            values.hidden[:], values.target_out[:] = np.nan, np.nan
-            want = oracle_node_values(Z, params, target=True)
-            got = values.target_values()
-            assert got is values.target_out and got.tobytes() == want.tobytes()
+            values.buffers[0][:] = np.nan
+            assert values.td_max(s_next, done, masks).tobytes() == ref.tobytes()
+            assert values.td == values.ref == 0 and values.online.tobytes() == want.tobytes()
             params.theta1 = params.theta1_hat.copy()
+            values.td = None                    # a sync: the TD rows no longer read buffer 0
             values.scores(rng.normal(size=d))
-            values.target = None
-            assert values.target_values().tobytes() == want.tobytes()
-            for target in (False, True):
-                want = oracle_node_values(Z, params, target)
-                assert node_values(Z, params, target).tobytes() == want.tobytes()
+            assert values.td_max(s_next, done, masks).tobytes() == ref.tobytes()
+            assert len(values.buffers) == 1 and values.online.tobytes() == want.tobytes()
+            assert ref[0] == ref[2] == 0.0 and ref[1] == agent.td_max(
+                s_next[1:2], done[1:2], alive[1:2], want[:, n - 1:], params.theta2_hat)[0]
 
 
 @pytest.mark.parametrize("d,n", [(1, 7), (2, 9), (6, 130), (16, 1488), (64, 2000)])
@@ -262,7 +280,7 @@ def test_factored_scores_match_reference_bit_for_bit(d, n):
                 int(np.argmax(oracle_q_values(Z, s, params, alive)))
 
 
-def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(
+def test_train_certifies_or_recomputes_each_exploit_pick_in_at_most_two_buffers(
         monkeypatch, picks, products):
     # always exploit and update every step: every pick but the first reads a
     # reference that the previous step's SGD update made stale
@@ -270,17 +288,22 @@ def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(
     emb = random_embeddings(g, 5, 2)
     cfg = AgentConfig(budget=4, episodes=6, batch_size=1, buffer_size=8, target_sync=3,
                       eps_start=0.0, eps_end=0.0, lr=0.3, gamma=0.9, seed=4)
-    calls, passes = products, []
-    target_values = agent._RunValues.target_values
+    calls, passes, runs = products, [], []
+    target_pass, init = agent._RunValues._target_pass, agent._RunValues.__init__
 
     def record_pass(self):
-        # a new target pass needs no product when the last one wrote the
-        # buffer under theta1_hat's bytes
-        if self.target is None:
-            passes.append(bool(calls) and calls[-1][2] == self.params.theta1_hat.tobytes())
-        return target_values(self)
+        # a target pass needs no product when a buffer holds the hidden array
+        # under theta1_hat's bytes
+        passes.append(self.params.theta1_hat.tobytes() in self.held)
+        target_pass(self)
+        assert self.online.tobytes() == np.maximum(self.params.theta1_hat @ emb.Z, 0.0).tobytes()
 
-    monkeypatch.setattr(agent._RunValues, "target_values", record_pass)
+    def record_run(self, Z, params):
+        init(self, Z, params)
+        runs.append(self)
+
+    monkeypatch.setattr(agent._RunValues, "_target_pass", record_pass)
+    monkeypatch.setattr(agent._RunValues, "__init__", record_run)
     params, log = train(g, emb, cfg)
     steps = len(log.episode) * cfg.budget
     online = [c for c in calls if not c[0]]
@@ -291,7 +314,8 @@ def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(
     assert len(online) == log.full_hidden and 0 < log.certified
     assert len(passes) == -(-steps // cfg.target_sync)
     assert len(targets) == passes.count(False) and True in passes
-    assert len({c[1] for c in calls}) == 1                 # one hidden array per run
+    (values,) = runs
+    assert {c[1] for c in calls} <= {id(b) for b in values.buffers} and len(values.buffers) <= 2
     # `scores` recomputes and keeps its array as the reference; a pick against
     # an unchanged reference needs no product. A target pass under other
     # weights makes its own array the reference, too far from theta1 here to
@@ -300,20 +324,20 @@ def test_train_certifies_or_recomputes_each_exploit_pick_in_one_buffer(
     params.theta1_hat = params.theta1 + 1.0
     values = agent._RunValues(emb.Z, params)
     s, alive = emb.Z[:, 0], np.ones(g.n, dtype=bool)
+    rows = (s[None], np.array([False]), np.packbits(alive)[None])
     want = (s @ params.theta2) @ np.maximum(params.theta1 @ emb.Z, 0.0)
     calls.clear()
     assert values.scores(s).tobytes() == want.tobytes()
     assert values.pick(s, alive) == int(np.argmax(want))
-    assert values.target_values().tobytes() == \
-        oracle_node_values(emb.Z, params, target=True).tobytes()
+    values.td_max(*rows)
     assert values.pick(s, alive) == int(np.argmax(want))
     assert [c[0] for c in calls] == [False, True, False]
     assert (values.full_hidden, values.certified) == (2, 1)
     params.sync_target()
-    values.target = None
-    assert values.target_values().tobytes() == \
-        oracle_node_values(emb.Z, params, target=True).tobytes()
-    assert len(calls) == 3
+    values.td = None
+    values.td_max(*rows)
+    assert len(calls) == 3 and values.online.tobytes() == \
+        np.maximum(params.theta1 @ emb.Z, 0.0).tobytes()
     o_params, o_log = oracle_train(g, emb, cfg)
     assert np.array_equal(params.theta1, o_params.theta1)
     assert np.array_equal(params.theta2, o_params.theta2)
@@ -339,24 +363,41 @@ def test_a_run_reads_its_first_td_targets_off_the_exploit_reference(
 
 def test_a_target_pass_reuses_the_reference_only_for_theta1_hats_bytes(products):
     # -0.0 == 0.0 and NaN != NaN, so only the bytes of theta1_hat tell
-    # whether the reference is the target net's hidden array
+    # whether a buffer holds the target net's hidden array
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(3, 11))
     params = QNetParams.init(3, rng)
     values = agent._RunValues(Z, params)
+    s_next, done, alive, masks = td_rows(rng, 3, 11)
     other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     for ref, hat, reuses in [(0.0, -0.0, False), (np.nan, np.nan, True),
                              (np.nan, other_nan, False), (0.5, 0.5, True)]:
+        values.td = None
         params.theta1[0, 0] = ref
         with np.errstate(invalid="ignore"):
             values.scores(Z[:, 0])
             params.sync_target()
             params.theta1_hat[0, 0] = hat
             products.clear()
-            values.target = None
-            got = values.target_values()
-            assert got.tobytes() == oracle_node_values(Z, params, target=True).tobytes()
+            got = values.td_max(s_next, done, masks)
+            want = np.maximum(params.theta1_hat @ Z, 0.0)
+            assert values.online.tobytes() == want.tobytes()
+            assert got.tobytes() == agent.td_max(s_next, done, alive, want,
+                                                 params.theta2_hat).tobytes()
         assert [c[0] for c in products] == ([] if reuses else [True]), (ref, hat)
+    # a pick recompute while the TD rows read buffer 0 goes to buffer 1; a
+    # target pass under buffer 0's theta1 makes it the reference again, with
+    # no product
+    theta1 = params.theta1.copy()
+    params.theta1 += 1.0
+    products.clear()
+    values.scores(Z[:, 0])
+    assert (values.ref, values.td, len(values.buffers)) == (1, 0, 2)
+    values.td = None
+    params.theta1_hat = theta1
+    values.td_max(s_next, done, masks)
+    assert (values.ref, values.td, [c[0] for c in products]) == (0, 0, [False])
+    assert values.theta1_ref.tobytes() == theta1.tobytes() and values.base is None
 
 
 def test_q_values_zero_cases():
@@ -496,20 +537,149 @@ def test_td_loss_empty_batch_errors():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_td_targets_match_masked_max_formula(seed):
+    # td_max is the masked max of K(u, h_v) over the alive v, u the row's
+    # 1-row product s_next @ theta2_hat. K is within the pairwise-sum bound
+    # gamma_ceil(log2 2d) sum |u_i h_iv| (Higham, §4.2; one more unit round-off
+    # here for the 1/(1 - k u) factor) of the exact (math.fsum) sum of its
+    # products, and where the old scores s_next @ (theta2_hat @ H) are
+    # separated by more than both paths' rounding, it takes the same node
     rng = np.random.default_rng(seed)
-    s, a, r, s_next, done, alive = make_batch(rng, B=16, d=5, n=40)
+    d, n = int(rng.integers(2, 9)), 40
+    s, a, r, s_next, done, alive = make_batch(rng, B=16, d=d, n=n)
     alive[:, 0] = rng.random(16) < 0.5
     alive[3] = False                       # no alive next node: target is r
-    Y_hat = rng.normal(size=(5, 40))
-    next_max = np.where(alive, s_next @ Y_hat, -np.inf).max(axis=1)
-    want = np.where(np.isfinite(next_max), next_max, 0.0)
-    assert agent.masked_max(s_next, alive, Y_hat).tobytes() == want.tobytes()
-    # td_loss's own targets are that max against the target net's node values
-    Z = rng.normal(size=(5, 40))
-    params = QNetParams.init(5, rng)
-    given = agent.masked_max(s_next, alive, oracle_node_values(Z, params, target=True))
-    assert (td_loss((s, a, r, s_next, done, alive), Z, params, gamma=0.9)
-            == td_loss((s, a, r, None, done, None), Z, params, gamma=0.9, next_max=given))
+    done[3] = False
+    Z = rng.normal(size=(d, n))
+    params = QNetParams.init(d, rng)
+    params.theta2_hat = rng.normal(size=(d, 2 * d))
+    H = np.maximum(params.theta1_hat @ Z, 0.0)
+    got = agent.td_max(s_next, done, alive, H, params.theta2_hat)
+    old = np.where(alive, s_next @ oracle_node_values(Z, params, target=True), -np.inf)
+    eps = np.finfo(float).eps
+    separated = 0
+    for i in range(16):
+        u = s_next[i] @ params.theta2_hat
+        assert u.tobytes() == agent._rowwise(s_next[i:i + 1], params.theta2_hat)[0].tobytes()
+        k = agent._halving_sum(u[:, None] * H)
+        exact = np.array([math.fsum(u * H[:, v]) for v in range(n)])
+        bound = (math.ceil(math.log2(2 * d)) + 1) * eps / 2 * (np.abs(u) @ H)
+        assert np.all(np.abs(k - exact) <= bound)
+        if done[i] or not alive[i].any():
+            assert got[i] == 0.0 and not math.copysign(1, got[i]) < 0
+            continue
+        assert got[i] == np.max(k[alive[i]]) and abs(got[i] - exact[alive[i]].max()) <= bound.max()
+        top2 = np.sort(old[i][alive[i]])[-2:]
+        if len(top2) == 2 and top2[1] - top2[0] > 4 * d * eps * (np.abs(s_next[i]) @ np.abs(
+                params.theta2_hat) @ H).max():
+            separated += 1
+            assert int(np.argmax(np.where(alive[i], k, -np.inf))) == int(np.argmax(old[i]))
+    assert separated >= 8
+    # td_loss's own targets are that max, and a done row's target is r
+    want = td_loss((s, a, r, None, done, None), Z, params, gamma=0.9, next_max=got)
+    assert td_loss((s, a, r, s_next, done, alive), Z, params, gamma=0.9) == want
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 6, 12, 33, 128])
+def test_td_kernel_bits_do_not_depend_on_the_columns_it_scores(length):
+    # K, the halving sum of the products u_i * h_iv, gives each column the
+    # bits of the full-width result alone, in blocks of 2 to 2,000 in any
+    # order, with another row's u per column as in the candidate path, and
+    # in the (2d, rows, n) layout of the every-column path; also for -0.0
+    # products and products that overflow to inf and NaN
+    rng = np.random.default_rng(length)
+    n = 2000
+    H = rng.normal(size=(length, n)) * 10.0 ** rng.integers(-3, 4, size=(length, n))
+    H[:, :50] = np.maximum(H[:, :50], 0.0)          # relu zeros
+    H[:, 50:60] = -0.0
+    H[-1, 70:80] = -1e300
+    H[0, 60:76] = 1e300                             # column 75 gets both
+    U = rng.normal(size=(4, length))
+    U[1, 0] = U[1, -1] = 1e300
+    U[3] = np.abs(U[3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = [agent._halving_sum(u[:, None] * H) for u in U]
+        assert np.isposinf(full[1][60:70]).all() and np.isneginf(full[1][76:80]).all()
+        assert np.isnan(full[1][75]) or length == 1
+        assert math.copysign(1.0, full[3][50]) == -1.0        # every product is -0.0
+        for v in rng.choice(n, size=300, replace=False):
+            for u, f in zip(U, full):
+                assert agent._halving_sum(u[:, None] * H[:, [v]]).tobytes() == f[[v]].tobytes()
+        for size in (2, 3, 40, 257, 2000):
+            cols = rng.choice(n, size=size, replace=False)
+            rows = rng.integers(0, len(U), size=size)
+            got = agent._halving_sum(U[rows].T * H[:, cols])
+            want = np.array([full[r][v] for r, v in zip(rows, cols)])
+            assert got.tobytes() == want.tobytes(), size
+        block = agent._halving_sum(U.T[:, :, None] * H[:, None, :])
+        assert block.tobytes() == np.array(full).tobytes()
+
+
+def test_td_rows_take_every_column_when_the_bound_cannot_run():
+    # theta2_hat at 1e300 overflows the bound's norms, and a theta1_hat at
+    # 1e300 the column norms of H_hat: every row scores every alive column,
+    # and the maxima (0 where not finite) are td_max's
+    g = random_coupled(2)
+    emb = random_embeddings(g, 6, 3)
+    rng = np.random.default_rng(0)
+    s_next, done, alive, masks = td_rows(rng, 6, g.n, B=8)
+    for key in ("theta1_hat", "theta2_hat"):
+        params = QNetParams.init(6, rng)
+        setattr(params, key, getattr(params, key) * 1e300)
+        values = agent._RunValues(emb.Z, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = values.td_max(s_next, done, masks)
+            want = agent.td_max(s_next, done, alive, np.maximum(params.theta1_hat @ emb.Z, 0.0),
+                                params.theta2_hat)
+        assert got.tobytes() == want.tobytes() and got[2] == 0.0
+        assert values.td_rows == values.td_full == 7
+
+
+class _Spy(np.ndarray):
+    """An array that records the shape of every product it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Spy) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            self.shapes.append(np.shape(out))
+        return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_paper_transfer_run_scores_candidate_columns_only(seed, paper_graph, products,
+                                                           monkeypatch):
+    # the benchmark's paper-transfer training: every TD row is scored over
+    # its candidate columns, to td_max's bytes; the run computes one hidden
+    # array, one buffer, and no (d, n) product under theta2_hat
+    g = paper_graph
+    emb = random_embeddings(g, 64, seed)
+    cfg = AgentConfig(budget=10, episodes=2, batch_size=8, seed=seed)
+    shapes, runs = [], []
+    sync, td_max, init = QNetParams.sync_target, agent._RunValues.td_max, agent._RunValues.__init__
+
+    def spied(self):
+        sync(self)
+        self.theta2_hat = self.theta2_hat.view(_Spy)
+        self.theta2_hat.shapes = shapes
+
+    def checked(self, s_next, done, masks):
+        got = td_max(self, s_next, done, masks)
+        want = agent.td_max(s_next, done, agent._unpack(masks, g.n), self.period[0],
+                            self.params.theta2_hat)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def record_run(self, Z, params):
+        init(self, Z, params)
+        runs.append(self)
+
+    monkeypatch.setattr(QNetParams, "sync_target", spied)
+    monkeypatch.setattr(agent._RunValues, "td_max", checked)
+    monkeypatch.setattr(agent._RunValues, "__init__", record_run)
+    params, log = train(g, emb, cfg)
+    assert log.td_rows > 0 and log.td_full == 0
+    assert len(products) == 1 and len(runs[0].buffers) == 1
+    assert shapes and all(shape[-1] != g.n for shape in shapes)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -539,16 +709,24 @@ def test_replay_buffer_fifo_ring():
 
 def test_replay_buffer_mask_roundtrip():
     # each dead node scores 9, above every alive one, so a misread bit of the
-    # packed mask (n = 11 leaves 5 pad bits) moves the cached max
-    buf = ReplayBuffer(capacity=2, d=2, n_nodes=11)
-    mask = np.array([True, False, True, False, True, True, False, False, True, False, True])
-    Y_hat = np.array([np.where(mask, np.arange(11.0) / 2, 9.0), np.zeros(11)])
-    buf.push(np.zeros(2), 1, 0.0, np.array([1.0, 0.0]), False, mask)
-    buf.push(np.zeros(2), 1, 0.0, np.array([1.0, 0.0]), False, ~mask)
+    # packed mask (n = 101 leaves 3 pad bits) moves the cached max; with the
+    # state at the intact mean every row takes the candidate path
+    n = 101
+    mask = np.ones(n, dtype=bool)
+    mask[[3, 17, 64, 98, 100]] = False
+    Z = np.where(mask, np.arange(n) / n, 9.0)[None]
+    params = QNetParams(theta1=np.array([[1.0], [0.0]]), theta2=np.array([[1.0, 0.0]]))
+    values = agent._RunValues(Z, params)
+    s0 = pooled_state(Z, [])
+    buf = ReplayBuffer(capacity=2, d=1, n_nodes=n)
+    buf.push(s0, 1, 0.0, s0, False, mask)
+    buf.push(s0, 1, 0.0, s0, False, ~mask)
     idx = buf.sample(4, np.random.default_rng(0))
     assert idx.shape == (4,) and set(idx.tolist()) <= {0, 1}
-    got = buf.cached_max(np.array([0, 1]), Y_hat)
-    assert got.tolist() == [5.0, 9.0]
+    got = buf.cached_max(np.array([0, 1]), values.td_max)
+    assert got.tolist() == [s0[0] * (99 / n), s0[0] * 9.0]
+    assert (values.td_rows, values.td_full) == (2, 0)
+    assert agent._unpack(buf.masks, n).tolist() == [mask.tolist(), (~mask).tolist()]
 
 
 def test_target_sync_semantics():
@@ -590,6 +768,9 @@ def test_train_log_counts_picks_and_keeps_four_csv_columns(tmp_path):
     _, log = train(g, random_embeddings(g, 4, 0), cfg)
     assert log.full_hidden > 0 and log.certified > 0
     assert log.full_hidden + log.certified <= cfg.episodes * cfg.budget
+    # every SGD step scores at least its batch's stale rows, and the first
+    # step's batch is all stale; every relabel is a memo hit or a labelling
+    assert 0 < log.td_full <= log.td_rows and log.memo_hits > 0
     log.save_csv(tmp_path / "log.csv")
     rows = [",".join((str(e), repr(c), repr(l), repr(x))) for e, c, l, x in
             zip(log.episode, log.cum_reward, log.loss_mean, log.epsilon)]
@@ -600,6 +781,11 @@ def test_train_log_counts_picks_and_keeps_four_csv_columns(tmp_path):
 @pytest.fixture(scope="module")
 def desk_graph():
     return generate(preset_config("desk", seed=0))
+
+
+@pytest.fixture(scope="module")
+def paper_graph():
+    return generate(preset_config("paper", seed=0))
 
 
 def assert_same_run(got, want):
@@ -641,6 +827,7 @@ DIFFERENTIAL_CONFIGS = [
 def test_cached_node_values_match_per_step_oracle(graph, overrides):
     g = (generate(preset_config("desk", seed=0)) if graph == "desk"
          else random_coupled(int(graph[-1])))
+    assert (g.n % 8 != 0) == (graph in ("random0", "random1"))     # 27 and 66 nodes
     emb = random_embeddings(g, 6, 3)
     cfg = AgentConfig(seed=5, **overrides)
     assert cfg.episodes * cfg.budget > cfg.target_sync
@@ -654,31 +841,38 @@ def test_cached_node_values_match_per_step_oracle(graph, overrides):
         assert getattr(rep, key) == getattr(o_rep, key), key
 
 
-@pytest.mark.parametrize("graph", [0, 1, 2])
+@pytest.mark.parametrize("graph", [0, 1, 2, "desk"])
 @pytest.mark.parametrize("overrides", DIFFERENTIAL_CONFIGS)
-def test_every_td_loss_reads_the_target_nets_node_values(graph, overrides, monkeypatch):
-    # the target values handed to the max cache, read off the reference or
-    # computed under theta1_hat, are the slow path's bytes at every TD loss,
-    # across many target syncs
-    runs, reads = [], []
-    init, cached_max = agent._RunValues.__init__, ReplayBuffer.cached_max
+def test_every_td_loss_reads_the_target_nets_node_values(graph, overrides, monkeypatch,
+                                                         desk_graph):
+    # the target net's hidden array the TD rows read, reused or computed
+    # under theta1_hat, is the slow path's bytes at every TD loss, across
+    # many target syncs, and the candidate path's maxima are the bytes of
+    # td_max over every alive column
+    reads = []
+    td_max = agent._RunValues.td_max
 
-    def record_run(self, Z, params):
-        init(self, Z, params)
-        runs.append(self)
+    def checked(self, s_next, done, masks):
+        got = td_max(self, s_next, done, masks)
+        hidden = self.period[0]
+        assert hidden.tobytes() == np.maximum(self.params.theta1_hat @ self.Z, 0.0).tobytes()
+        want = agent.td_max(s_next, done, agent._unpack(masks, self.Z.shape[1]), hidden,
+                            self.params.theta2_hat)
+        assert got.tobytes() == want.tobytes()
+        reads.append((self.params.theta1_hat.tobytes(), self.td_rows, self.td_full))
+        return got
 
-    def checked(self, idx, Y_hat):
-        values = runs[-1]
-        assert Y_hat.tobytes() == node_values(values.Z, values.params, target=True).tobytes()
-        reads.append(values.params.theta1_hat.tobytes())
-        return cached_max(self, idx, Y_hat)
-
-    monkeypatch.setattr(agent._RunValues, "__init__", record_run)
-    monkeypatch.setattr(ReplayBuffer, "cached_max", checked)
-    g = random_coupled(graph)
+    monkeypatch.setattr(agent._RunValues, "td_max", checked)
+    g = desk_graph if graph == "desk" else random_coupled(graph)
     cfg = AgentConfig(seed=5, **overrides)
-    train(g, random_embeddings(g, 6, 3), cfg)
-    assert len(runs) == 1 and len(set(reads)) > 2
+    emb = random_embeddings(g, 6, 3)
+    if graph == "desk":                     # near the intact mean, as a trained embedding
+        emb = EmbeddingMatrix(emb.Z + 2.0)
+    _, log = train(g, emb, cfg)
+    assert len({key for key, _, _ in reads}) > 2
+    assert (log.td_rows, log.td_full) == reads[-1][1:]
+    if graph == "desk":
+        assert log.td_full < log.td_rows        # some rows take the candidate path
 
 
 # The cached TD maxima against the per-step oracle on the desk graph, whose
@@ -748,6 +942,42 @@ def test_wide_bounds_recompute_most_picks(picks):
     assert len(picks) == log.full_hidden + log.certified + log.exact == 80
     assert_same_greedy_attack(g, emb, params)
     assert log.full_hidden > log.certified > 0
+
+
+def test_a_pick_recompute_while_the_td_rows_read_h_hat_takes_a_second_buffer(products):
+    # the exploit run above recomputes most picks; only a recompute between a
+    # target pass and the next sync writes into the second buffer, allocated
+    # then, and no product ever writes into the buffer the TD rows read
+    seen = []
+    refer = agent._RunValues._refer
+
+    def record(self, target):
+        before = (self.td, self.ref, len(self.buffers))
+        refer(self, target)
+        seen.append((target, *before, self.ref, len(self.buffers)))
+        assert self.ref != before[0]
+
+    g = random_coupled(1)
+    emb = EmbeddingMatrix(10 * random_embeddings(g, 6, 1).Z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agent._RunValues, "_refer", record)
+        train(g, emb, AgentConfig(**EXPLOIT_RUN))
+    grown = [i for i, c in enumerate(seen) if c[5] > c[3]]
+    assert len(grown) == 1
+    target, td, ref, _, _, _ = seen[grown[0]]
+    assert not target and td == ref == 0
+    assert all(c[5] == 1 for c in seen[:grown[0]])
+    # a run that never recomputes a pick after its first target pass keeps one
+    values = agent._RunValues(emb.Z, QNetParams.init(6, np.random.default_rng(0)))
+    s, alive = emb.Z.mean(axis=1), np.ones(g.n, dtype=bool)
+    values.pick(s, alive)
+    values.td_max(s[None], np.array([False]), np.packbits(alive)[None])
+    values.pick(s, alive)
+    assert len(values.buffers) == 1 and values.td == values.ref == 0
+    values.params.theta1 += 1.0
+    values.moved()
+    values.pick(s, alive)
+    assert len(values.buffers) == 2 and (values.td, values.ref) == (0, 1)
 
 
 def test_certification_proves_most_picks_at_the_default_rate(desk_graph, picks):
@@ -925,40 +1155,57 @@ def test_a_certified_pick_multiplies_only_its_candidate_columns(run, desk_graph,
         assert len(seen) >= 20
 
 
-def test_replay_buffer_computes_each_stale_slot_once(monkeypatch):
-    products = []
-    compute = agent.masked_max
+def test_a_greedy_attack_takes_each_norm_of_theta1_once(desk_graph, monkeypatch):
+    # theta1 never moves in an attack, so its norm, its drift from the
+    # reference and the reference's own norm are each one pass over theta1,
+    # whatever the budget; the picks are those of the per-step oracle
+    passes = []
+    norm = agent._norm
+    monkeypatch.setattr(agent, "_norm", lambda x: passes.append(x.size) or norm(x))
+    d = 16
+    emb = random_embeddings(desk_graph, d, 1)
+    params = QNetParams.init(d, np.random.default_rng(0))
+    for budget in (2, 10):
+        passes.clear()
+        rep = greedy_attack(desk_graph, emb, params, budget)
+        assert passes.count(2 * d * d) == 3
+        assert rep.nodes == oracle_greedy_attack(desk_graph, emb, params, budget).nodes
 
-    def record(s_next, alive, Y_hat):
-        products.append(s_next[:, 0].tolist())
-        return compute(s_next, alive, Y_hat)
 
-    monkeypatch.setattr(agent, "masked_max", record)
+def test_replay_buffer_computes_each_stale_slot_once():
+    computed = []
+
+    def compute(s_next, done, masks):
+        # a stand-in for the TD kernel: the next state's first entry, times 3
+        computed.append(s_next[:, 0].tolist())
+        assert masks.shape == (len(s_next), 1) and not done.any()
+        return s_next[:, 0] * 3.0
+
     buf = ReplayBuffer(capacity=3, d=2, n_nodes=4)
-    Y_hat = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
     alive = np.array([True, True, True, False])
     for k in (1.0, 2.0, 3.0):
         buf.push(np.zeros(2), 0, 0.0, np.array([k, 0.0]), False, alive)
-    assert buf.cached_max(np.array([2, 0, 2, 1]), Y_hat).tolist() == [9.0, 3.0, 9.0, 6.0]
-    assert buf.cached_max(np.array([1, 2]), Y_hat).tolist() == [6.0, 9.0]
+    assert buf.cached_max(np.array([2, 0, 2, 1]), compute).tolist() == [9.0, 3.0, 9.0, 6.0]
+    assert buf.cached_max(np.array([1, 2]), compute).tolist() == [6.0, 9.0]
     buf.push(np.zeros(2), 0, 0.0, np.array([-1.0, 0.0]), False, alive)     # into slot 0
-    assert buf.cached_max(np.array([0, 1]), Y_hat).tolist() == [-1.0, 6.0]
+    assert buf.cached_max(np.array([0, 1]), compute).tolist() == [-3.0, 6.0]
     buf.fresh[:] = False                                                   # a target sync
-    assert buf.cached_max(np.array([2]), Y_hat * 2).tolist() == [18.0]
-    assert buf.cached_max(np.array([1, 1]), Y_hat * 2).tolist() == [12.0, 12.0]
-    # one product per call with a stale slot; a lone stale slot of a larger
-    # batch fills two rows, and a batch of one takes a 1-row product
-    assert products == [[1.0, 2.0, 3.0], [-1.0, -1.0], [3.0], [2.0, 2.0]]
+    assert buf.cached_max(np.array([2]), lambda *rows: 2 * compute(*rows)).tolist() == [18.0]
+    assert buf.cached_max(np.array([1, 1]), compute).tolist() == [6.0, 6.0]
+    # one call per batch with a stale slot, over its distinct stale slots only
+    assert computed == [[1.0, 2.0, 3.0], [-1.0], [3.0], [2.0]]
 
 
 def test_td_max_cache_unpacks_only_stale_slots(desk_graph, monkeypatch):
     # A model of the cache kept here: a slot's max goes stale at its push
     # and at every target sync, and is fresh once an SGD step has computed it.
+    # Each TD call scores its distinct stale slots and unpacks the masks of
+    # only those it scores over every column.
     generation, known = {}, set()
-    periods = [[0, 0]]              # per target period: rows unpacked, stale slots sampled
+    periods = [[0, 0]]              # per target period: rows computed, stale slots sampled
     unpacked = []
-    push, sync = ReplayBuffer.push, QNetParams.sync_target
-    cached_max, alive = ReplayBuffer.cached_max, ReplayBuffer.alive
+    push, sync, cached_max = ReplayBuffer.push, QNetParams.sync_target, ReplayBuffer.cached_max
+    unpack = agent._unpack
 
     def on_push(self, *args):
         generation[self.head] = generation.get(self.head, 0) + 1
@@ -969,29 +1216,38 @@ def test_td_max_cache_unpacks_only_stale_slots(desk_graph, monkeypatch):
         periods.append([0, 0])
         sync(self)
 
-    def on_alive(self, rows):
-        unpacked.extend(rows.tolist())
-        return alive(self, rows)
+    def on_unpack(masks, n):
+        unpacked.append(len(masks))
+        return unpack(masks, n)
 
-    def on_cached_max(self, idx, Y_hat):
-        stale = {i for i in idx.tolist() if (i, generation[i]) not in known}
+    def on_cached_max(self, idx, compute):
+        stale = sorted({i for i in idx.tolist() if (i, generation[i]) not in known})
+        rows = []
+
+        def recorded(s_next, done, masks):
+            rows.append(len(s_next))
+            assert s_next.tobytes() == self.s_next[stale].tobytes()
+            assert masks.tobytes() == self.masks[stale].tobytes()
+            return compute(s_next, done, masks)
+
         unpacked.clear()
-        out = cached_max(self, idx, Y_hat)
-        assert set(unpacked) == stale
-        assert len(unpacked) == (2 if len(stale) == 1 < len(idx) else len(stale))
+        out = cached_max(self, idx, recorded)
+        assert rows == ([len(stale)] if stale else [])
+        assert sum(unpacked) <= len(stale)
         known.update((i, generation[i]) for i in stale)
-        periods[-1][0] += len(set(unpacked))
+        periods[-1][0] += sum(rows)
         periods[-1][1] += len(stale)
         return out
 
-    for name, fn in (("push", on_push), ("alive", on_alive), ("cached_max", on_cached_max)):
+    for name, fn in (("push", on_push), ("cached_max", on_cached_max)):
         monkeypatch.setattr(ReplayBuffer, name, fn)
     monkeypatch.setattr(QNetParams, "sync_target", on_sync)
+    monkeypatch.setattr(agent, "_unpack", on_unpack)
     cfg = AgentConfig(budget=10, episodes=20, batch_size=64, buffer_size=150,
                       target_sync=20, lr=0.05, seed=3)
     train(desk_graph, random_embeddings(desk_graph, 16, 1), cfg)
     assert len(periods) == 1 + 1 + 200 // 20          # the sync at init, then one per period
-    assert all(rows <= stale for rows, stale in periods)
+    assert all(rows == stale for rows, stale in periods)
     sgd_steps = 200 - cfg.batch_size + 1
     assert 0 < sum(rows for rows, _ in periods) < sgd_steps * cfg.batch_size / 4
 

@@ -132,9 +132,15 @@ def test_env_labels_only_when_a_junction_dies(monkeypatch):
     assert len(labellings) == 1
     env.step(10)
     assert len(labellings) == 2
+    after = (env.power, env.sigma, env.gcc)
     env.reset()
     assert (env.power, env.sigma, env.gcc) == intact
     assert np.all(env.state == NORMAL) and len(labellings) == 2
+    # the memo outlives reset(): the same alive-junction set is not labelled again
+    for v in (4, 7, 10):
+        env.step(v)
+    assert (env.power, env.sigma, env.gcc) == after
+    assert len(labellings) == 2 and env.memo_hits == 2
 
 
 def test_env_step_errors():
@@ -258,6 +264,40 @@ def test_reports_equal_reference_loop(method, desk, monkeypatch):
     for name in ("nodes", "power", "sigma", "gcc", "anc", "reward", "cum_reward"):
         assert getattr(new, name) == getattr(ref, name), name
     assert list(new.rows()) == list(ref.rows())
+
+
+class _NoMemo(dict):
+    """A road memo that keeps nothing, so every relabel labels."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_the_road_memo_changes_no_report_and_no_training(desk, monkeypatch):
+    g, w = desk
+    emb = random_embeddings(g, 8, 0)
+    cfg = AgentConfig(budget=10, episodes=12, batch_size=16, target_sync=30, seed=4)
+    gdm = baselines.GdmConfig(sample_count=60, epochs=40)
+    with_memo = (agent.train(g, emb, cfg), baselines.gdm_attack(g, emb, 10, gdm, w),
+                 greedy(g, w))
+    assert with_memo[0][1].memo_hits > 0
+    init = AttackEnv.__init__
+
+    def no_memo(self, *args):
+        init(self, *args)
+        self._memo = _NoMemo()
+
+    monkeypatch.setattr(AttackEnv, "__init__", no_memo)
+    (params, log), rep, greedy_rep = agent.train(g, emb, cfg), baselines.gdm_attack(
+        g, emb, 10, gdm, w), greedy(g, w)
+    assert log.memo_hits == 0
+    (m_params, m_log), m_rep, m_greedy = with_memo
+    assert m_params.theta1.tobytes() == params.theta1.tobytes()
+    assert m_params.theta2.tobytes() == params.theta2.tobytes()
+    for key in ("episode", "cum_reward", "loss_mean", "epsilon", "td_rows", "td_full"):
+        assert getattr(m_log, key) == getattr(log, key), key
+    assert list(m_rep.rows()) == list(rep.rows())
+    assert list(m_greedy.rows()) == list(greedy_rep.rows())
 
 
 # -- the default weights, resolved only in AttackEnv --------------------------
